@@ -12,8 +12,7 @@ from .bochner import (BochnerStructure, bochner_identity_check,
                       r_function, r_function_for_chain, verify_assumption)
 from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
                     check_reversibility, dirichlet_form, entropy,
-                    generator_apply, normalize_density, random_density,
-                    seeded_densities)
+                    normalize_density, random_density, seeded_densities)
 from .constants import (ConstantEstimate, OptimizerOptions, beckner_constant,
                         constants_report, lsi_constant, mlsi_constant,
                         spectral_gap)
@@ -22,14 +21,12 @@ from .dynamics import (DecayFit, DecayReport, Trajectory,
                        evolve, evolve_rk4, fit_decay_rate, run_decay)
 from .entropy import (ConvexEntropy, MeanFunction, big_theta,
                       big_theta_lower_bound, big_theta_with_argmin,
-                      log_entropy, phi_eval, power_entropy,
-                      quadratic_entropy, theta, theta_partials,
+                      log_entropy, power_entropy, quadratic_entropy,
                       theta_surface, verify_concavity,
                       verify_theta_identities)
 from .errors import (BecknerLabError, CapabilityError, ConfigError,
-                     DegeneracyError, DegenerateInputError, DomainError,
-                     HypothesisError, NumericalError, ReversibilityError,
-                     SizeError)
+                     DegeneracyError, DomainError, HypothesisError,
+                     NumericalError, ReversibilityError, SizeError)
 from .fokker_planck import (FVExperiment, RefinementTable, fv_condition_check,
                             mesh_refinement_study, run_fv_experiment)
 from .models import (ModelSpec, PaperConstant, build_bernoulli_laplace,

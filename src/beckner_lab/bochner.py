@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import Density, FiniteChain
 from .entropy import ConvexEntropy, MeanFunction
-from .errors import CapabilityError, DegenerateInputError, DomainError
+from .errors import CapabilityError, DegeneracyError, DomainError
 from .models import ModelSpec, build_model
 from .reporting import CheckReport, VerificationReport
 
@@ -427,7 +427,7 @@ def ineq_ratio(chain: FiniteChain, bs: BochnerStructure,
     scale = float(np.max(chain.rates) * np.max(np.abs(e.d1(r)))
                   * np.max(np.abs(r)) + 1e-300)
     if abs(den) <= 1e-14 * scale:
-        raise DegenerateInputError(
+        raise DegeneracyError(
             "entropy production vanishes; rho is (numerically) constant")
     _, rhs = proposition_sides(chain, bs, e, rho)
     return 2.0 * rhs / den

@@ -99,7 +99,10 @@ class FiniteChain:
         return f[self.targets[g]] - f
 
     def apply_generator(self, f):
+        """(L f)(eta) = sum_g c(eta, g)(f(g eta) - f(eta)); L 1 = 0."""
         f = np.asarray(f, dtype=float)
+        if f.shape != (self.n_states,):
+            raise DomainError("f must assign one value per state")
         out = np.zeros_like(f)
         for g in range(self.n_moves):
             out += self.rates[:, g] * (f[self.targets[g]] - f)
@@ -153,14 +156,6 @@ class Density:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def generator_apply(chain: FiniteChain, f) -> np.ndarray:
-    """(L f)(eta) = sum_g c(eta, g)(f(g eta) - f(eta)); L 1 = 0."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (chain.n_states,):
-        raise DomainError("f must assign one value per state")
-    return chain.apply_generator(f)
-
 
 def dirichlet_form(chain: FiniteChain, f, g) -> float:
     """E(f, g) in symmetric gradient form, cross-checked against -pi[f Lg].

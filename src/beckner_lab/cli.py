@@ -19,6 +19,7 @@ failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -67,6 +68,19 @@ def _require_keys(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+@contextlib.contextmanager
+def _strict_types(where: str):
+    """Report a missing or ill-typed value met in ``where`` as ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: ill-typed value ({exc})") from exc
+
+
 def _check_alpha(a) -> float:
     a = float(a)
     if not 1.0 < a <= 2.0:
@@ -74,6 +88,14 @@ def _check_alpha(a) -> float:
     return a
 
 
+def _check_tol(t) -> float:
+    t = float(t)
+    if not t > 0.0:
+        raise ConfigError("tol must be positive")
+    return t
+
+
+@_strict_types("model block")
 def parse_model_block(d: dict) -> ModelSpec:
     if "model" not in d:
         raise ConfigError("model block: missing 'model'")
@@ -94,7 +116,7 @@ def parse_model_block(d: dict) -> ModelSpec:
         return ModelSpec("zero_range", {"L": L, "N": N, "c_x": table})
     if kind == "bernoulli_laplace":
         _require_keys(d, {"model", "L", "N", "lambda"}, "bernoulli_laplace block")
-        lam = d.get("lambda", 1.0)
+        lam = np.asarray(d.get("lambda", 1.0), dtype=float)
         return ModelSpec("bernoulli_laplace",
                          {"L": int(d["L"]), "N": int(d["N"]), "lambda_x": lam})
     if kind == "random_transposition":
@@ -115,6 +137,7 @@ def parse_model_block(d: dict) -> ModelSpec:
     if kind == "fokker_planck_fv":
         _require_keys(d, {"model", "potential", "n_cells", "lambda"},
                       "fokker_planck_fv block")
+        models.potential_from_config(d["potential"])     # fail at parse time
         return ModelSpec("fokker_planck_fv",
                          {"potential": d["potential"],
                           "n_cells": int(d["n_cells"]),
@@ -122,6 +145,7 @@ def parse_model_block(d: dict) -> ModelSpec:
     raise ConfigError(f"unknown model {kind!r}")
 
 
+@_strict_types("config")
 def validate_config(raw: str) -> ExperimentConfig:
     """Strict parse of a JSON experiment document."""
     raw = raw.strip()
@@ -150,9 +174,7 @@ def validate_config(raw: str) -> ExperimentConfig:
     if "out" in doc:
         cfg.out = str(doc["out"])
     if "tol" in doc:
-        cfg.tol = float(doc["tol"])
-        if cfg.tol <= 0:
-            raise ConfigError("tol must be positive")
+        cfg.tol = _check_tol(doc["tol"])
     if "grid" in doc:
         cfg.grid = _parse_grid(doc["grid"])
     if "samples" in doc:
@@ -318,14 +340,11 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
                                     t_end=cfg.t_end, n_points=cfg.n_points,
                                     tol=cfg.tol or 1e-6)
         traj = report.trajectory
-        le = np.log(np.maximum(traj.entropy_values, 1e-300))
-        inst = np.full(len(traj), np.nan)
-        inst[1:-1] = -(le[2:] - le[:-2]) / (traj.times[2:] - traj.times[:-2])
         tag = f"{a:.6g}".replace(".", "_")
         _write_csv(os.path.join(cfg.out, f"trajectory_alpha{tag}.csv"),
                    "t,entropy,dirichlet,inst_rate",
                    zip(traj.times, traj.entropy_values,
-                       traj.dirichlet_values, inst))
+                       traj.dirichlet_values, traj.instantaneous_rate()))
         if cfg.dump_densities:
             _write_json(os.path.join(cfg.out, f"densities_alpha{tag}.json"),
                         {_fmt(t): [float(v) for v in traj.densities[k]]
@@ -520,7 +539,7 @@ def _config_from_namespace(ns) -> ExperimentConfig:
     cfg = ExperimentConfig(command=ns.command)
     cfg.out = ns.out
     cfg.seed = ns.seed
-    cfg.tol = ns.tol
+    cfg.tol = None if ns.tol is None else _check_tol(ns.tol)
     if hasattr(ns, "alpha"):
         cfg.alphas = [_check_alpha(a) for a in ns.alpha]
     if hasattr(ns, "grid"):

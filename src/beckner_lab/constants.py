@@ -22,8 +22,6 @@ lambda_P exactly and keeps every estimate at or below 2 lambda_P.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,17 +30,6 @@ from .chain import Density, FiniteChain
 from .entropy import ConvexEntropy, log_entropy, power_entropy
 from .errors import DegeneracyError, DomainError, NumericalError
 from .models import ModelSpec, paper_lambda
-
-
-def max_threads(default: int = 4) -> int:
-    """Worker cap, overridable through BECKNER_LAB_THREADS."""
-    raw = os.environ.get("BECKNER_LAB_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, min(default, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +245,8 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
     f_gap = poincare_eigenvector(chain)
     starts = _start_fields(chain, f_gap, opts)
 
-    def run(u0):
-        return _descend(chain, vg, u0, opts.max_iter, opts.tol)
-
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        results = list(pool.map(run, starts))
+    results = [_descend(chain, vg, u0, opts.max_iter, opts.tol)
+               for u0 in starts]
 
     candidates: list[tuple[float, np.ndarray]] = []
     n_conv = 0

@@ -153,11 +153,6 @@ def power_entropy(alpha: float) -> ConvexEntropy:
     return ConvexEntropy("power", float(alpha))
 
 
-def phi_eval(entropy: ConvexEntropy, s):
-    """Evaluate phi(s); phi(1) = 0 and phi >= 0 for all built-in kinds."""
-    return entropy.eval(s)
-
-
 def _check_positive(s):
     arr = np.asarray(s, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -183,6 +178,7 @@ class MeanFunction:
     eps_diag: float = 1e-7
 
     def theta(self, s, t):
+        """The symmetric positive mean theta(s, t)."""
         e = self.entropy
         s_arr = np.asarray(_check_positive(s), dtype=float)
         t_arr = np.asarray(_check_positive(t), dtype=float)
@@ -199,20 +195,13 @@ class MeanFunction:
         return out if out.ndim else float(out)
 
     def partials(self, s, t):
-        """(d theta/ds, d theta/dt), closed forms, cancellation-safe."""
+        """(d theta/ds, d theta/dt), closed forms, cancellation-safe.
+
+        Both are nonnegative whenever phi''' <= 0.
+        """
         d1 = _theta_partial1(self.entropy, s, t)
         d2 = _theta_partial1(self.entropy, t, s)   # symmetry of theta
         return d1, d2
-
-
-def theta(mean: MeanFunction, s, t):
-    """The symmetric positive mean theta(s, t)."""
-    return mean.theta(s, t)
-
-
-def theta_partials(mean: MeanFunction, s, t):
-    """Partial derivatives of theta; nonnegative whenever phi''' <= 0."""
-    return mean.partials(s, t)
 
 
 def _theta_partial1(e: ConvexEntropy, s, t):

@@ -30,12 +30,12 @@ class NumericalError(BecknerLabError):
     """An iterative procedure failed to converge or lost accuracy."""
 
 
-class DegenerateInputError(BecknerLabError):
-    """Input is degenerate for the operation (e.g. a constant density)."""
-
-
 class DegeneracyError(BecknerLabError):
-    """The chain is reducible where irreducibility is required."""
+    """Input is degenerate for the operation.
+
+    Raised for a reducible chain where irreducibility is required, and for
+    a (numerically) constant density, whose entropy production vanishes.
+    """
 
 
 class ReversibilityError(BecknerLabError):

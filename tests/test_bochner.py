@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import beckner_lab as bl
-from beckner_lab import DegenerateInputError
+from beckner_lab import DegeneracyError
 
 
 def double_sum_oracle(chain, bs, chi, psi, beta):
@@ -262,7 +262,7 @@ class TestCurvatureInequality:
     def test_constant_density_degenerate(self, chains, structures):
         chain = chains["zero_range"]
         rho = bl.normalize_density(chain, np.ones(chain.n_states))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegeneracyError):
             bl.ineq_ratio(chain, structures["zero_range"],
                           bl.power_entropy(1.5), rho)
 

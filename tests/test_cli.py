@@ -149,6 +149,30 @@ class TestCommands:
         status = main(["decay", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"command": "decay", "model": {"model": "zero_range", "L": 3}},
+        {"command": "decay",
+         "model": {"model": "random_transposition", "n": "x"}},
+        {"command": "fokker-planck",
+         "model": {"model": "fokker_planck_fv", "n_cells": 8, "lambda": 4.0,
+                   "potential": {"kind": "quadratic"}}},
+        {"command": "decay", "seed": "x"},
+    ])
+    def test_missing_or_ill_typed_value_exit_code(self, tmp_path, capsys,
+                                                  doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status = main([doc["command"], "--config", str(bad),
+                       "--out", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_tol_flag_exit_code(self, tmp_path, capsys):
+        status = main(["decay", "--model", "random_transposition", "--n", "3",
+                       "--tol", "-1", "--out", str(tmp_path)])
+        assert status == 2
+        assert "tol must be positive" in capsys.readouterr().err
+
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -177,14 +201,3 @@ class TestCommands:
         assert status == 0
         doc = json.loads((tmp_path / "densities_alpha1_5.json").read_text())
         assert len(next(iter(doc.values()))) == 6
-
-    def test_thread_cap_env(self, monkeypatch):
-        import os as _os
-        from beckner_lab.constants import max_threads
-        monkeypatch.setenv("BECKNER_LAB_THREADS", "2")
-        assert max_threads() == 2
-        hardware = max(1, min(3, _os.cpu_count() or 1))
-        monkeypatch.setenv("BECKNER_LAB_THREADS", "not-a-number")
-        assert max_threads(default=3) == hardware
-        monkeypatch.delenv("BECKNER_LAB_THREADS")
-        assert max_threads(default=3) == hardware

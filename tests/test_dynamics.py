@@ -172,6 +172,23 @@ class TestFitDecay:
             bl.fit_decay_rate(traj, window=(29.0, 30.0))
 
 
+    def test_fit_reads_instantaneous_rate(self, two_state):
+        rho0 = bl.normalize_density(two_state, np.array([1.6, 0.7]))
+        traj = bl.evolve(two_state, bl.quadratic_entropy(), rho0,
+                         np.linspace(0.0, 30.0, 301))
+        inst = traj.instantaneous_rate()
+        assert np.isnan(inst[0]) and np.isnan(inst[-1])
+        assert np.all(np.isfinite(inst[1:-1]))
+        # the fit's infimum is the same float array on the interior of the
+        # samples it kept (entropy above the floor)
+        fit = bl.fit_decay_rate(traj)
+        t0, t1 = fit.diagnostics["window_used"]
+        kept = (traj.times > t0) & (traj.times < t1)
+        assert fit.rate == np.min(inst[kept])
+        assert fit.diagnostics["argmin_time"] == \
+            traj.times[kept][np.argmin(inst[kept])]
+
+
 class TestDirichletDecay:
     def test_certified_rate_passes(self, rt4):
         rho0 = bl.random_density(rt4, np.random.default_rng(8), 1.0)

@@ -26,10 +26,10 @@ def brute_force_big_theta(alpha, A, B, n=1500):
 
 class TestPhi:
     def test_closed_form_values(self):
-        assert bl.phi_eval(bl.power_entropy(1.5), 1.0) == 0.0
-        assert bl.phi_eval(bl.power_entropy(2.0), 3.0) == pytest.approx(4.0, abs=1e-14)
-        assert bl.phi_eval(bl.power_entropy(1.5), 4.0) == pytest.approx(5.0, abs=1e-12)
-        assert bl.phi_eval(bl.log_entropy(), math.e) == pytest.approx(1.0, abs=1e-14)
+        assert bl.power_entropy(1.5).eval(1.0) == 0.0
+        assert bl.power_entropy(2.0).eval(3.0) == pytest.approx(4.0, abs=1e-14)
+        assert bl.power_entropy(1.5).eval(4.0) == pytest.approx(5.0, abs=1e-12)
+        assert bl.log_entropy().eval(math.e) == pytest.approx(1.0, abs=1e-14)
 
     def test_normalization_and_convexity(self):
         s = np.linspace(0.05, 20.0, 200)
@@ -73,9 +73,9 @@ class TestPhi:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            bl.phi_eval(bl.log_entropy(), 0.0)
+            bl.log_entropy().eval(0.0)
         with pytest.raises(DomainError):
-            bl.phi_eval(bl.power_entropy(1.5), -2.0)
+            bl.power_entropy(1.5).eval(-2.0)
         with pytest.raises(DomainError):
             bl.power_entropy(1.0)
         with pytest.raises(DomainError):
@@ -85,16 +85,16 @@ class TestPhi:
 class TestTheta:
     def test_closed_form_values(self):
         m2 = bl.MeanFunction(bl.quadratic_entropy())
-        assert bl.theta(m2, 7.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert m2.theta(7.0, 2.0) == pytest.approx(0.5, abs=1e-15)
         m15 = bl.MeanFunction(bl.power_entropy(1.5))
-        assert bl.theta(m15, 4.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert m15.theta(4.0, 1.0) == pytest.approx(1.0, abs=1e-14)
         mlog = bl.MeanFunction(bl.log_entropy())
-        assert bl.theta(mlog, math.e, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert mlog.theta(math.e, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_near_diagonal_matches_curvature(self):
         e = bl.power_entropy(1.3)
         m = bl.MeanFunction(e)
-        got = bl.theta(m, 0.7, 0.7 + 1e-14)
+        got = m.theta(0.7, 0.7 + 1e-14)
         assert got == pytest.approx(1.0 / e.d2(0.7), rel=1e-8)
 
     def test_symmetry_and_diagonal(self):

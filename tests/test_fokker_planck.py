@@ -101,6 +101,17 @@ class TestRunExperiment:
                 lhs, rhs = discrete_power_inequality(chain, alpha, rho.values)
                 assert lhs <= rhs + 1e-9 * (abs(lhs) + abs(rhs))
 
+    def test_discrete_inequality_rejects_unnormalized_density(self):
+        # the centered left side equals the written one only at mass one
+        chain = bl.build_fokker_planck_fv(
+            lambda x: 2.0 * np.asarray(x) ** 2, 16, 4.0)
+        from beckner_lab.fokker_planck import discrete_power_inequality
+        rho = bl.random_density(chain, np.random.default_rng(4), 1.0).values
+        discrete_power_inequality(chain, 1.5, rho)
+        for factor in (1.0 + 1e-6, 2.0):
+            with pytest.raises(bl.DomainError, match="mass one"):
+                discrete_power_inequality(chain, 1.5, factor * rho)
+
     def test_discrete_inequality_near_flat_density(self):
         # rho - 1 ~ eps: both sides are O(eps^2), so the left side must
         # not be formed from O(eps) terms that cancel.  Smooth profiles
