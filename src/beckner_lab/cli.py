@@ -95,6 +95,13 @@ def _check_tol(t) -> float:
     return t
 
 
+def _check_count(name: str, n) -> int:
+    n = int(n)
+    if n < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    return n
+
+
 @_strict_types("model block")
 def parse_model_block(d: dict) -> ModelSpec:
     if "model" not in d:
@@ -178,9 +185,7 @@ def validate_config(raw: str) -> ExperimentConfig:
     if "grid" in doc:
         cfg.grid = _parse_grid(doc["grid"])
     if "samples" in doc:
-        cfg.samples = int(doc["samples"])
-        if cfg.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        cfg.samples = _check_count("samples", doc["samples"])
     if "cells" in doc:
         cfg.cells = [int(c) for c in doc["cells"]]
     if "n_points" in doc:
@@ -188,7 +193,7 @@ def validate_config(raw: str) -> ExperimentConfig:
     if "t_end" in doc:
         cfg.t_end = float(doc["t_end"])
     if "starts" in doc:
-        cfg.starts = int(doc["starts"])
+        cfg.starts = _check_count("starts", doc["starts"])
     cfg.echo = doc
     return cfg
 
@@ -545,7 +550,7 @@ def _config_from_namespace(ns) -> ExperimentConfig:
     if hasattr(ns, "grid"):
         cfg.grid = _parse_grid(ns.grid)
     if hasattr(ns, "samples"):
-        cfg.samples = ns.samples
+        cfg.samples = _check_count("samples", ns.samples)
     if hasattr(ns, "cells"):
         cfg.cells = list(ns.cells)
     if hasattr(ns, "n_points") and ns.n_points:
@@ -553,7 +558,7 @@ def _config_from_namespace(ns) -> ExperimentConfig:
     if hasattr(ns, "t_end"):
         cfg.t_end = ns.t_end
     if hasattr(ns, "starts"):
-        cfg.starts = ns.starts
+        cfg.starts = _check_count("starts", ns.starts)
     if getattr(ns, "dump_densities", False):
         cfg.dump_densities = True
     cfg.model = _model_from_flags(ns)

@@ -13,16 +13,19 @@ positive pi-mean-one densities:
 Minimization runs projected gradient descent with Armijo backtracking on
 the log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
-the spectral-gap eigenvector and random log-Gaussian fields.  Estimates
-are upper brackets of the sharp constants; linearization rays
-rho = 1 + eps f_gap are always folded in, which pins lambda_B(2) = 2
-lambda_P exactly and keeps every estimate at or below 2 lambda_P.
+the spectral-gap eigenvector and random log-Gaussian fields.  The starts
+advance in lockstep as the rows of one array, and each row gets the bits
+it would get if its start ran alone.  Estimates are upper brackets of
+the sharp constants; linearization rays rho = 1 + eps f_gap are always
+folded in, which pins lambda_B(2) = 2 lambda_P exactly and keeps every
+estimate at or below 2 lambda_P.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,71 +57,109 @@ def poincare_eigenvector(chain: FiniteChain) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quotients (value and gradient with respect to rho)
+# quotients on stacks of densities
 # ---------------------------------------------------------------------------
 
-def _beckner_value_grad(chain, alpha, rho):
-    # centered evaluation: rho - 1, rho^{a-1} - 1 and phi_a(rho) are built
-    # from expm1/log1p so near-flat densities keep full relative accuracy
-    Q = chain.dense_generator()
-    lg = np.log(rho)
-    rho_c = np.expm1(lg)                    # rho - 1, consistent with lg
-    pw_c = np.expm1((alpha - 1.0) * lg)     # rho^{alpha-1} - 1
-    Lr = Q @ rho_c
-    num = -(alpha / (alpha - 1.0)) * float(np.sum(chain.pi * pw_c * Lr))
-    phi_el = (np.expm1(alpha * lg) - rho_c) / (alpha - 1.0) - rho_c
-    den = float(np.sum(chain.pi * phi_el))
-    dden = chain.pi * alpha * pw_c / (alpha - 1.0)
-    dnum = -(alpha / (alpha - 1.0)) * chain.pi * (
-        (alpha - 1.0) * rho ** (alpha - 2.0) * Lr + Q @ pw_c)
-    return num, den, dnum, dden
+def _rowsum(X):
+    # per-row pairwise sum: each row gets the bits np.sum gives it alone
+    return np.add.reduce(X, axis=-1)
 
 
-def _mlsi_value_grad(chain, rho):
-    Q = chain.dense_generator()
-    lg = np.log(rho)
-    rho_c = np.expm1(lg)
-    Lr = Q @ rho_c
-    num = -float(np.sum(chain.pi * lg * Lr))
-    den = float(np.sum(chain.pi * (rho * lg - rho_c)))
-    dnum = -chain.pi * (Lr / rho + Q @ lg)
-    dden = chain.pi * lg
-    return num, den, dnum, dden
+class _Point(NamedTuple):
+    """Evaluation points stacked by row: quotient value, denominator,
+    density, and the terms the gradient reuses."""
+    val: np.ndarray
+    den: np.ndarray
+    rho: np.ndarray
+    terms: tuple
 
 
-def _lsi_value_grad(chain, rho):
-    Q = chain.dense_generator()
-    lg = np.log(rho)
-    sq_c = np.expm1(0.5 * lg)               # sqrt(rho) - 1
-    Lsq = Q @ sq_c
-    num = -float(np.sum(chain.pi * sq_c * Lsq))
-    den = float(np.sum(chain.pi * (rho * lg - np.expm1(lg))))
-    dnum = -chain.pi * Lsq / (sq_c + 1.0)
-    dden = chain.pi * lg
-    return num, den, dnum, dden
+class _Quotient:
+    """The named quotient on a (K, S) stack of densities, one per row.
 
+    Every row gets the bits it would get in a stack of its own: products
+    with Q run as one matrix-vector product per row (a single matrix
+    product over the stack rounds differently), sums are per-row
+    reductions, and scalar factors keep the order of the one-row formulas.
+    Evaluation is centered: rho - 1, rho^{a-1} - 1 and phi(rho) are built
+    from expm1 of log rho so near-flat densities keep full relative
+    accuracy.
+    """
 
-def _quotient(kind: str, alpha: float | None):
-    if kind == "beckner":
-        return lambda chain, rho: _beckner_value_grad(chain, alpha, rho)
-    if kind == "mlsi":
-        return lambda chain, rho: _mlsi_value_grad(chain, rho)
-    if kind == "lsi":
-        return lambda chain, rho: _lsi_value_grad(chain, rho)
-    raise DomainError(f"unknown quotient kind {kind!r}")
+    def __init__(self, chain: FiniteChain, kind: str, alpha: float | None):
+        if kind not in ("beckner", "mlsi", "lsi"):
+            raise DomainError(f"unknown quotient kind {kind!r}")
+        self.kind, self.alpha = kind, alpha
+        self.Q = chain.dense_generator()
+        self.pi = chain.pi
+
+    def _apply_q(self, X):
+        return (self.Q @ X[..., None])[..., 0]
+
+    def parts(self, rho):
+        """Numerator and denominator per row, and the terms that
+        :meth:`derivatives` reuses."""
+        pi, a = self.pi, self.alpha
+        lg = np.log(rho)
+        if self.kind == "beckner":
+            rho_c = np.expm1(lg)                    # rho - 1
+            pw_c = np.expm1((a - 1.0) * lg)         # rho^{a-1} - 1
+            Lr = self._apply_q(rho_c)
+            num = -(a / (a - 1.0)) * _rowsum(pi * pw_c * Lr)
+            phi_el = (np.expm1(a * lg) - rho_c) / (a - 1.0) - rho_c
+            return num, _rowsum(pi * phi_el), (pw_c, Lr)
+        if self.kind == "mlsi":
+            rho_c = np.expm1(lg)
+            Lr = self._apply_q(rho_c)
+            num = -_rowsum(pi * lg * Lr)
+            return num, _rowsum(pi * (rho * lg - rho_c)), (lg, Lr)
+        sq_c = np.expm1(0.5 * lg)                   # sqrt(rho) - 1
+        Lsq = self._apply_q(sq_c)
+        num = -_rowsum(pi * sq_c * Lsq)
+        return (num, _rowsum(pi * (rho * lg - np.expm1(lg))),
+                (lg, sq_c, Lsq))
+
+    def derivatives(self, rho, terms):
+        """Gradients of numerator and denominator with respect to rho."""
+        pi, a = self.pi, self.alpha
+        if self.kind == "beckner":
+            pw_c, Lr = terms
+            dnum = -(a / (a - 1.0)) * pi * (
+                (a - 1.0) * rho ** (a - 2.0) * Lr + self._apply_q(pw_c))
+            return dnum, pi * a * pw_c / (a - 1.0)
+        if self.kind == "mlsi":
+            lg, Lr = terms
+            return -pi * (Lr / rho + self._apply_q(lg)), pi * lg
+        lg, sq_c, Lsq = terms
+        return -pi * Lsq / (sq_c + 1.0), pi * lg
+
+    def at(self, U) -> _Point:
+        """Quotient at rho = exp(u)/pi[exp(u)] for each row u of U."""
+        V = np.exp(U - U.max(axis=-1, keepdims=True))
+        rho = V / _rowsum(self.pi * V)[:, None]
+        num, den, terms = self.parts(rho)
+        return _Point(num / den, den, rho, terms)
+
+    def gradient(self, p: _Point, rows=slice(None)):
+        """Projected gradient in u at the given rows of ``p``."""
+        val, den, rho = p.val[rows], p.den[rows], p.rho[rows]
+        dnum, dden = self.derivatives(rho, [t[rows] for t in p.terms])
+        G = rho * ((dnum - val[:, None] * dden) / den[:, None])
+        return G - self.pi * rho * _rowsum(G)[:, None]
 
 
 def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
                    rho: Density) -> float:
     """Direct evaluation of the named quotient at a density."""
-    num, den, _, _ = _quotient(kind, alpha)(chain, rho.values)
+    (num,), (den,), _ = _Quotient(chain, kind, alpha).parts(
+        rho.values[None, :])
     if den <= 0.0:
         raise DomainError("entropy vanished at the evaluation point")
-    return num / den
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent in log coordinates
+# projected gradient descent in log coordinates, all starts in lockstep
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,95 +169,131 @@ class OptimizerOptions:
     tol: float = 1e-8
     seed: int = 0
 
-
-def _u_to_rho(chain, u):
-    v = np.exp(u - u.max())
-    return v / float(np.sum(chain.pi * v))
-
-
-def _value_grad_u(chain, vg, u):
-    with np.errstate(all="ignore"):         # inf/nan iterates are rejected
-        rho = _u_to_rho(chain, u)
-        num, den, dnum, dden = vg(chain, rho)
-        val = num / den
-        q = (dnum - val * dden) / den       # dQ/d rho
-        G = rho * q
-        g_u = G - chain.pi * rho * float(np.sum(G))
-    return val, g_u, rho
+    def __post_init__(self):
+        if self.starts < 1:
+            raise DomainError(f"starts must be >= 1, got {self.starts}")
 
 
-def _descend(chain, vg, u0, max_iter, gtol):
-    """Armijo projected gradient descent; returns (value, rho, gnorm,
-    iterations, status) with status in {"gradient", "stalled", "maxiter"}.
+# start statuses; every status but "maxiter" counts as converged
+STATUSES = ("gradient", "stalled", "maxiter", "polished")
 
-    "stalled" means the backtracking line search reached floating-point
-    resolution; the iterate is then the best the arithmetic supports and
-    counts as converged.
+
+@dataclass(frozen=True)
+class _Descent:
+    """Per-start results of one lockstep descent (row k is start k)."""
+    value: np.ndarray
+    rho: np.ndarray
+    gnorm: np.ndarray
+    status: list[str]
+    evaluations: int        # rows evaluated, L-BFGS calls included
+    rounds: int             # lockstep line-search rounds
+
+
+def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
+    """Armijo projected gradient descent from each row of the (K, S) stack
+    ``U0``.
+
+    Each round tries one step per running row, with that row's own step
+    size, iteration count, stall anchor and status; an accepted row gets
+    its gradient and starts its next iteration, a rejected row halves its
+    step.  A row therefore follows exactly the path it follows alone.
+
+    Statuses: "gradient" (gradient test met), "stalled" (the backtracking
+    line search reached floating-point resolution, or 25 iterations gained
+    less than that; the iterate is then the best the arithmetic supports
+    and counts as converged), "polished" (``max_iter`` ran out and an
+    L-BFGS pass from the iterate met the gradient test) and "maxiter"
+    (neither did).
     """
-    u = np.array(u0, dtype=float)
-    val, g, _ = _value_grad_u(chain, vg, u)
-    step = 1.0
-    status = "maxiter"
-    anchor = val
-    for its in range(max_iter):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= gtol * max(1.0, abs(val)):
-            status = "gradient"
-            break
-        if its % 25 == 24:
-            # progress below float resolution: the iterate is as good as
-            # the arithmetic supports
-            if anchor - val <= 1e-13 * max(1.0, abs(val)):
-                status = "stalled"
+    U = np.array(U0, dtype=float)
+    K = U.shape[0]
+    with np.errstate(all="ignore"):         # inf/nan iterates are rejected
+        p = quot.at(U)
+        val, rho, G = p.val, p.rho, quot.gradient(p)
+        evaluations, rounds = K, 0
+        step = np.ones(K)
+        its = np.zeros(K, dtype=int)
+        anchor = val.copy()
+        g2 = np.zeros(K)
+        status = np.full(K, "maxiter", dtype=object)
+        running = np.ones(K, dtype=bool)
+        top = running.copy()                # at the top of an iteration
+        while True:
+            running &= ~(top & (its >= max_iter))   # stays "maxiter"
+            top &= running
+            scale = np.fmax(1.0, np.abs(val))       # max(1, |val|)
+            done = top & (np.max(np.abs(G), axis=1) <= gtol * scale)
+            check = top & ~done & (its % 25 == 24)
+            # progress below float resolution, over 25 iterations or in
+            # the line search: the iterate is as good as the arithmetic
+            # supports
+            stall = ((check & (anchor - val <= 1e-13 * scale))
+                     | (running & ~done & ~(step > 1e-16)))
+            anchor[check] = val[check]
+            status[done] = "gradient"
+            status[stall] = "stalled"
+            running &= ~(done | stall)
+            top &= running
+            # one dot product per row, bitwise equal to np.dot(g, g)
+            # (einsum and summed products round differently)
+            Gt = G[top]
+            g2[top] = (Gt[:, None, :] @ Gt[:, :, None])[:, 0, 0]
+            top[:] = False
+            rows = np.flatnonzero(running)
+            if rows.size == 0:
                 break
-            anchor = val
-        g2 = float(np.dot(g, g))
-        accepted = False
-        while step > 1e-16:
-            u_try = u - step * g
-            v_try, g_try, _ = _value_grad_u(chain, vg, u_try)
-            if math.isfinite(v_try) and v_try <= val - 1e-4 * step * g2:
-                u, val, g = u_try, v_try, g_try
-                step = min(step * 1.5, 1e6)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            status = "stalled"
-            break
-    val, g, rho = _value_grad_u(chain, vg, u)
-    gnorm = float(np.max(np.abs(g)))
-    if status == "maxiter" and gnorm > gtol * max(1.0, abs(val)):
-        # slow first-order tail: polish with a deterministic quasi-Newton
-        # pass from the current iterate
-        from scipy.optimize import minimize
+            s = step[rows]
+            U_try = U[rows] - s[:, None] * G[rows]
+            p = quot.at(U_try)
+            evaluations += rows.size
+            rounds += 1
+            armijo = val[rows] - 1e-4 * s * g2[rows]
+            ok = np.isfinite(p.val) & (p.val <= armijo)
+            acc = rows[ok]
+            U[acc], val[acc], rho[acc] = U_try[ok], p.val[ok], p.rho[ok]
+            G[acc] = quot.gradient(p, ok)
+            step[acc] = np.minimum(s[ok] * 1.5, 1e6)
+            its[acc] += 1
+            top[acc] = True
+            step[rows[~ok]] = s[~ok] * 0.5
 
-        def fun(uu):
-            v, gg, _ = _value_grad_u(chain, vg, uu)
-            if not math.isfinite(v):
-                return 1e300, np.zeros_like(uu)
-            return v, gg
-
-        res = minimize(fun, u, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 2000, "maxfun": 20000,
-                                "gtol": 0.1 * gtol, "ftol": 1e-16})
-        v2, g2, rho2 = _value_grad_u(chain, vg, res.x)
-        if math.isfinite(v2) and v2 <= val:
-            u, val, g, rho = res.x, v2, g2, rho2
-            gnorm = float(np.max(np.abs(g)))
-    if gnorm <= gtol * max(1.0, abs(val)):
-        status = "gradient"
-    return val, rho, gnorm, status
+        gnorm = np.max(np.abs(G), axis=1)
+        scale = np.fmax(1.0, np.abs(val))
+        polish = (status == "maxiter") & (gnorm > gtol * scale)
+        for k in np.flatnonzero(polish):
+            # slow first-order tail: polish with a deterministic
+            # quasi-Newton pass from the current iterate
+            res = _polish(quot, U[k], gtol)
+            p = quot.at(res.x[None, :])
+            evaluations += res.nfev + 1
+            if math.isfinite(p.val[0]) and p.val[0] <= val[k]:
+                val[k], rho[k] = p.val[0], p.rho[0]
+                gnorm[k] = np.max(np.abs(quot.gradient(p)))
+        met = gnorm <= gtol * np.fmax(1.0, np.abs(val))
+        status[met & polish] = "polished"
+        status[met & ~polish] = "gradient"
+    return _Descent(val, rho, gnorm, list(status), evaluations, rounds)
 
 
-def _gap_ray_candidates(chain, f_gap):
-    out = []
-    for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        for sign in (1.0, -1.0):
-            rho = 1.0 + sign * eps * f_gap
-            rho = rho / float(np.sum(chain.pi * rho))
-            out.append(rho)
-    return out
+def _polish(quot: _Quotient, u, gtol: float):
+    from scipy.optimize import minimize
+
+    def fun(uu):
+        p = quot.at(uu[None, :])
+        if not math.isfinite(p.val[0]):
+            return 1e300, np.zeros_like(uu)
+        return float(p.val[0]), quot.gradient(p)[0]
+
+    return minimize(fun, u.copy(), jac=True, method="L-BFGS-B",
+                    options={"maxiter": 2000, "maxfun": 20000,
+                             "gtol": 0.1 * gtol, "ftol": 1e-16})
+
+
+def _gap_rays(chain, f_gap):
+    coef = np.array([sign * eps for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+                     for sign in (1.0, -1.0)])
+    R = 1.0 + coef[:, None] * f_gap
+    return R / _rowsum(chain.pi * R)[:, None]
 
 
 def _start_fields(chain, f_gap, opts: OptimizerOptions):
@@ -226,7 +303,7 @@ def _start_fields(chain, f_gap, opts: OptimizerOptions):
     while len(starts) < opts.starts:
         amp = amps[len(starts) % len(amps)]
         starts.append(amp * rng.standard_normal(chain.n_states))
-    return starts[: opts.starts]
+    return np.array(starts[: opts.starts])
 
 
 @dataclass(frozen=True)
@@ -241,29 +318,24 @@ class ConstantEstimate:
 
 def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
               opts: OptimizerOptions, extra_candidates=()) -> ConstantEstimate:
-    vg = _quotient(kind, alpha)
+    quot = _Quotient(chain, kind, alpha)
     f_gap = poincare_eigenvector(chain)
-    starts = _start_fields(chain, f_gap, opts)
-
-    results = [_descend(chain, vg, u0, opts.max_iter, opts.tol)
-               for u0 in starts]
+    run = _descend(quot, _start_fields(chain, f_gap, opts), opts.max_iter,
+                   opts.tol)
 
     candidates: list[tuple[float, np.ndarray]] = []
-    n_conv = 0
     best_gnorm = math.inf
-    for val, rho, gnorm, status in results:
+    for val, rho, gnorm in zip(run.value, run.rho, run.gnorm):
         if math.isfinite(val):
-            candidates.append((val, rho))
-        n_conv += int(status in ("gradient", "stalled"))
-        best_gnorm = min(best_gnorm, gnorm)
-    for rho in _gap_ray_candidates(chain, f_gap):
-        num, den, _, _ = vg(chain, rho)
+            candidates.append((float(val), rho))
+        best_gnorm = min(best_gnorm, float(gnorm))
+    status_counts = {s: run.status.count(s) for s in STATUSES}
+    n_conv = len(run.status) - status_counts["maxiter"]
+    rays = np.vstack([_gap_rays(chain, f_gap), *extra_candidates])
+    nums, dens, _ = quot.parts(rays)
+    for num, den, rho in zip(nums, dens, rays):
         if den > 0.0 and math.isfinite(num):
-            candidates.append((num / den, rho))
-    for rho in extra_candidates:
-        num, den, _, _ = vg(chain, rho)
-        if den > 0.0 and math.isfinite(num):
-            candidates.append((num / den, rho))
+            candidates.append((float(num / den), rho))
 
     if n_conv == 0:
         best = min(candidates, key=lambda c: c[0])
@@ -280,10 +352,12 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
     return ConstantEstimate(
         name=kind, value=val, minimizer=minimizer, method="MultistartGradient",
         alpha=alpha,
-        convergence={"converged_starts": n_conv, "starts": len(starts),
+        convergence={"converged_starts": n_conv, "starts": len(run.status),
                      "best_gradient_norm": best_gnorm,
                      "value_recheck_gap": abs(recheck - val),
-                     "renormalization_gap": invariance})
+                     "renormalization_gap": invariance,
+                     "status_counts": status_counts,
+                     "evaluations": run.evaluations, "rounds": run.rounds})
 
 
 def beckner_constant(chain: FiniteChain, alpha: float,

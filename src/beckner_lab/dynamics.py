@@ -22,7 +22,7 @@ import numpy as np
 from .bochner import entropy_production
 from .chain import Density, FiniteChain, entropy
 from .entropy import ConvexEntropy
-from .errors import DomainError
+from .errors import DomainError, HypothesisError
 from .reporting import CheckReport, VerificationReport
 
 ENTROPY_FLOOR = 1e-14
@@ -270,8 +270,13 @@ def run_decay(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
 
     ``certified`` means: the fitted infimum rate is >= lambda - tol, the
     entropy stays under Ent(0) exp(-lambda t) at all samples, and the
-    production decays pairwise at rate lambda.
+    production decays pairwise at rate lambda.  A constant that is not
+    positive certifies no decay and raises :class:`HypothesisError`.
     """
+    if not lambda_paper > 0.0:
+        raise HypothesisError(
+            f"explicit constant lambda = {lambda_paper:.6g} is not positive; "
+            "the rates violate the theorem's hypothesis")
     if t_end is None:
         t_end = 5.0 / max(lambda_paper, 1e-6)
     times = np.linspace(0.0, t_end, n_points)

@@ -173,6 +173,47 @@ class TestCommands:
         assert status == 2
         assert "tol must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--model", "random_transposition", "--n", "3",
+         "--starts", "0"],
+        ["constants", "--model", "random_transposition", "--n", "3",
+         "--starts", "-1"],
+        ["verify-lemmas", "--samples", "0"],
+    ])
+    def test_nonpositive_count_flag_exit_code(self, tmp_path, capsys, argv):
+        status = main(argv + ["--out", str(tmp_path)])
+        assert status == 2
+        assert f"{argv[-2][2:]} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_nonpositive_starts_config_exit_code(self, tmp_path, capsys,
+                                                 starts):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "constants",
+            "model": {"model": "random_transposition", "n": 3},
+            "starts": starts}))
+        status = main(["constants", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert status == 2
+        assert "starts must be >= 1" in capsys.readouterr().err
+
+    def test_nonpositive_explicit_constant_rejected(self, tmp_path, capsys):
+        # increments c = 1, delta = 1 meet the spread condition at
+        # alpha = 1.5, but the bound alpha c - (3 + 2^{-1/2} - alpha) delta
+        # is -0.707
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay",
+            "model": {"model": "zero_range", "L": 3, "N": 2,
+                      "rates": {"kind": "table",
+                                "values": [[0, 1, 2], [0, 1, 2], [0, 2, 3]]}},
+            "alpha": [1.5]}))
+        status = main(["decay", "--config", str(cfg), "--out", str(tmp_path)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "explicit constant lambda = -0.707107 is not positive" in err
+
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -5,7 +5,9 @@ import pytest
 
 import beckner_lab as bl
 from beckner_lab import DegeneracyError
-from beckner_lab.constants import poincare_eigenvector, quotient_value
+from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
+                                   _Quotient, _start_fields,
+                                   poincare_eigenvector, quotient_value)
 
 
 def complete_graph_chain(m, r):
@@ -98,6 +100,22 @@ class TestBecknerConstant:
         assert est.convergence["renormalization_gap"] <= 1e-12 * max(1.0, est.value)
         assert est.convergence["converged_starts"] >= 1
 
+    def test_status_counts_sum_to_starts(self, rt4):
+        opts = OptimizerOptions(starts=8)
+        for est in (bl.beckner_constant(rt4, 1.5, opts),
+                    bl.lsi_constant(rt4, opts)):
+            conv = est.convergence
+            counts = conv["status_counts"]
+            assert set(counts) == set(STATUSES)
+            assert sum(counts.values()) == conv["starts"] == 8
+            assert conv["converged_starts"] == 8 - counts["maxiter"]
+            assert conv["evaluations"] > conv["rounds"] > 0
+
+    def test_nonpositive_starts_rejected(self):
+        for starts in (0, -1):
+            with pytest.raises(bl.DomainError, match="starts must be >= 1"):
+                OptimizerOptions(starts=starts)
+
     def test_range_check(self, rt3):
         with pytest.raises(bl.DomainError):
             bl.beckner_constant(rt3, 2.5)
@@ -153,3 +171,133 @@ class TestConstantsReport:
         assert "bobkov_tetali" in table.references
         assert "sharper_homogeneous" in table.references
         assert table.ordering_pass
+
+
+def reference_descend(quot, u0, max_iter=400, gtol=1e-8):
+    """One start in a plain per-iteration loop, the control flow the
+    lockstep descent must reproduce row by row.  Returns (value, rho,
+    gnorm, status)."""
+    from scipy.optimize import minimize
+
+    def value_grad(u):
+        p = quot.at(u[None, :])
+        return float(p.val[0]), quot.gradient(p)[0], p.rho[0]
+
+    u = np.array(u0, dtype=float)
+    with np.errstate(all="ignore"):
+        val, g, _ = value_grad(u)
+        step, status, anchor = 1.0, "maxiter", val
+        for its in range(max_iter):
+            if np.max(np.abs(g)) <= gtol * max(1.0, abs(val)):
+                status = "gradient"
+                break
+            if its % 25 == 24:
+                if anchor - val <= 1e-13 * max(1.0, abs(val)):
+                    status = "stalled"
+                    break
+                anchor = val
+            g2 = float(np.dot(g, g))
+            while step > 1e-16:
+                v_try, g_try, _ = value_grad(u - step * g)
+                if np.isfinite(v_try) and v_try <= val - 1e-4 * step * g2:
+                    u, val, g = u - step * g, v_try, g_try
+                    step = min(step * 1.5, 1e6)
+                    break
+                step *= 0.5
+            else:
+                status = "stalled"
+                break
+        val, g, rho = value_grad(u)
+        gnorm = float(np.max(np.abs(g)))
+        if status == "maxiter" and gnorm > gtol * max(1.0, abs(val)):
+            def fun(uu):
+                v, gg, _ = value_grad(uu)
+                if not np.isfinite(v):
+                    return 1e300, np.zeros_like(uu)
+                return v, gg
+            res = minimize(fun, u, jac=True, method="L-BFGS-B",
+                           options={"maxiter": 2000, "maxfun": 20000,
+                                    "gtol": 0.1 * gtol, "ftol": 1e-16})
+            v2, g2, rho2 = value_grad(res.x)
+            if np.isfinite(v2) and v2 <= val:
+                val, rho, gnorm = v2, rho2, float(np.max(np.abs(g2)))
+            if gnorm <= gtol * max(1.0, abs(val)):
+                status = "polished"
+    if gnorm <= gtol * max(1.0, abs(val)) and status != "polished":
+        status = "gradient"
+    return val, rho, gnorm, status
+
+
+LOCKSTEP_CASES = [("beckner", 1.1), ("beckner", 2.0), ("mlsi", None),
+                  ("lsi", None)]
+
+
+@pytest.fixture(scope="module")
+def lockstep(zr33, rt4):
+    """(quotient, starts, 32-start lockstep descent) per chain and case."""
+    cache = {}
+
+    def get(chain_name, kind, alpha):
+        key = (chain_name, kind, alpha)
+        if key not in cache:
+            chain = {"zr33": zr33, "rt4": rt4}[chain_name]
+            quot = _Quotient(chain, kind, alpha)
+            starts = _start_fields(chain, poincare_eigenvector(chain),
+                                   OptimizerOptions())
+            cache[key] = quot, starts, _descend(quot, starts, 400, 1e-8)
+        return cache[key]
+
+    return get
+
+
+class TestLockstepDescent:
+    """Every start of a stacked descent gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
+    @pytest.mark.parametrize("kind,alpha", LOCKSTEP_CASES)
+    def test_rows_equal_single_start_runs(self, lockstep, chain_name, kind,
+                                          alpha):
+        quot, starts, run = lockstep(chain_name, kind, alpha)
+        assert len(run.status) == 32
+        for k in range(len(starts)):
+            one = _descend(quot, starts[k:k + 1], 400, 1e-8)
+            assert one.value[0] == run.value[k], k
+            assert np.array_equal(one.rho[0], run.rho[k]), k
+            assert one.gnorm[0] == run.gnorm[k], k
+            assert one.status == [run.status[k]], k
+
+    def test_rows_equal_reference_loop(self, lockstep):
+        quot, starts, run = lockstep("zr33", "beckner", 2.0)
+        assert {"stalled", "polished", "maxiter"} <= set(run.status)
+        for k in range(len(starts)):
+            val, rho, gnorm, status = reference_descend(quot, starts[k])
+            assert val == run.value[k], k
+            assert np.array_equal(rho, run.rho[k]), k
+            assert gnorm == run.gnorm[k], k
+            assert status == run.status[k], k
+
+    @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
+    def test_rows_cover_stall_and_polish(self, lockstep, chain_name):
+        seen = set()
+        for kind, alpha in LOCKSTEP_CASES:
+            seen.update(lockstep(chain_name, kind, alpha)[2].status)
+        assert {"stalled", "polished"} <= seen
+
+    @pytest.mark.parametrize("kind,alpha", LOCKSTEP_CASES)
+    def test_stacked_evaluator_rows_equal_one_row(self, zr33, rt4, kind,
+                                                  alpha):
+        rng = np.random.default_rng(3)
+        for chain in (zr33, rt4):
+            quot = _Quotient(chain, kind, alpha)
+            U = rng.standard_normal((32, chain.n_states)) * \
+                np.repeat([0.1, 1.0, 3.0, 10.0], 8)[:, None]
+            p = quot.at(U)
+            G = quot.gradient(p)
+            mask = np.arange(32) % 3 == 0
+            assert np.array_equal(quot.gradient(p, mask), G[mask])
+            for k in range(32):
+                one = quot.at(U[k:k + 1])
+                assert one.val[0] == p.val[k]
+                assert np.array_equal(quot.gradient(one)[0], G[k])
+                rho = bl.Density(p.rho[k])
+                assert quotient_value(chain, kind, alpha, rho) == p.val[k]

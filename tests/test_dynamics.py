@@ -221,6 +221,12 @@ class TestRunDecay:
             rep = bl.run_decay(chain, bl.power_entropy(1.5), rho0, const.value)
             assert rep.certified, name
 
+    def test_nonpositive_constant_rejected(self, rt4):
+        rho0 = bl.random_density(rt4, np.random.default_rng(11), 1.0)
+        for lam in (0.0, -0.5):
+            with pytest.raises(bl.HypothesisError, match="not positive"):
+                bl.run_decay(rt4, bl.power_entropy(1.5), rho0, lam)
+
     def test_inflated_bound_not_certified(self, rt4):
         rho0 = bl.random_density(rt4, np.random.default_rng(11), 1.0)
         rep = bl.run_decay(rt4, bl.power_entropy(1.5), rho0, 10.0 * 2.0 / 3.0)
