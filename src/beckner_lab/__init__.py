@@ -12,7 +12,7 @@ from .bochner import (BochnerStructure, bochner_identity_check,
                       r_function, r_function_for_chain, verify_assumption)
 from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
                     check_reversibility, dirichlet_form, entropy,
-                    normalize_density, random_density, seeded_densities)
+                    normalize_density, random_density)
 from .constants import (ConstantEstimate, OptimizerOptions, beckner_constant,
                         constants_report, lsi_constant, mlsi_constant,
                         spectral_gap)
@@ -20,9 +20,8 @@ from .dynamics import (DecayFit, DecayReport, Trajectory,
                        derivative_identity_check, dirichlet_decay_check,
                        evolve, evolve_rk4, fit_decay_rate, run_decay)
 from .entropy import (ConvexEntropy, MeanFunction, big_theta,
-                      big_theta_lower_bound, big_theta_with_argmin,
-                      log_entropy, power_entropy, quadratic_entropy,
-                      theta_surface, verify_concavity,
+                      big_theta_lower_bound, log_entropy, power_entropy,
+                      quadratic_entropy, theta_surface, verify_concavity,
                       verify_theta_identities)
 from .errors import (BecknerLabError, CapabilityError, ConfigError,
                      DegeneracyError, DomainError, HypothesisError,

@@ -142,7 +142,13 @@ class FiniteChain:
 
 @dataclass(frozen=True)
 class Density:
-    """Strictly positive function on states with pi-mean one."""
+    """Strictly positive function on states with pi-mean one.
+
+    Only positivity is checked here, since a density carries no chain.
+    The pi-mean is enforced by the consumers whose results depend on it:
+    ``dynamics.evolve`` and ``fokker_planck.discrete_power_inequality``
+    raise ``DomainError`` when it is off one by more than 1e-9.
+    """
     values: np.ndarray
 
     def __post_init__(self):
@@ -259,14 +265,6 @@ def random_density(chain: FiniteChain, rng: np.random.Generator,
     """Log-space Gaussian perturbation of the flat density, normalized."""
     raw = np.exp(amplitude * rng.standard_normal(chain.n_states))
     return normalize_density(chain, raw)
-
-
-def seeded_densities(chain: FiniteChain, count: int, seed: int,
-                     amplitudes=(0.1, 1.0, 3.0)) -> list[Density]:
-    """Deterministic batch of trial densities cycling through amplitudes."""
-    rng = np.random.default_rng(seed)
-    return [random_density(chain, rng, amplitudes[k % len(amplitudes)])
-            for k in range(count)]
 
 
 # ---------------------------------------------------------------------------

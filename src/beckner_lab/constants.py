@@ -10,8 +10,8 @@ positive pi-mean-one densities:
 * modified log-Sobolev     lambda_M:  min E(log rho, rho) / pi[phi_1(rho)];
 * log-Sobolev              lambda_L:  min E(sqrt rho, sqrt rho) / pi[phi_1(rho)].
 
-Minimization runs projected gradient descent with Armijo backtracking on
-the log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
+Minimization runs L-BFGS with an Armijo line search on the
+log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
 the spectral-gap eigenvector and random log-Gaussian fields.  The starts
 advance in lockstep as the rows of one array, and each row gets the bits
@@ -65,6 +65,10 @@ def _rowsum(X):
     return np.add.reduce(X, axis=-1)
 
 
+def _matvec(A, x):
+    return (A @ x[..., None])[..., 0]       # one product per row
+
+
 class _Point(NamedTuple):
     """Evaluation points stacked by row: quotient value, denominator,
     density, and the terms the gradient reuses."""
@@ -93,9 +97,6 @@ class _Quotient:
         self.Q = chain.dense_generator()
         self.pi = chain.pi
 
-    def _apply_q(self, X):
-        return (self.Q @ X[..., None])[..., 0]
-
     def parts(self, rho):
         """Numerator and denominator per row, and the terms that
         :meth:`derivatives` reuses."""
@@ -104,17 +105,17 @@ class _Quotient:
         if self.kind == "beckner":
             rho_c = np.expm1(lg)                    # rho - 1
             pw_c = np.expm1((a - 1.0) * lg)         # rho^{a-1} - 1
-            Lr = self._apply_q(rho_c)
+            Lr = _matvec(self.Q, rho_c)
             num = -(a / (a - 1.0)) * _rowsum(pi * pw_c * Lr)
             phi_el = (np.expm1(a * lg) - rho_c) / (a - 1.0) - rho_c
             return num, _rowsum(pi * phi_el), (pw_c, Lr)
         if self.kind == "mlsi":
             rho_c = np.expm1(lg)
-            Lr = self._apply_q(rho_c)
+            Lr = _matvec(self.Q, rho_c)
             num = -_rowsum(pi * lg * Lr)
             return num, _rowsum(pi * (rho * lg - rho_c)), (lg, Lr)
         sq_c = np.expm1(0.5 * lg)                   # sqrt(rho) - 1
-        Lsq = self._apply_q(sq_c)
+        Lsq = _matvec(self.Q, sq_c)
         num = -_rowsum(pi * sq_c * Lsq)
         return (num, _rowsum(pi * (rho * lg - np.expm1(lg))),
                 (lg, sq_c, Lsq))
@@ -125,11 +126,11 @@ class _Quotient:
         if self.kind == "beckner":
             pw_c, Lr = terms
             dnum = -(a / (a - 1.0)) * pi * (
-                (a - 1.0) * rho ** (a - 2.0) * Lr + self._apply_q(pw_c))
+                (a - 1.0) * rho ** (a - 2.0) * Lr + _matvec(self.Q, pw_c))
             return dnum, pi * a * pw_c / (a - 1.0)
         if self.kind == "mlsi":
             lg, Lr = terms
-            return -pi * (Lr / rho + self._apply_q(lg)), pi * lg
+            return -pi * (Lr / rho + _matvec(self.Q, lg)), pi * lg
         lg, sq_c, Lsq = terms
         return -pi * Lsq / (sq_c + 1.0), pi * lg
 
@@ -159,7 +160,7 @@ def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
 
 
 # ---------------------------------------------------------------------------
-# projected gradient descent in log coordinates, all starts in lockstep
+# L-BFGS in log coordinates, all starts in lockstep
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -175,7 +176,9 @@ class OptimizerOptions:
 
 
 # start statuses; every status but "maxiter" counts as converged
-STATUSES = ("gradient", "stalled", "maxiter", "polished")
+STATUSES = ("gradient", "stalled", "maxiter")
+
+_MEMORY = 10        # curvature pairs kept per start
 
 
 @dataclass(frozen=True)
@@ -185,108 +188,146 @@ class _Descent:
     rho: np.ndarray
     gnorm: np.ndarray
     status: list[str]
-    evaluations: int        # rows evaluated, L-BFGS calls included
+    evaluations: int        # rows evaluated
     rounds: int             # lockstep line-search rounds
 
 
+def _rowdot(A, B):
+    # one dot product per row, bitwise equal to np.dot(a, b)
+    # (einsum and summed products round differently)
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+class _Pairs:
+    """Each row's last ``_MEMORY`` curvature pairs (s, y) for the compact
+    form of the L-BFGS matrix (Byrd, Nocedal & Schnabel 1994):
+    H g = gamma g + S^T w - gamma Y^T t, t = R^{-1} S g and
+    w = R^{-T} (D t + gamma Y Y^T t - gamma Y g), with R the upper
+    triangle of S Y^T in arrival order, D its diagonal and gamma = s.y/y.y
+    of the newest pair.  Pairs sit in a ring of slots; R^{-1}, Y Y^T and D
+    are kept in slot order and bordered as a pair arrives, and dropping
+    the oldest pair clears its slot, so no round refactors a matrix.
+    """
+
+    def __init__(self, K: int, n: int):
+        m = _MEMORY
+        self.W = np.zeros((K, 2 * m, n))    # s_i in slot i, y_i in m + i
+        self.Ri, self.YY = np.zeros((K, m, m)), np.zeros((K, m, m))
+        self.sy = np.zeros((K, m))          # D
+        self.count = np.zeros(K, dtype=int)
+
+    def add(self, rows, s, y, sy):
+        """Store pair (s[j], y[j]), s.y = sy[j], in row rows[j]."""
+        m, W, Ri, YY = _MEMORY, self.W, self.Ri, self.YY
+        o = self.count[rows] % m            # the oldest slot, or a free one
+        W[rows, o] = W[rows, m + o] = Ri[rows, o] = Ri[rows, :, o] = 0.0
+        YY[rows, o] = YY[rows, :, o] = 0.0
+        b = _matvec(W[rows], y)             # S y over Y y
+        Ri[rows, :, o] = -_matvec(Ri[rows], b[:, :m]) / sy[:, None]
+        Ri[rows, o, o] = 1.0 / sy
+        YY[rows, o] = YY[rows, :, o] = b[:, m:]
+        YY[rows, o, o], self.sy[rows, o] = _rowdot(y, y), sy
+        W[rows, o], W[rows, m + o] = s, y
+        self.count[rows] += 1
+
+    def directions(self, rows, G):
+        """-H g for the rows ``rows`` (each holding a pair), g in G."""
+        m, W, Ri, sy = _MEMORY, self.W[rows], self.Ri[rows], self.sy[rows]
+        new = (self.count[rows] - 1) % m
+        gamma = (sy[np.arange(len(rows)), new]
+                 / self.YY[rows, new, new])[:, None]
+        q = _matvec(W, G)                   # S g over Y g
+        t = _matvec(Ri, q[:, :m])
+        w = _matvec(Ri.transpose(0, 2, 1), sy * t + gamma * _matvec(
+            self.YY[rows], t) - gamma * q[:, m:])
+        return -(gamma * G + _matvec(W.transpose(0, 2, 1),
+                                     np.concatenate((w, -gamma * t), axis=1)))
+
+
 def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
-    """Armijo projected gradient descent from each row of the (K, S) stack
-    ``U0``.
+    """L-BFGS in log coordinates from each row of the (K, S) stack ``U0``.
 
-    Each round tries one step per running row, with that row's own step
-    size, iteration count, stall anchor and status; an accepted row gets
-    its gradient and starts its next iteration, a rejected row halves its
-    step.  A row therefore follows exactly the path it follows alone.
+    Each row has its own pairs (kept when s.y > 1e-12 |s| |y|),
+    direction, step, iteration count, stall anchor and status, so it
+    follows exactly the path it follows alone.  A round tries one step
+    per running row.  A trial with a finite gradient that meets the
+    Armijo test (c1 = 1e-4) starts the row's next iteration; otherwise
+    the step shrinks to the minimizer of the interpolating quadratic,
+    clamped to [0.1, 0.5] of the step.  Without pairs a row steps along
+    -g, first scaled by 1/max(1, |g|_inf); a quasi-Newton direction
+    starts at unit step and gives way to -g if it does not descend.
 
-    Statuses: "gradient" (gradient test met), "stalled" (the backtracking
-    line search reached floating-point resolution, or 25 iterations gained
-    less than that; the iterate is then the best the arithmetic supports
-    and counts as converged), "polished" (``max_iter`` ran out and an
-    L-BFGS pass from the iterate met the gradient test) and "maxiter"
-    (neither did).
+    Statuses: "gradient" (gradient test met), "stalled" (the predicted
+    decrease of the line search, an accepted step's gain or 25
+    iterations' progress fell below floating-point resolution; the
+    iterate is then the best the arithmetic supports and counts as
+    converged) and "maxiter" (``max_iter`` iterations ran out).
     """
     U = np.array(U0, dtype=float)
-    K = U.shape[0]
+    K, n = U.shape
     with np.errstate(all="ignore"):         # inf/nan iterates are rejected
         p = quot.at(U)
         val, rho, G = p.val, p.rho, quot.gradient(p)
         evaluations, rounds = K, 0
-        step = np.ones(K)
-        its = np.zeros(K, dtype=int)
-        anchor = val.copy()
-        g2 = np.zeros(K)
+        pairs = _Pairs(K, n)
+        D, gd, step = np.zeros((K, n)), np.zeros(K), np.zeros(K)  # d, g.d
+        its, anchor = np.zeros(K, dtype=int), val.copy()
         status = np.full(K, "maxiter", dtype=object)
         running = np.ones(K, dtype=bool)
-        top = running.copy()                # at the top of an iteration
+        flat = np.zeros(K, dtype=bool)      # last step gained nothing
+        top = np.arange(K)                  # rows starting an iteration
         while True:
-            running &= ~(top & (its >= max_iter))   # stays "maxiter"
-            top &= running
-            scale = np.fmax(1.0, np.abs(val))       # max(1, |val|)
-            done = top & (np.max(np.abs(G), axis=1) <= gtol * scale)
-            check = top & ~done & (its % 25 == 24)
-            # progress below float resolution, over 25 iterations or in
-            # the line search: the iterate is as good as the arithmetic
-            # supports
-            stall = ((check & (anchor - val <= 1e-13 * scale))
-                     | (running & ~done & ~(step > 1e-16)))
-            anchor[check] = val[check]
-            status[done] = "gradient"
-            status[stall] = "stalled"
-            running &= ~(done | stall)
-            top &= running
-            # one dot product per row, bitwise equal to np.dot(g, g)
-            # (einsum and summed products round differently)
-            Gt = G[top]
-            g2[top] = (Gt[:, None, :] @ Gt[:, :, None])[:, 0, 0]
-            top[:] = False
+            if top.size:
+                v, g = val[top], G[top]
+                scale = np.fmax(1.0, np.abs(v))     # max(1, |val|)
+                done = np.max(np.abs(g), axis=1) <= gtol * scale
+                check = its[top] % 25 == 24
+                stall = ~done & (flat[top] | (
+                    check & (anchor[top] - v <= 1e-13 * scale)))
+                anchor[top[check]] = v[check]
+                status[top[done]], status[top[stall]] = "gradient", "stalled"
+                end = done | stall | (its[top] >= max_iter)  # or "maxiter"
+                running[top[end]] = False
+                top, g = top[~end], g[~end]
+                d, qn = -g, pairs.count[top] > 0
+                d[qn] = pairs.directions(top[qn], g[qn])
+                dg = _rowdot(g, d)
+                bad = ~(dg < 0.0)
+                d[bad], dg[bad] = -g[bad], -_rowdot(g[bad], g[bad])
+                D[top], gd[top] = d, dg
+                step[top] = np.where(
+                    qn, 1.0, 1.0 / np.fmax(1.0, np.max(np.abs(g), axis=1)))
+            # a predicted decrease below float resolution ends the row
+            tiny = running & ~(step * np.abs(gd)
+                               >= 1e-15 * np.fmax(1.0, np.abs(val)))
+            status[tiny], running[tiny] = "stalled", False
             rows = np.flatnonzero(running)
             if rows.size == 0:
                 break
             s = step[rows]
-            U_try = U[rows] - s[:, None] * G[rows]
+            U_try = U[rows] + s[:, None] * D[rows]
             p = quot.at(U_try)
-            evaluations += rows.size
-            rounds += 1
-            armijo = val[rows] - 1e-4 * s * g2[rows]
-            ok = np.isfinite(p.val) & (p.val <= armijo)
-            acc = rows[ok]
-            U[acc], val[acc], rho[acc] = U_try[ok], p.val[ok], p.rho[ok]
-            G[acc] = quot.gradient(p, ok)
-            step[acc] = np.minimum(s[ok] * 1.5, 1e6)
-            its[acc] += 1
-            top[acc] = True
-            step[rows[~ok]] = s[~ok] * 0.5
-
+            evaluations, rounds = evaluations + rows.size, rounds + 1
+            ok = np.isfinite(p.val) & (p.val <= val[rows] + 1e-4 * s * gd[rows])
+            G_new = quot.gradient(p, ok)
+            finite = np.isfinite(G_new).all(axis=1)
+            ok[ok], G_new = finite, G_new[finite]
+            top = rows[ok]
+            ds, dy = U_try[ok] - U[top], G_new - G[top]
+            sy = _rowdot(ds, dy)
+            keep = sy > 1e-12 * np.sqrt(_rowdot(ds, ds) * _rowdot(dy, dy))
+            pairs.add(top[keep], ds[keep], dy[keep], sy[keep])
+            v = p.val[ok]
+            flat[top] = val[top] - v <= 1e-16 * np.fmax(1.0, np.abs(val[top]))
+            U[top], val[top], rho[top], G[top] = U_try[ok], v, p.rho[ok], G_new
+            its[top] += 1
+            rej, s = rows[~ok], s[~ok]
+            # minimizer of the quadratic through val, gd and the trial
+            quad = -gd[rej] * s * s / (2.0 * (p.val[~ok] - val[rej]
+                                              - s * gd[rej]))
+            step[rej] = np.fmin(np.fmax(quad, 0.1 * s), 0.5 * s)
         gnorm = np.max(np.abs(G), axis=1)
-        scale = np.fmax(1.0, np.abs(val))
-        polish = (status == "maxiter") & (gnorm > gtol * scale)
-        for k in np.flatnonzero(polish):
-            # slow first-order tail: polish with a deterministic
-            # quasi-Newton pass from the current iterate
-            res = _polish(quot, U[k], gtol)
-            p = quot.at(res.x[None, :])
-            evaluations += res.nfev + 1
-            if math.isfinite(p.val[0]) and p.val[0] <= val[k]:
-                val[k], rho[k] = p.val[0], p.rho[0]
-                gnorm[k] = np.max(np.abs(quot.gradient(p)))
-        met = gnorm <= gtol * np.fmax(1.0, np.abs(val))
-        status[met & polish] = "polished"
-        status[met & ~polish] = "gradient"
     return _Descent(val, rho, gnorm, list(status), evaluations, rounds)
-
-
-def _polish(quot: _Quotient, u, gtol: float):
-    from scipy.optimize import minimize
-
-    def fun(uu):
-        p = quot.at(uu[None, :])
-        if not math.isfinite(p.val[0]):
-            return 1e300, np.zeros_like(uu)
-        return float(p.val[0]), quot.gradient(p)[0]
-
-    return minimize(fun, u.copy(), jac=True, method="L-BFGS-B",
-                    options={"maxiter": 2000, "maxfun": 20000,
-                             "gtol": 0.1 * gtol, "ftol": 1e-16})
 
 
 def _gap_rays(chain, f_gap):
@@ -323,14 +364,16 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
     run = _descend(quot, _start_fields(chain, f_gap, opts), opts.max_iter,
                    opts.tol)
 
-    candidates: list[tuple[float, np.ndarray]] = []
-    best_gnorm = math.inf
-    for val, rho, gnorm in zip(run.value, run.rho, run.gnorm):
-        if math.isfinite(val):
-            candidates.append((float(val), rho))
-        best_gnorm = min(best_gnorm, float(gnorm))
+    finite = np.isfinite(run.value)
+    candidates = [(float(v), rho)
+                  for v, rho in zip(run.value[finite], run.rho[finite])]
+    best_gnorm = float(np.fmin.reduce(run.gnorm, initial=math.inf))
     status_counts = {s: run.status.count(s) for s in STATUSES}
     n_conv = len(run.status) - status_counts["maxiter"]
+    # spread of the final values over the converged starts
+    v = run.value[finite & (np.array(run.status) != "maxiter")]
+    spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
+              if v.size else math.nan)
     rays = np.vstack([_gap_rays(chain, f_gap), *extra_candidates])
     nums, dens, _ = quot.parts(rays)
     for num, den, rho in zip(nums, dens, rays):
@@ -350,13 +393,13 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
     rescaled = Density(rho / float(np.sum(chain.pi * rho)))
     invariance = abs(quotient_value(chain, kind, alpha, rescaled) - recheck)
     return ConstantEstimate(
-        name=kind, value=val, minimizer=minimizer, method="MultistartGradient",
+        name=kind, value=val, minimizer=minimizer, method="MultistartLBFGS",
         alpha=alpha,
         convergence={"converged_starts": n_conv, "starts": len(run.status),
                      "best_gradient_norm": best_gnorm,
                      "value_recheck_gap": abs(recheck - val),
                      "renormalization_gap": invariance,
-                     "status_counts": status_counts,
+                     "status_counts": status_counts, "value_spread": spread,
                      "evaluations": run.evaluations, "rounds": run.rounds})
 
 
@@ -447,22 +490,18 @@ def constants_report(chain: FiniteChain, alphas,
     pool += [est_m.minimizer.values, est_l.minimizer.values]
 
     def folded(kind, alpha, base):
-        best = base.value
-        arg = base.minimizer
-        for rho in pool:
-            v = quotient_value(chain, kind, alpha, Density(rho))
-            if v < best:
-                best, arg = v, Density(rho)
-        return best, arg
+        return min([base.value] + [quotient_value(chain, kind, alpha,
+                                                  Density(rho))
+                                   for rho in pool])
 
-    lam_m, _ = folded("mlsi", None, est_m)
-    lam_l, _ = folded("lsi", None, est_l)
+    lam_m = folded("mlsi", None, est_m)
+    lam_l = folded("lsi", None, est_l)
 
     references = {}
     rows = []
     global_ok = (4.0 * lam_l <= lam_m + tol) and (lam_m <= 2.0 * lam_p + tol)
     for a in alphas:
-        val, _ = folded("beckner", a, ests[a])
+        val = folded("beckner", a, ests[a])
         bound = math.nan
         if spec is not None:
             const = paper_lambda(spec, a)

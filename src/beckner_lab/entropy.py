@@ -153,6 +153,12 @@ def power_entropy(alpha: float) -> ConvexEntropy:
     return ConvexEntropy("power", float(alpha))
 
 
+def _order(entropy: ConvexEntropy) -> float:
+    """The power-family order a of phi: alpha, 1 for log (the a -> 1
+    limit) and 2 for quadratic (equal to the power entropy at a = 2)."""
+    return {"log": 1.0, "quadratic": 2.0}.get(entropy.kind, entropy.alpha)
+
+
 def _check_positive(s):
     arr = np.asarray(s, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -291,60 +297,47 @@ def big_theta(entropy: ConvexEntropy, A: float, B: float, tol: float = 1e-8,
               max_iter: int = 200) -> float:
     """inf over s,t > 0 of theta(s,t) (A phi''(s) + B phi''(t)).
 
-    For the power family the objective is jointly 0-homogeneous, so the
-    search reduces to the ray ratio r = s/t; if A or B vanishes the
-    infimum equals the boundary limit (alpha-1)(A+B) and is returned
-    analytically (it is not attained).  Other kinds fall back to a 2-D
-    log-grid scan plus simplex refinement.
-    """
-    value, _ = big_theta_with_argmin(entropy, A, B, tol=tol, max_iter=max_iter)
-    return value
-
-
-def big_theta_with_argmin(entropy: ConvexEntropy, A: float, B: float,
-                          tol: float = 1e-8, max_iter: int = 200):
-    """Like :func:`big_theta`, also returning the best (s, t) found.
-
-    Attainment of the infimum is not claimed; the returned point is the
-    best evaluated candidate (``None`` for the analytic boundary cases).
+    The objective is jointly 0-homogeneous for every kind, so the search
+    reduces to the ray ratio r = s/t.  If A or B vanishes the infimum
+    equals the boundary limit (a-1)(A+B), a the order of the entropy
+    (alpha; 1 for log, 2 for quadratic), and is returned analytically (it
+    is not attained); at a = 2 the objective is the constant A + B.
     """
     if A < 0.0 or B < 0.0:
         raise DomainError("A and B must be nonnegative")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     if A == 0.0 and B == 0.0:
-        return 0.0, None
-
-    if entropy.kind == "power":
-        alpha = entropy.alpha
-        if A == 0.0 or B == 0.0:
-            return (alpha - 1.0) * (A + B), None
-        if alpha == 2.0:
-            return A + B, (1.0, 1.0)     # objective is constant
-        value, w = _power_ray_infimum(alpha, A, B, tol, max_iter)
-        return value, (math.exp(w), 1.0)
-
-    return _grid_infimum_2d(entropy, A, B, tol, max_iter)
+        return 0.0
+    a = _order(entropy)
+    if A == 0.0 or B == 0.0:
+        return (a - 1.0) * (A + B)
+    if a == 2.0:
+        return A + B                     # objective is constant
+    return _ray_infimum(a, A, B, tol, max_iter)
 
 
-def _power_ray_value(alpha, A, B, w):
-    """Objective along the ray (s, t) = (e^w, 1) for the power family."""
+def _ray_value(a, A, B, w):
+    """Objective along the ray (s, t) = (e^w, 1): the power family's, and
+    its a -> 1 limit, the log entropy's, at a = 1."""
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = (alpha - 1.0) * np.expm1(w) * (A * np.exp((alpha - 2.0) * w) + B)
-        den = np.expm1((alpha - 1.0) * w)
-        val = num / den
+        if a == 1.0:
+            val = np.expm1(w) / w * (A * np.exp(-w) + B)
+        else:
+            num = (a - 1.0) * np.expm1(w) * (A * np.exp((a - 2.0) * w) + B)
+            val = num / np.expm1((a - 1.0) * w)
     return np.where(np.abs(w) < 1e-12, A + B, val)
 
 
-def _power_ray_infimum(alpha, A, B, tol, max_iter):
+def _ray_infimum(a, A, B, tol, max_iter):
     span = 60.0
     for _ in range(4):
         ws = np.linspace(-span, span, 2401)
-        vals = _power_ray_value(alpha, A, B, ws)
+        vals = _ray_value(a, A, B, ws)
         i = int(np.argmin(vals))
         if float(vals.max() - vals.min()) <= 1e-12 * (abs(float(vals.max())) + 1.0):
-            return float(vals[i]), float(ws[i])    # flat objective
+            return float(vals[i])        # flat objective
         if 0 < i < len(ws) - 1:
             break
         span *= 2.0
@@ -353,7 +346,7 @@ def _power_ray_infimum(alpha, A, B, tol, max_iter):
                 f"ray scan did not bracket the minimizer; best bracket "
                 f"w={ws[i]:.3g}, value={vals[i]:.17g}")
     lo, hi = ws[i - 1], ws[i + 1]
-    f = lambda w: float(_power_ray_value(alpha, A, B, np.float64(w)))
+    f = lambda w: float(_ray_value(a, A, B, np.float64(w)))
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
@@ -372,29 +365,7 @@ def _power_ray_infimum(alpha, A, B, tol, max_iter):
         raise NumericalError(
             f"golden-section refinement exceeded {max_iter} iterations; "
             f"best bracket [{lo:.17g}, {hi:.17g}]")
-    w = 0.5 * (lo + hi)
-    return min(f(w), fc, fd), w
-
-
-def _grid_infimum_2d(entropy, A, B, tol, max_iter):
-    from scipy.optimize import minimize
-
-    mean = MeanFunction(entropy)
-    grid = np.linspace(-18.0, 18.0, 121)
-    LS, LT = np.meshgrid(grid, grid, indexing="ij")
-    S, T = np.exp(LS), np.exp(LT)
-    obj = mean.theta(S, T) * (A * entropy.d2(S) + B * entropy.d2(T))
-    i, j = np.unravel_index(np.argmin(obj), obj.shape)
-
-    def fun(x):
-        s, t = math.exp(x[0]), math.exp(x[1])
-        return float(mean.theta(s, t) * (A * entropy.d2(s) + B * entropy.d2(t)))
-
-    res = minimize(fun, np.array([grid[i], grid[j]]), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": tol * 1e-3,
-                            "maxiter": 400 * max_iter})
-    best = min(float(obj[i, j]), float(res.fun))
-    return best, (math.exp(res.x[0]), math.exp(res.x[1]))
+    return min(f(0.5 * (lo + hi)), fc, fd)
 
 
 def theta_surface(alpha: float, A_grid, B_grid) -> np.ndarray:
@@ -413,21 +384,28 @@ def theta_surface(alpha: float, A_grid, B_grid) -> np.ndarray:
     if np.any(A_grid < 0.0) or np.any(B_grid < 0.0):
         raise DomainError("grid values must be nonnegative")
     ent = power_entropy(alpha)
-    rows = np.empty((A_grid.size * B_grid.size, 5))
-    k = 0
-    for a_val in A_grid:
-        for b_val in B_grid:
-            th = big_theta(ent, float(a_val), float(b_val))
-            rows[k] = (a_val, b_val, th,
-                       big_theta_lower_bound(alpha, a_val, b_val),
-                       a_val + b_val)
-            k += 1
-    return rows
+    return np.array([(A, B, big_theta(ent, float(A), float(B)),
+                      big_theta_lower_bound(alpha, A, B), A + B)
+                     for A in A_grid for B in B_grid])
 
 
 # ---------------------------------------------------------------------------
 # sampled verifiers for the structural identities of the power mean
 # ---------------------------------------------------------------------------
+
+def _worst(name, slack, tol, **points):
+    """Check ``slack >= -tol`` at every sample; a failure is witnessed by
+    the sample with the least slack."""
+    from .reporting import CheckReport
+
+    shape = np.shape(slack)
+    k = np.unravel_index(np.argmin(slack), shape)
+    ok = bool(slack[k] >= -tol)
+    return CheckReport(name, ok, float(np.maximum(0.0, -slack[k])), tol,
+                       witness=None if ok else
+                       {n: np.broadcast_to(x, shape)[k]
+                        for n, x in points.items()})
+
 
 def verify_theta_identities(alpha: float, samples: int, seed: int,
                             box=(1e-2, 1e2), tol: float = 1e-9):
@@ -441,7 +419,7 @@ def verify_theta_identities(alpha: float, samples: int, seed: int,
     (iii) l1 d1(s,t)(s-t) - l2 d2(s,t)(s-t)
           <= (2-alpha)|l1-l2| theta(s,t).
     """
-    from .reporting import CheckReport, VerificationReport
+    from .reporting import VerificationReport
 
     if not 1.0 < alpha < 2.0:
         raise DomainError("alpha must lie in (1, 2)")
@@ -455,32 +433,16 @@ def verify_theta_identities(alpha: float, samples: int, seed: int,
     d1, d2 = mean.partials(s, t)
 
     res_i = np.abs(s * d1 + t * d2 - (2.0 - alpha) * th_st) / th_st
-    worst_i = int(np.argmax(res_i))
-
     lhs_ii = 2.0 ** (alpha - 1.0) * r * (d1 + d2) - mean.theta(r, s) - mean.theta(r, t)
     slack_ii = lhs_ii + 2.0 ** (alpha - 1.0) * th_st
-    worst_ii = int(np.argmin(slack_ii))
-
     lhs_iii = l1 * d1 * (s - t) - l2 * d2 * (s - t)
     slack_iii = (2.0 - alpha) * np.abs(l1 - l2) * th_st - lhs_iii
-    worst_iii = int(np.argmin(slack_iii))
 
     report = VerificationReport()
-    report.add(CheckReport(
-        "euler_relation", bool(np.max(res_i) <= tol), float(np.max(res_i)), tol,
-        witness=None if np.max(res_i) <= tol else
-        {"s": s[worst_i], "t": t[worst_i]}))
-    report.add(CheckReport(
-        "three_point_inequality", bool(np.min(slack_ii) >= -tol),
-        float(max(0.0, -np.min(slack_ii))), tol,
-        witness=None if np.min(slack_ii) >= -tol else
-        {"r": r[worst_ii], "s": s[worst_ii], "t": t[worst_ii]}))
-    report.add(CheckReport(
-        "weighted_gradient_inequality", bool(np.min(slack_iii) >= -tol),
-        float(max(0.0, -np.min(slack_iii))), tol,
-        witness=None if np.min(slack_iii) >= -tol else
-        {"s": s[worst_iii], "t": t[worst_iii],
-         "l1": l1[worst_iii], "l2": l2[worst_iii]}))
+    report.add(_worst("euler_relation", -res_i, tol, s=s, t=t))
+    report.add(_worst("three_point_inequality", slack_ii, tol, r=r, s=s, t=t))
+    report.add(_worst("weighted_gradient_inequality", slack_iii, tol,
+                      s=s, t=t, l1=l1, l2=l2))
     return report
 
 
@@ -490,19 +452,26 @@ def _interpolant_Y(entropy: ConvexEntropy, s, t, m):
 
 
 def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int, seed: int,
-                     tol_exact: float = 1e-9, tol_fd: float = 1e-6):
+                     tol_exact: float = 1e-9):
     """Sampled concavity certificate for theta.
 
     (a) midpoint concavity of theta on random point pairs;
     (b) the tangent inequality
         theta(u,v) - theta(s,t) <= d1(s,t)(u-s) + d2(s,t)(v-t);
-    (c) for each mixing weight m, numeric second partials of the
-        phi'-interpolant Y satisfy Y11 <= eps, Y22 <= eps and
-        Y11 Y22 - Y12^2 >= -eps;
-    (d) for the power family, the mixed partial Y12 against its closed
-        form (the determinant vanishes identically there).
+    (c) for each mixing weight m, the second partials of the
+        phi'-interpolant Y in closed form satisfy Y11 <= 0, Y22 <= 0 and
+        Y11 Y22 - Y12^2 = 0, the latter as the Euler relations
+        s Y11 + t Y12 = 0 = s Y12 + t Y22 in relative form;
+    (d) central differences of Y against those closed forms, each held to
+        its own rounding bound.
+
+    Y is the power mean of exponent a - 1 (a the order of the entropy:
+    alpha, 1 for log, 2 for quadratic), homogeneous of degree one, and
+    with c = m(1-m)(2-a) Y^{3-2a}
+
+        Y12 = c (st)^{a-2},  Y11 = -c s^{a-3} t^{a-1},  Y22 = -c s^{a-1} t^{a-3}.
     """
-    from .reporting import CheckReport, VerificationReport
+    from .reporting import VerificationReport
 
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -517,64 +486,60 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int, seed: int,
     s1, t1, s2, t2 = (rng.uniform(1e-2, 1e2, size=samples) for _ in range(4))
     mid = mean.theta(0.5 * (s1 + s2), 0.5 * (t1 + t2))
     slack = mid - 0.5 * (mean.theta(s1, t1) + mean.theta(s2, t2))
-    worst = int(np.argmin(slack))
-    report.add(CheckReport(
-        "midpoint_concavity", bool(np.min(slack) >= -tol_exact),
-        float(max(0.0, -np.min(slack))), tol_exact,
-        witness=None if np.min(slack) >= -tol_exact else
-        {"s1": s1[worst], "t1": t1[worst], "s2": s2[worst], "t2": t2[worst]}))
+    report.add(_worst("midpoint_concavity", slack, tol_exact,
+                      s1=s1, t1=t1, s2=s2, t2=t2))
 
     # (b) tangent inequality
     u, v, s, t = (rng.uniform(1e-2, 1e2, size=samples) for _ in range(4))
     d1, d2 = mean.partials(s, t)
     slack_b = d1 * (u - s) + d2 * (v - t) - (mean.theta(u, v) - mean.theta(s, t))
-    worst = int(np.argmin(slack_b))
-    report.add(CheckReport(
-        "tangent_inequality", bool(np.min(slack_b) >= -tol_exact),
-        float(max(0.0, -np.min(slack_b))), tol_exact,
-        witness=None if np.min(slack_b) >= -tol_exact else
-        {"u": u[worst], "v": v[worst], "s": s[worst], "t": t[worst]}))
+    report.add(_worst("tangent_inequality", slack_b, tol_exact,
+                      u=u, v=v, s=s, t=t))
 
-    # (c) second partials of the interpolant, by central differences.
-    # The sampling box is kept at (0.1, 10) so the O(h^2) difference noise
-    # stays well under tol_fd.
+    # (c) closed-form second partials of the interpolant, one row per m
     n_pts = max(4, samples // 10)
-    ss = rng.uniform(0.1, 10.0, size=n_pts)
-    tt = rng.uniform(0.1, 10.0, size=n_pts)
-    worst_11 = worst_22 = -np.inf
-    worst_det = np.inf
-    worst_mixed = 0.0
-    for m in m_grid:
-        if not 0.0 < m < 1.0:
-            raise DomainError("m_grid values must lie in (0, 1)")
-        hs = 1e-4 * ss
-        ht = 1e-4 * tt
-        Y0 = _interpolant_Y(entropy, ss, tt, m)
-        Y11 = (_interpolant_Y(entropy, ss + hs, tt, m) - 2.0 * Y0
-               + _interpolant_Y(entropy, ss - hs, tt, m)) / hs ** 2
-        Y22 = (_interpolant_Y(entropy, ss, tt + ht, m) - 2.0 * Y0
-               + _interpolant_Y(entropy, ss, tt - ht, m)) / ht ** 2
-        Y12 = (_interpolant_Y(entropy, ss + hs, tt + ht, m)
-               - _interpolant_Y(entropy, ss + hs, tt - ht, m)
-               - _interpolant_Y(entropy, ss - hs, tt + ht, m)
-               + _interpolant_Y(entropy, ss - hs, tt - ht, m)) / (4.0 * hs * ht)
-        worst_11 = max(worst_11, float(np.max(Y11)))
-        worst_22 = max(worst_22, float(np.max(Y22)))
-        worst_det = min(worst_det, float(np.min(Y11 * Y22 - Y12 ** 2)))
-        if entropy.kind == "power":
-            a = entropy.alpha
-            closed = (m * (1.0 - m) * (2.0 - a) * (ss * tt) ** (a - 3.0)
-                      * Y0 ** (3.0 - 2.0 * a) * ss * tt)
-            rel = np.max(np.abs(Y12 - closed) / (np.abs(closed) + 1.0))
-            worst_mixed = max(worst_mixed, float(rel))
+    s = rng.uniform(0.1, 10.0, size=n_pts)
+    t = rng.uniform(0.1, 10.0, size=n_pts)
+    m = np.asarray(m_grid, dtype=float)[:, None]
+    if np.any((m <= 0.0) | (m >= 1.0)):
+        raise DomainError("m_grid values must lie in (0, 1)")
+    a = _order(entropy)
+    Y0 = _interpolant_Y(entropy, s, t, m)
+    c = m * (1.0 - m) * (2.0 - a) * Y0 ** (3.0 - 2.0 * a)
+    Y12 = c * (s * t) ** (a - 2.0)
+    Y11 = -c * s ** (a - 3.0) * t ** (a - 1.0)
+    Y22 = -c * s ** (a - 1.0) * t ** (a - 3.0)
+    euler = np.maximum(*(np.abs(x + y) / np.fmax(np.abs(x) + np.abs(y),
+                                                 np.finfo(float).tiny)
+                         for x, y in ((s * Y11, t * Y12), (s * Y12, t * Y22))))
+    report.add(_worst("interpolant_Y11_nonpositive", -Y11, tol_exact,
+                      s=s, t=t, m=m))
+    report.add(_worst("interpolant_Y22_nonpositive", -Y22, tol_exact,
+                      s=s, t=t, m=m))
+    report.add(_worst("interpolant_determinant", -euler, tol_exact,
+                      s=s, t=t, m=m))
 
-    report.add(CheckReport("interpolant_Y11_nonpositive", worst_11 <= tol_fd,
-                           max(0.0, worst_11), tol_fd))
-    report.add(CheckReport("interpolant_Y22_nonpositive", worst_22 <= tol_fd,
-                           max(0.0, worst_22), tol_fd))
-    report.add(CheckReport("interpolant_determinant", worst_det >= -tol_fd,
-                           max(0.0, -worst_det), tol_fd))
-    if entropy.kind == "power":
-        report.add(CheckReport("interpolant_mixed_partial_closed_form",
-                               worst_mixed <= tol_fd, worst_mixed, tol_fd))
+    # (d) central differences with steps h = 1e-4 s, 1e-4 t.  An
+    # evaluation of Y rounds by about 4 eps kappa Y, with kappa = 1 + (sum
+    # of the magnitudes of the terms of (1-m) phi'(s) + m phi'(t))/(phi''(Y) Y),
+    # that is 1 + (1 + Y^{1-a})/(a-1), or 1 + (1-m)|log s| + m|log t| for
+    # log; a stencil multiplies that by its weights over h^2 (4/h^2, or
+    # 1/(hs ht) for the mixed partial), and its O(h^2) truncation stays
+    # well below.  The checks report their error in units of that bound.
+    hs, ht = 1e-4 * s, 1e-4 * t
+
+    def Y(ds, dt):
+        return _interpolant_Y(entropy, s + ds, t + dt, m)
+
+    kappa = (1.0 + (1.0 - m) * np.abs(np.log(s)) + m * np.abs(np.log(t))
+             if a == 1.0 else 1.0 + (1.0 + Y0 ** (1.0 - a)) / (a - 1.0))
+    err = 4.0 * np.finfo(float).eps * kappa * Y0
+    fd11 = (Y(hs, 0.0) - 2.0 * Y0 + Y(-hs, 0.0)) / hs ** 2
+    fd22 = (Y(0.0, ht) - 2.0 * Y0 + Y(0.0, -ht)) / ht ** 2
+    fd12 = (Y(hs, ht) - Y(hs, -ht) - Y(-hs, ht) + Y(-hs, -ht)) / (4.0 * hs * ht)
+    report.add(_worst("interpolant_mixed_partial_closed_form",
+                      -np.abs(fd12 - Y12) * hs * ht / err, 1.0, s=s, t=t, m=m))
+    report.add(_worst("interpolant_pure_partials_closed_form", -np.maximum(
+        np.abs(fd11 - Y11) * hs ** 2, np.abs(fd22 - Y22) * ht ** 2) / (4.0 * err),
+        1.0, s=s, t=t, m=m))
     return report

@@ -8,7 +8,6 @@ JSON for the CLI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,9 +49,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _jsonable(obj: Any) -> Any:

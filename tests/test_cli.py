@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +108,13 @@ class TestCommands:
         rep = json.loads((tmp_path / "lemmas_report.json").read_text())
         assert rep["alpha=1.5"]["identities"]["passed"]
 
+    def test_verify_lemmas_readme_alphas_at_seed_785348330(self, tmp_path):
+        # a seed whose difference noise at alpha = 1.1 exceeds 1e-6
+        status = main(["verify-lemmas", "--alpha", "1.1", "1.5", "1.9",
+                       "--samples", "10000", "--seed", "785348330",
+                       "--out", str(tmp_path)])
+        assert status == 0
+
     def test_constants_csv_header(self, tmp_path):
         status = main(["constants", "--model", "random_transposition",
                        "--n", "3", "--alpha", "1.5", "2.0",
@@ -114,6 +123,21 @@ class TestCommands:
         lines = (tmp_path / "constants.csv").read_text().splitlines()
         assert lines[0] == "alpha,paper_bound,beckner_hat,two_lambda_P,ordering_pass"
         assert len(lines) == 3
+
+    def test_constants_leaves_scipy_optimize_unimported(self, tmp_path):
+        # the optimizer is numpy only; scipy.optimize would add ~22 MB
+        import beckner_lab
+        src = os.path.dirname(os.path.dirname(beckner_lab.__file__))
+        code = ("import sys; from beckner_lab.cli import main; "
+                "status = main(sys.argv[1:]); "
+                "print(status, 'scipy.optimize' in sys.modules)")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "constants", "--model",
+             "bernoulli_laplace", "--L", "5", "--N", "2", "--alpha", "1.5",
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_fokker_planck_refinement(self, tmp_path):
         status = main(["fokker-planck", "--model", "fokker_planck_fv",

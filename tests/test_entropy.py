@@ -225,6 +225,14 @@ class TestBigTheta:
         val = bl.big_theta(bl.log_entropy(), 1.0, 1.0)
         assert val == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("A,B,value", [(2.0, 7.0, 7.8569856844250925),
+                                           (10.0, 0.5, 5.861922016180982),
+                                           (0.3, 5.0, 3.112800331726578)])
+    def test_log_entropy_ray_matches_2d_search(self, A, B, value):
+        # values the former 2-D grid and simplex search returned
+        assert bl.big_theta(bl.log_entropy(), A, B) == pytest.approx(
+            value, abs=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bl.big_theta(bl.power_entropy(1.5), -1.0, 2.0)
@@ -276,6 +284,15 @@ class TestIdentityVerifiers:
         assert rep.passed
         names = {c.name for c in rep.checks}
         assert "interpolant_mixed_partial_closed_form" in names
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2])
+    def test_concavity_passes_across_seeds(self, alpha):
+        # Y's Hessian determinant vanishes identically; difference noise,
+        # which grows as alpha -> 1, must not decide the verdict
+        e = bl.power_entropy(alpha)
+        for seed in [*range(200), 785348330]:
+            rep = bl.verify_concavity(e, (0.25, 0.5, 0.75), 1000, seed)
+            assert rep.passed, (seed, [c.name for c in rep.failures()])
 
     def test_concavity_log(self):
         rep = bl.verify_concavity(bl.log_entropy(), (0.5,), 300, seed=8)
