@@ -38,6 +38,9 @@ from .reporting import CheckReport
 
 _COMMANDS = ("theta-surface", "verify-lemmas", "verify-bochner", "decay",
              "constants", "fokker-planck", "export-chain")
+# theta-surface evaluates every node of its square grid in one batch, with
+# a few arrays of one float per node; the cap bounds that memory
+GRID_MAX_NODES = 10 ** 6
 
 
 @dataclass
@@ -208,8 +211,15 @@ def _parse_grid(g) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in g)
     else:
         raise ConfigError("grid must be start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("grid start, stop and step must be finite")
     if step <= 0 or stop < start or start < 0:
         raise ConfigError("grid needs 0 <= start <= stop and step > 0")
+    # _grid_values gives floor(x) + 1 values per axis, with x = (stop -
+    # start) / step + 0.5, so the square grid is within the cap iff
+    # x < sqrt(GRID_MAX_NODES); an x that overflows to inf is rejected
+    if not (stop - start) / step + 0.5 < math.isqrt(GRID_MAX_NODES):
+        raise ConfigError(f"grid has more than {GRID_MAX_NODES} nodes")
     return start, stop, step
 
 

@@ -118,7 +118,7 @@ class _Quotient:
         Lsq = _matvec(self.Q, sq_c)
         num = -_rowsum(pi * sq_c * Lsq)
         return (num, _rowsum(pi * (rho * lg - np.expm1(lg))),
-                (lg, sq_c, Lsq))
+                (lg, Lsq))
 
     def derivatives(self, rho, terms):
         """Gradients of numerator and denominator with respect to rho."""
@@ -131,8 +131,8 @@ class _Quotient:
         if self.kind == "mlsi":
             lg, Lr = terms
             return -pi * (Lr / rho + _matvec(self.Q, lg)), pi * lg
-        lg, sq_c, Lsq = terms
-        return -pi * Lsq / (sq_c + 1.0), pi * lg
+        lg, Lsq = terms
+        return -pi * Lsq / np.sqrt(rho), pi * lg
 
     def at(self, U) -> _Point:
         """Quotient at rho = exp(u)/pi[exp(u)] for each row u of U."""

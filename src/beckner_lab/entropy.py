@@ -284,109 +284,174 @@ def _series_power_g(x, am1):
 # the joint infimum functional Theta(A, B)
 # ---------------------------------------------------------------------------
 
-def big_theta_lower_bound(alpha: float, A: float, B: float) -> float:
-    """Analytic floor (alpha-1)(A+B) of the infimum for the power family."""
+# rows per ray-scan block; its temporaries are (rows, 2401) floats, about
+# 300 kB at 16 rows (one pass of the acceptance CLI jobs peaked at 60.6 MB
+# with 16 rows and 70.8 MB with 256, at no gain in time)
+_SCAN_ROWS = 16
+
+
+def _weights(A, B):
+    """A and B broadcast to float arrays of one shape, each entry finite
+    and nonnegative."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float),
+                               np.asarray(B, dtype=float))
+    if not np.all(np.isfinite(A) & np.isfinite(B) & (A >= 0.0) & (B >= 0.0)):
+        raise DomainError("A and B must be finite and nonnegative")
+    return A, B
+
+
+def big_theta_lower_bound(alpha: float, A, B):
+    """Analytic floor (alpha-1)(A+B) of the infimum for the power family,
+    elementwise; a float pair gives a float."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError("alpha must lie in (1, 2]")
-    if A < 0.0 or B < 0.0:
-        raise DomainError("A and B must be nonnegative")
-    return (alpha - 1.0) * (A + B)
+    A, B = _weights(A, B)
+    out = (alpha - 1.0) * (A + B)
+    return out if out.ndim else float(out)
 
 
-def big_theta(entropy: ConvexEntropy, A: float, B: float, tol: float = 1e-8,
-              max_iter: int = 200) -> float:
-    """inf over s,t > 0 of theta(s,t) (A phi''(s) + B phi''(t)).
+def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
+    """inf over s,t > 0 of theta(s,t) (A phi''(s) + B phi''(t)), for every
+    pair of weights at once.
 
-    The objective is jointly 0-homogeneous for every kind, so the search
+    A and B are finite nonnegative floats or arrays, broadcast together;
+    a float pair gives a float, arrays give an array of their shape.  The
+    objective is jointly 0-homogeneous for every kind, so the search
     reduces to the ray ratio r = s/t.  If A or B vanishes the infimum
     equals the boundary limit (a-1)(A+B), a the order of the entropy
     (alpha; 1 for log, 2 for quadratic), and is returned analytically (it
     is not attained); at a = 2 the objective is the constant A + B.
+
+    The other pairs run as one lockstep stack (:func:`_ray_infimum`), and
+    each gets the bits it gets alone: the stack shares only factors that
+    depend on the ray coordinate, and every row combines them in the
+    one-pair order, with its own bracket and its own ``max_iter``
+    golden-section steps.  The scan takes 16 rows at a time
+    (``_SCAN_ROWS``): wider blocks run no faster and only raise the peak
+    memory, so the stack costs a few arrays of one float per pair.
     """
-    if A < 0.0 or B < 0.0:
-        raise DomainError("A and B must be nonnegative")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if A == 0.0 and B == 0.0:
-        return 0.0
+    A, B = _weights(A, B)
     a = _order(entropy)
-    if A == 0.0 or B == 0.0:
-        return (a - 1.0) * (A + B)
-    if a == 2.0:
-        return A + B                     # objective is constant
-    return _ray_infimum(a, A, B, tol, max_iter)
+    ray = (A > 0.0) & (B > 0.0)
+    out = np.where(ray, A + B, (a - 1.0) * (A + B))
+    out[(A == 0.0) & (B == 0.0)] = 0.0
+    if a < 2.0 and ray.any():
+        out[ray] = _ray_infimum(a, A[ray], B[ray], max_iter)
+    return out if out.ndim else float(out)
 
 
-def _ray_value(a, A, B, w):
-    """Objective along the ray (s, t) = (e^w, 1): the power family's, and
-    its a -> 1 limit, the log entropy's, at a = 1."""
-    w = np.asarray(w, dtype=float)
+def _ray_factors(a, w):
+    """Factors of the ray objective P (A E + B) / D along (s, t) = (e^w, 1)
+    that depend on w alone: the power family's, and at a = 1 its a -> 1
+    limit, the log entropy's (D = 1, an exact division).  The last one
+    masks |w| < 1e-12, where the form is 0/0 and the value is A + B."""
+    if a == 1.0:
+        return np.expm1(w) / w, np.exp(-w), 1.0, np.abs(w) < 1e-12
+    return ((a - 1.0) * np.expm1(w), np.exp((a - 2.0) * w),
+            np.expm1((a - 1.0) * w), np.abs(w) < 1e-12)
+
+
+def _ray_value(factors, A, B):
+    P, E, D, zero = factors
+    return np.where(zero, A + B, P * (A * E + B) / D)
+
+
+def _ray_infimum(a, A, B, max_iter):
+    """The ray infimum for 1-D arrays of positive weights, order a < 2.
+
+    A 2401-point scan of w in [-60, 60] brackets each row's minimizer;
+    rows whose minimum sits on the boundary are rescanned at twice the
+    span, up to 480.  A flat row returns its scan minimum; the others are
+    refined by :func:`_golden`.  The scan runs ``_SCAN_ROWS`` rows at a
+    time on factors computed once per span.
+    """
+    n = A.size
+    out, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    refine = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if a == 1.0:
-            val = np.expm1(w) / w * (A * np.exp(-w) + B)
-        else:
-            num = (a - 1.0) * np.expm1(w) * (A * np.exp((a - 2.0) * w) + B)
-            val = num / np.expm1((a - 1.0) * w)
-    return np.where(np.abs(w) < 1e-12, A + B, val)
+        todo, span = np.arange(n), 60.0
+        while todo.size:
+            ws = np.linspace(-span, span, 2401)
+            factors = _ray_factors(a, ws)
+            wider = []
+            for k in range(0, todo.size, _SCAN_ROWS):
+                rows = todo[k:k + _SCAN_ROWS]
+                vals = _ray_value(factors, A[rows, None], B[rows, None])
+                i = np.argmin(vals, axis=1)
+                vi = vals[np.arange(rows.size), i]
+                vmax = vals.max(axis=1)
+                flat = vmax - vi <= 1e-12 * (np.abs(vmax) + 1.0)
+                edge = ~flat & ((i == 0) | (i == ws.size - 1))
+                inner = ~flat & ~edge
+                out[rows[flat]] = vi[flat]
+                refine[rows[inner]] = True
+                lo[rows[inner]] = ws[i[inner] - 1]
+                hi[rows[inner]] = ws[i[inner] + 1]
+                if span * 2.0 > 600.0 and edge.any():
+                    j = np.flatnonzero(edge)[0]
+                    raise NumericalError(
+                        f"ray scan did not bracket the minimizer; best "
+                        f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
+                wider.append(rows[edge])
+            todo, span = np.concatenate(wider), span * 2.0
+        if refine.any():
+            out[refine] = _golden(a, A[refine], B[refine], lo[refine],
+                                  hi[refine], max_iter)
+    return out
 
 
-def _ray_infimum(a, A, B, tol, max_iter):
-    span = 60.0
-    for _ in range(4):
-        ws = np.linspace(-span, span, 2401)
-        vals = _ray_value(a, A, B, ws)
-        i = int(np.argmin(vals))
-        if float(vals.max() - vals.min()) <= 1e-12 * (abs(float(vals.max())) + 1.0):
-            return float(vals[i])        # flat objective
-        if 0 < i < len(ws) - 1:
-            break
-        span *= 2.0
-        if span > 600.0:
-            raise NumericalError(
-                f"ray scan did not bracket the minimizer; best bracket "
-                f"w={ws[i]:.3g}, value={vals[i]:.17g}")
-    lo, hi = ws[i - 1], ws[i + 1]
-    f = lambda w: float(_ray_value(a, A, B, np.float64(w)))
+def _golden(a, A, B, lo, hi, max_iter):
+    """Golden-section refinement of every bracket [lo, hi] in lockstep.
+
+    A row stays active while hi - lo >= 1e-12, for at most ``max_iter``
+    steps, and ends with the least of the midpoint value and its last two
+    probes (the first of them on a tie).
+    """
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for it in range(max_iter):
-        if hi - lo < 1e-12:
+    fc = _ray_value(_ray_factors(a, c), A, B)
+    fd = _ray_value(_ray_factors(a, d), A, B)
+    act = np.arange(lo.size)
+    for _ in range(max_iter):
+        act = act[hi[act] - lo[act] >= 1e-12]
+        if not act.size:
             break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
+        left = fc[act] < fd[act]
+        L, R = act[left], act[~left]
+        hi[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = hi[L] - _GOLDEN * (hi[L] - lo[L])
+        lo[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = lo[R] + _GOLDEN * (hi[R] - lo[R])
+        f = _ray_value(_ray_factors(a, np.where(left, c[act], d[act])),
+                       A[act], B[act])
+        fc[L], fd[R] = f[left], f[~left]
     else:
-        raise NumericalError(
-            f"golden-section refinement exceeded {max_iter} iterations; "
-            f"best bracket [{lo:.17g}, {hi:.17g}]")
-    return min(f(0.5 * (lo + hi)), fc, fd)
+        if act.size:
+            raise NumericalError(
+                f"golden-section refinement exceeded {max_iter} iterations; "
+                f"best bracket [{lo[act[0]]:.17g}, {hi[act[0]]:.17g}]")
+    best = _ray_value(_ray_factors(a, 0.5 * (lo + hi)), A, B)
+    best = np.where(fc < best, fc, best)
+    return np.where(fd < best, fd, best)
 
 
 def theta_surface(alpha: float, A_grid, B_grid) -> np.ndarray:
     """Tabulate Theta over a grid, with its analytic bounds per node.
 
     Returns an array with columns (A, B, theta, lower_bound, upper_bound)
-    in row-major grid order; every row satisfies
-    (alpha-1)(A+B) <= theta <= A+B.
+    in row-major grid order (A outer, B inner); every row satisfies
+    (alpha-1)(A+B) <= theta <= A+B.  Grid values must be finite and
+    nonnegative.  The whole mesh goes to one :func:`big_theta` call, so
+    each node gets the bits a call of its own gives, and memory grows by
+    a few floats per node besides the output.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (1, 2]")
     A_grid = np.asarray(A_grid, dtype=float)
     B_grid = np.asarray(B_grid, dtype=float)
     if A_grid.ndim != 1 or B_grid.ndim != 1 or A_grid.size == 0 or B_grid.size == 0:
         raise DomainError("grids must be nonempty 1-D sequences")
-    if np.any(A_grid < 0.0) or np.any(B_grid < 0.0):
-        raise DomainError("grid values must be nonnegative")
-    ent = power_entropy(alpha)
-    return np.array([(A, B, big_theta(ent, float(A), float(B)),
-                      big_theta_lower_bound(alpha, A, B), A + B)
-                     for A in A_grid for B in B_grid])
+    A, B = (m.ravel() for m in np.meshgrid(A_grid, B_grid, indexing="ij"))
+    return np.column_stack((A, B, big_theta(power_entropy(alpha), A, B),
+                            big_theta_lower_bound(alpha, A, B), A + B))
 
 
 # ---------------------------------------------------------------------------

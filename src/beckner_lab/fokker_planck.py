@@ -144,19 +144,16 @@ def fv_condition_check(chain: FiniteChain, alpha: float,
     # curvature condition with the certified constant alpha lambda_h;
     # negative rate differences make the two-weight infimum unbounded
     # below, so such cells are automatic violations
-    ent = power_entropy(alpha)
     target = alpha * lh
+    live = np.flatnonzero(a[:-1] > 0.0)
+    pos = live[(A[live] >= 0.0) & (B[live] >= 0.0)]
+    val = np.full(len(A), -math.inf)
+    val[pos] = A[pos] + B[pos] + big_theta(power_entropy(alpha), A[pos], B[pos])
     worst_val = math.inf
     worst_cell = None
-    for n in range(len(A)):
-        if a[n] <= 0.0:
-            continue
-        if A[n] < 0.0 or B[n] < 0.0:
-            val = -math.inf
-        else:
-            val = A[n] + B[n] + big_theta(ent, float(A[n]), float(B[n]))
-        if val < worst_val:
-            worst_val, worst_cell = val, n
+    for n in live:
+        if val[n] < worst_val:
+            worst_val, worst_cell = val[n], int(n)
     cond_ok = bool(worst_val >= target - tol * target)
     report.add(CheckReport(
         "curvature_condition", cond_ok,

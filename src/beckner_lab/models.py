@@ -390,8 +390,7 @@ def lambda_h(h: float, lambda_conv: float) -> float:
 # explicit decay constants
 # ---------------------------------------------------------------------------
 
-def paper_lambda(spec: ModelSpec, alpha: float,
-                 theta_tol: float = 1e-8) -> PaperConstant:
+def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
     """Evaluate the explicit decay constant for a model instance.
 
     Raises :class:`HypothesisError` naming the violated condition when
@@ -408,17 +407,13 @@ def paper_lambda(spec: ModelSpec, alpha: float,
             raise HypothesisError("birth rate sequence must be nonincreasing")
         if np.any(np.diff(b) < -1e-12):
             raise HypothesisError("death rate sequence must be nondecreasing")
-        ent = power_entropy(alpha)
+        live = np.flatnonzero(a[:-1] > 0.0)
+        A, B = a[live] - a[live + 1], b[live + 1] - b[live]
         best = math.inf
         best_n = None
-        for n in range(len(a) - 1):
-            if a[n] <= 0.0:
-                continue
-            A = float(a[n] - a[n + 1])
-            B = float(b[n + 1] - b[n])
-            val = A + B + big_theta(ent, A, B, tol=theta_tol)
+        for n, val in zip(live, A + B + big_theta(power_entropy(alpha), A, B)):
             if val < best:
-                best, best_n = val, n
+                best, best_n = float(val), int(n)
         if best_n is None:
             raise HypothesisError("no active birth level; chain is frozen")
         return PaperConstant(best, "birth_death_curvature_infimum",

@@ -57,9 +57,24 @@ class TestValidateConfig:
         cfg = validate_config(json.dumps(
             {"command": "theta-surface", "grid": "0:10:0.25"}))
         assert cfg.grid == (0.0, 10.0, 0.25)
+        # the largest square grid within the node cap: 1000 values per axis
+        cfg = validate_config(json.dumps(
+            {"command": "theta-surface", "grid": "0:999.4:1"}))
+        assert cfg.grid == (0.0, 999.4, 1.0)
         with pytest.raises(ConfigError):
             validate_config(json.dumps(
                 {"command": "theta-surface", "grid": "10:0:1"}))
+
+    @pytest.mark.parametrize("grid,match", [("0:inf:1", "finite"),
+                                            ("0:10:1e-300", "nodes"),
+                                            ("0:999.5:1", "nodes")])
+    def test_grid_limits(self, grid, match, tmp_path, capsys):
+        assert main(["theta-surface", "--alpha", "2.0", "--grid", grid,
+                     "--out", str(tmp_path)]) == 2
+        assert match in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=match):
+            validate_config(json.dumps(
+                {"command": "theta-surface", "grid": grid}))
 
 
 class TestCommands:

@@ -335,3 +335,14 @@ class TestLockstepDescent:
                 assert np.array_equal(quot.gradient(one)[0], G[k])
                 rho = bl.Density(p.rho[k])
                 assert quotient_value(chain, kind, alpha, rho) == p.val[k]
+
+    def test_lsi_gradient_finite_at_tiny_density(self, zr33):
+        # sqrt(rho) - 1 rounds to -1 below rho ~ 1e-32, so the gradient
+        # must divide by sqrt(rho) itself
+        quot = _Quotient(zr33, "lsi", None)
+        U = np.zeros((1, zr33.n_states))
+        U[0, 0] = np.log(1e-34)
+        p = quot.at(U)
+        assert 1e-35 < p.rho.min() < 1e-33
+        assert np.isfinite(p.val[0])
+        assert np.all(np.isfinite(quot.gradient(p)))

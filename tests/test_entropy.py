@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import beckner_lab as bl
-from beckner_lab import DomainError
+from beckner_lab import DomainError, NumericalError
 
 
 def brute_force_big_theta(alpha, A, B, n=1500):
@@ -22,6 +22,65 @@ def brute_force_big_theta(alpha, A, B, n=1500):
     obj_diag = (1.0 / (alpha * g ** (alpha - 2))) * (
         A * alpha * g ** (alpha - 2) + B * alpha * g ** (alpha - 2))
     return min(float(np.nanmin(obj)), float(np.min(obj_diag)))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def reference_ray_value(a, A, B, w):
+    """The ray objective of one weight pair at one or more points w."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if a == 1.0:
+            val = np.expm1(w) / w * (A * np.exp(-w) + B)
+        else:
+            num = (a - 1.0) * np.expm1(w) * (A * np.exp((a - 2.0) * w) + B)
+            val = num / np.expm1((a - 1.0) * w)
+    return np.where(np.abs(w) < 1e-12, A + B, val)
+
+
+def reference_ray_infimum(a, A, B, max_iter=200):
+    """The ray infimum of one positive weight pair, one pair at a time:
+    a 2401-point scan (span doubled while the minimum sits on the
+    boundary) and a scalar golden section.  The lockstep ``big_theta``
+    must reproduce it bit for bit."""
+    span = 60.0
+    for _ in range(4):
+        ws = np.linspace(-span, span, 2401)
+        vals = reference_ray_value(a, A, B, ws)
+        i = int(np.argmin(vals))
+        if float(vals.max() - vals.min()) <= 1e-12 * (abs(float(vals.max())) + 1.0):
+            return float(vals[i])
+        if 0 < i < len(ws) - 1:
+            break
+        span *= 2.0
+        if span > 600.0:
+            raise NumericalError("ray scan did not bracket the minimizer")
+    lo, hi = ws[i - 1], ws[i + 1]
+    f = lambda w: float(reference_ray_value(a, A, B, np.float64(w)))
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if hi - lo < 1e-12:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    else:
+        raise NumericalError("golden-section refinement did not converge")
+    return min(f(0.5 * (lo + hi)), fc, fd)
+
+
+def reference_big_theta(entropy, A, B):
+    """``reference_ray_infimum`` per pair of positive weights."""
+    a = 1.0 if entropy.kind == "log" else entropy.alpha
+    return np.array([reference_ray_infimum(a, x, y) for x, y in zip(A, B)])
 
 
 class TestPhi:
@@ -236,8 +295,80 @@ class TestBigTheta:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bl.big_theta(bl.power_entropy(1.5), -1.0, 2.0)
+
+    @pytest.mark.parametrize("A,B", [(math.nan, 1.0), (math.inf, 1.0),
+                                     (1.0, math.inf)])
+    def test_nonfinite_weights_rejected(self, A, B):
         with pytest.raises(DomainError):
-            bl.big_theta(bl.power_entropy(1.5), 1.0, 2.0, tol=0.0)
+            bl.big_theta(bl.power_entropy(1.5), A, B)
+        with pytest.raises(DomainError):
+            bl.big_theta(bl.power_entropy(1.5), [1.0, A], [1.0, B])
+
+
+class TestLockstepBigTheta:
+    """Every pair of a batch gets the bits the one-pair reference gives."""
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.8])
+    def test_readme_grid(self, alpha):
+        rows = bl.theta_surface(alpha, np.arange(41) * 0.25,
+                                np.arange(41) * 0.25)
+        inner = (rows[:, 0] > 0.0) & (rows[:, 1] > 0.0)
+        assert inner.sum() == 1600
+        ref = reference_big_theta(bl.power_entropy(alpha), rows[inner, 0],
+                                  rows[inner, 1])
+        assert np.array_equal(rows[inner, 2], ref)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_log_uniform_pairs(self, alpha):
+        rng = np.random.default_rng(20)
+        A, B = np.exp(rng.uniform(-20.0, 20.0, size=(2, 500)))
+        e = bl.power_entropy(alpha)
+        assert np.array_equal(bl.big_theta(e, A, B),
+                              reference_big_theta(e, A, B))
+
+    def test_span_doubling(self):
+        # at alpha = 1.05 these pairs bracket at spans 120, 240 and 480
+        e = bl.power_entropy(1.05)
+        A, B = np.array([1.0, 1e-60, 1.0]), np.array([1e-30, 1.0, 1e-110])
+        assert np.array_equal(bl.big_theta(e, A, B),
+                              reference_big_theta(e, A, B))
+        # and this one nowhere up to 480, so the whole batch fails
+        with pytest.raises(NumericalError):
+            reference_big_theta(e, [1.0], [1e-300])
+        with pytest.raises(NumericalError, match="did not bracket"):
+            bl.big_theta(e, np.append(A, 1.0), np.append(B, 1e-300))
+
+    def test_log_entropy_points(self):
+        A, B = np.array([2.0, 10.0, 0.3]), np.array([7.0, 0.5, 5.0])
+        e = bl.log_entropy()
+        assert np.array_equal(bl.big_theta(e, A, B),
+                              reference_big_theta(e, A, B))
+
+    def test_fv_cells(self):
+        e = bl.power_entropy(1.5)
+        for n in (8, 16, 32, 64, 128):
+            chain = bl.build_fokker_planck_fv(
+                lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
+            a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
+            A, B = a[:-1] - a[1:], b[1:] - b[:-1]
+            cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
+            assert cells.sum() >= n - 2
+            assert np.array_equal(bl.big_theta(e, A[cells], B[cells]),
+                                  reference_big_theta(e, A[cells], B[cells]))
+
+    def test_row_alone_equals_row_in_batch(self):
+        rng = np.random.default_rng(3)
+        A, B = np.exp(rng.uniform(-5.0, 5.0, size=(2, 40)))
+        A[:4], B[2:6] = 0.0, 0.0
+        for e in (bl.power_entropy(1.3), bl.log_entropy(),
+                  bl.quadratic_entropy()):
+            full = bl.big_theta(e, A, B)
+            assert np.array_equal(
+                bl.big_theta(e, A.reshape(5, 8), B.reshape(5, 8)),
+                full.reshape(5, 8))
+            for k in range(A.size):
+                alone = bl.big_theta(e, float(A[k]), float(B[k]))
+                assert type(alone) is float and alone == full[k], k
 
 
 class TestThetaSurface:
@@ -261,6 +392,8 @@ class TestThetaSurface:
             bl.theta_surface(2.5, [1.0], [1.0])
         with pytest.raises(DomainError):
             bl.theta_surface(1.5, [-1.0], [1.0])
+        with pytest.raises(DomainError):
+            bl.theta_surface(1.5, [1.0, math.nan], [1.0])
 
 
 class TestIdentityVerifiers:
