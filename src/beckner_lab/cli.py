@@ -388,6 +388,9 @@ def _cmd_constants(cfg: ExperimentConfig) -> int:
         "mlsi_continuity_gap": table.mlsi_continuity_gap,
         "references": table.references,
         "ordering_pass": table.ordering_pass,
+        "convergence": [{"name": e.name, "alpha": e.alpha,
+                         "convergence": e.convergence}
+                        for e in table.estimates],
     })
     for r in table.rows:
         print(f"alpha={r.alpha}: beckner_hat={r.beckner_hat:.8g} "

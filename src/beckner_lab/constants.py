@@ -14,8 +14,9 @@ Minimization runs L-BFGS with an Armijo line search on the
 log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
 the spectral-gap eigenvector and random log-Gaussian fields.  The starts
-advance in lockstep as the rows of one array, and each row gets the bits
-it would get if its start ran alone.  Estimates are upper brackets of
+advance in lockstep as the rows of one array (a constants report puts
+all of its estimates in one array, a block of rows each), and each row
+gets the bits it would get if its start ran alone.  Estimates are upper brackets of
 the sharp constants; linearization rays rho = 1 + eps f_gap are always
 folded in, which pins lambda_B(2) = 2 lambda_P exactly and keeps every
 estimate at or below 2 lambda_P.
@@ -71,15 +72,23 @@ def _matvec(A, x):
 
 class _Point(NamedTuple):
     """Evaluation points stacked by row: quotient value, denominator,
-    density, and the terms the gradient reuses."""
+    density, the terms the gradient reuses, and each row's id in the
+    descent stack."""
     val: np.ndarray
     den: np.ndarray
     rho: np.ndarray
     terms: tuple
+    ids: np.ndarray
 
 
 class _Quotient:
-    """The named quotient on a (K, S) stack of densities, one per row.
+    """Quotients on a (K, S) stack of densities, one per row.
+
+    ``_Quotient(chain, kind, alpha)`` evaluates one quotient on every row.
+    ``_Quotient(chain, specs=[(kind, alpha), ...], block=n)`` evaluates a
+    stack of blocks: the row with id r in the descent stack evaluates
+    ``specs[r // n]``.  Each kind keeps one formula, run on all of its rows
+    at once; the beckner formula takes alpha as a per-row column.
 
     Every row gets the bits it would get in a stack of its own: products
     with Q run as one matrix-vector product per row (a single matrix
@@ -90,26 +99,52 @@ class _Quotient:
     accuracy.
     """
 
-    def __init__(self, chain: FiniteChain, kind: str, alpha: float | None):
-        if kind not in ("beckner", "mlsi", "lsi"):
-            raise DomainError(f"unknown quotient kind {kind!r}")
-        self.kind, self.alpha = kind, alpha
+    def __init__(self, chain: FiniteChain, kind: str | None = None,
+                 alpha: float | None = None, *, specs=(), block: int = 1):
+        self.specs = list(specs) or [(kind, alpha)]
+        for k, _ in self.specs:
+            if k not in ("beckner", "mlsi", "lsi"):
+                raise DomainError(f"unknown quotient kind {k!r}")
+        self.kinds = np.array([k for k, _ in self.specs])
+        self.alphas = np.array([math.nan if a is None else a
+                                for _, a in self.specs])
+        self.block = block
         self.Q = chain.dense_generator()
         self.pi = chain.pi
 
-    def parts(self, rho):
+    def _groups(self, ids):
+        """(kind, row mask, alpha column) for each kind among the rows
+        with stack ids ``ids``."""
+        spec = ids // self.block
+        for kind in ("beckner", "mlsi", "lsi"):
+            sel = self.kinds[spec] == kind
+            if sel.any():
+                yield kind, sel, self.alphas[spec[sel], None]
+
+    def parts(self, rho, ids=None):
         """Numerator and denominator per row, and the terms that
-        :meth:`derivatives` reuses."""
-        pi, a = self.pi, self.alpha
-        lg = np.log(rho)
-        if self.kind == "beckner":
+        :meth:`derivatives` reuses.  ``ids`` are the rows' stack ids
+        (by default the first rows of the stack)."""
+        if len(self.specs) == 1:
+            return self._parts(*self.specs[0], rho)
+        ids = np.arange(len(rho)) if ids is None else ids
+        num, den = np.empty(len(rho)), np.empty(len(rho))
+        terms = np.empty_like(rho), np.empty_like(rho)
+        for kind, sel, a in self._groups(ids):
+            num[sel], den[sel], (terms[0][sel], terms[1][sel]) = \
+                self._parts(kind, a, rho[sel])
+        return num, den, terms
+
+    def _parts(self, kind, a, rho):
+        pi, lg = self.pi, np.log(rho)
+        if kind == "beckner":
             rho_c = np.expm1(lg)                    # rho - 1
             pw_c = np.expm1((a - 1.0) * lg)         # rho^{a-1} - 1
             Lr = _matvec(self.Q, rho_c)
-            num = -(a / (a - 1.0)) * _rowsum(pi * pw_c * Lr)
+            num = -(a / (a - 1.0)) * _rowsum(pi * pw_c * Lr)[:, None]
             phi_el = (np.expm1(a * lg) - rho_c) / (a - 1.0) - rho_c
-            return num, _rowsum(pi * phi_el), (pw_c, Lr)
-        if self.kind == "mlsi":
+            return num[:, 0], _rowsum(pi * phi_el), (pw_c, Lr)
+        if kind == "mlsi":
             rho_c = np.expm1(lg)
             Lr = _matvec(self.Q, rho_c)
             num = -_rowsum(pi * lg * Lr)
@@ -120,31 +155,43 @@ class _Quotient:
         return (num, _rowsum(pi * (rho * lg - np.expm1(lg))),
                 (lg, Lsq))
 
-    def derivatives(self, rho, terms):
+    def derivatives(self, rho, terms, ids):
         """Gradients of numerator and denominator with respect to rho."""
-        pi, a = self.pi, self.alpha
-        if self.kind == "beckner":
+        if len(self.specs) == 1:
+            return self._derivatives(*self.specs[0], rho, terms)
+        dnum, dden = np.empty_like(rho), np.empty_like(rho)
+        for kind, sel, a in self._groups(ids):
+            dnum[sel], dden[sel] = self._derivatives(
+                kind, a, rho[sel], [t[sel] for t in terms])
+        return dnum, dden
+
+    def _derivatives(self, kind, a, rho, terms):
+        pi = self.pi
+        if kind == "beckner":
             pw_c, Lr = terms
             dnum = -(a / (a - 1.0)) * pi * (
                 (a - 1.0) * rho ** (a - 2.0) * Lr + _matvec(self.Q, pw_c))
             return dnum, pi * a * pw_c / (a - 1.0)
-        if self.kind == "mlsi":
+        if kind == "mlsi":
             lg, Lr = terms
             return -pi * (Lr / rho + _matvec(self.Q, lg)), pi * lg
         lg, Lsq = terms
         return -pi * Lsq / np.sqrt(rho), pi * lg
 
-    def at(self, U) -> _Point:
-        """Quotient at rho = exp(u)/pi[exp(u)] for each row u of U."""
+    def at(self, U, ids=None) -> _Point:
+        """Quotient at rho = exp(u)/pi[exp(u)] for each row u of U, the
+        rows with stack ids ``ids`` (by default the first rows)."""
+        ids = np.arange(len(U)) if ids is None else ids
         V = np.exp(U - U.max(axis=-1, keepdims=True))
         rho = V / _rowsum(self.pi * V)[:, None]
-        num, den, terms = self.parts(rho)
-        return _Point(num / den, den, rho, terms)
+        num, den, terms = self.parts(rho, ids)
+        return _Point(num / den, den, rho, terms, ids)
 
     def gradient(self, p: _Point, rows=slice(None)):
         """Projected gradient in u at the given rows of ``p``."""
         val, den, rho = p.val[rows], p.den[rows], p.rho[rows]
-        dnum, dden = self.derivatives(rho, [t[rows] for t in p.terms])
+        dnum, dden = self.derivatives(rho, [t[rows] for t in p.terms],
+                                      p.ids[rows])
         G = rho * ((dnum - val[:, None] * dden) / den[:, None])
         return G - self.pi * rho * _rowsum(G)[:, None]
 
@@ -188,8 +235,23 @@ class _Descent:
     rho: np.ndarray
     gnorm: np.ndarray
     status: list[str]
-    evaluations: int        # rows evaluated
-    rounds: int             # lockstep line-search rounds
+    trials: np.ndarray      # line-search trial points evaluated per row
+
+    def block(self, rows: slice) -> _Descent:
+        """The results of the rows ``rows``."""
+        return _Descent(self.value[rows], self.rho[rows], self.gnorm[rows],
+                        self.status[rows], self.trials[rows])
+
+    @property
+    def evaluations(self) -> int:
+        """Rows evaluated, the starting points included."""
+        return len(self.status) + int(self.trials.sum())
+
+    @property
+    def rounds(self) -> int:
+        """Lockstep line-search rounds: a row is evaluated in every round
+        from the first until it stops."""
+        return int(self.trials.max(initial=0))
 
 
 def _rowdot(A, B):
@@ -255,7 +317,9 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
     the step shrinks to the minimizer of the interpolating quadratic,
     clamped to [0.1, 0.5] of the step.  Without pairs a row steps along
     -g, first scaled by 1/max(1, |g|_inf); a quasi-Newton direction
-    starts at unit step and gives way to -g if it does not descend.
+    starts at unit step and gives way to -g if it does not descend.  The
+    evaluator sees each trial stack with its rows' ids, so a stacked
+    quotient evaluates every row with its own kind and alpha.
 
     Statuses: "gradient" (gradient test met), "stalled" (the predicted
     decrease of the line search, an accepted step's gain or 25
@@ -266,9 +330,9 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
     U = np.array(U0, dtype=float)
     K, n = U.shape
     with np.errstate(all="ignore"):         # inf/nan iterates are rejected
-        p = quot.at(U)
+        p = quot.at(U, np.arange(K))
         val, rho, G = p.val, p.rho, quot.gradient(p)
-        evaluations, rounds = K, 0
+        trials = np.zeros(K, dtype=int)
         pairs = _Pairs(K, n)
         D, gd, step = np.zeros((K, n)), np.zeros(K), np.zeros(K)  # d, g.d
         its, anchor = np.zeros(K, dtype=int), val.copy()
@@ -306,8 +370,8 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
                 break
             s = step[rows]
             U_try = U[rows] + s[:, None] * D[rows]
-            p = quot.at(U_try)
-            evaluations, rounds = evaluations + rows.size, rounds + 1
+            p = quot.at(U_try, rows)
+            trials[rows] += 1
             ok = np.isfinite(p.val) & (p.val <= val[rows] + 1e-4 * s * gd[rows])
             G_new = quot.gradient(p, ok)
             finite = np.isfinite(G_new).all(axis=1)
@@ -327,7 +391,7 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
                                               - s * gd[rej]))
             step[rej] = np.fmin(np.fmax(quad, 0.1 * s), 0.5 * s)
         gnorm = np.max(np.abs(G), axis=1)
-    return _Descent(val, rho, gnorm, list(status), evaluations, rounds)
+    return _Descent(val, rho, gnorm, list(status), trials)
 
 
 def _gap_rays(chain, f_gap):
@@ -357,13 +421,57 @@ class ConstantEstimate:
     convergence: dict = field(default_factory=dict)
 
 
-def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
-              opts: OptimizerOptions, extra_candidates=()) -> ConstantEstimate:
-    quot = _Quotient(chain, kind, alpha)
-    f_gap = poincare_eigenvector(chain)
-    run = _descend(quot, _start_fields(chain, f_gap, opts), opts.max_iter,
-                   opts.tol)
+_NEAR_ONE = 1.0 + 1e-4     # alpha of the mlsi continuity estimate
 
+
+def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
+              extra_candidates=(), continuity_check: bool = False
+              ) -> list[ConstantEstimate]:
+    """One estimate per (kind, alpha) spec, all descended as one stack.
+
+    Every spec owns a block of ``opts.starts`` rows started from the same
+    fields, so each row gets the bits its estimate's own descent gives.
+    With ``continuity_check`` every mlsi spec is followed by a power-entropy
+    block at alpha = 1 + 1e-4, whose candidates add the mlsi minimizer and
+    whose value and relative gap go to the mlsi convergence record (the
+    power family tends to the log case as alpha -> 1).  The blocks are
+    then finished in order: rays and ``extra_candidates`` join the
+    candidates, the best is rechecked, and the first block with no
+    converged start raises.
+    """
+    stack, checks = [], set()      # checks: the continuity blocks
+    for spec in specs:
+        stack.append(spec)
+        if continuity_check and spec[0] == "mlsi":
+            checks.add(len(stack))
+            stack.append(("beckner", _NEAR_ONE))
+    f_gap = poincare_eigenvector(chain)
+    starts = _start_fields(chain, f_gap, opts)
+    K = len(starts)
+    quot = _Quotient(chain, specs=stack, block=K)
+    run = _descend(quot, np.tile(starts, (len(stack), 1)), opts.max_iter,
+                   opts.tol)
+    ests = []
+    for i, (kind, alpha) in enumerate(stack):
+        near = i in checks
+        est = _finish(chain, quot, i * K, run.block(slice(i * K, (i + 1) * K)),
+                      kind, alpha, f_gap, (ests[-1].minimizer.values,)
+                      if near else extra_candidates)
+        if near:
+            mlsi = ests[-1]
+            rel = abs(est.value - mlsi.value) / max(abs(mlsi.value), 1e-300)
+            mlsi.convergence["alpha_to_one_gap"] = rel
+            mlsi.convergence["alpha_to_one_value"] = est.value
+        else:
+            ests.append(est)
+    return ests
+
+
+def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
+            extra_candidates) -> ConstantEstimate:
+    """The estimate of one block of the stack, whose first row has stack
+    id ``first``: its starts' results, the gap rays and the extra
+    candidates, the best of them rechecked directly."""
     finite = np.isfinite(run.value)
     candidates = [(float(v), rho)
                   for v, rho in zip(run.value[finite], run.rho[finite])]
@@ -375,7 +483,7 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
     spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
               if v.size else math.nan)
     rays = np.vstack([_gap_rays(chain, f_gap), *extra_candidates])
-    nums, dens, _ = quot.parts(rays)
+    nums, dens, _ = quot.parts(rays, np.full(len(rays), first))
     for num, den, rho in zip(nums, dens, rays):
         if den > 0.0 and math.isfinite(num):
             candidates.append((float(num / den), rho))
@@ -403,6 +511,11 @@ def _estimate(chain: FiniteChain, kind: str, alpha: float | None,
                      "evaluations": run.evaluations, "rounds": run.rounds})
 
 
+def _check_alpha(alpha):
+    if not 1.0 < alpha <= 2.0:
+        raise DomainError("alpha must lie in (1, 2]")
+
+
 def beckner_constant(chain: FiniteChain, alpha: float,
                      opts: OptimizerOptions | None = None,
                      extra_candidates=()) -> ConstantEstimate:
@@ -411,10 +524,9 @@ def beckner_constant(chain: FiniteChain, alpha: float,
     Contract: at most 2 lambda_P (up to optimizer tolerance), exactly
     2 lambda_P at alpha = 2, and never below a valid explicit bound.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (1, 2]")
-    return _estimate(chain, "beckner", alpha, opts or OptimizerOptions(),
-                     extra_candidates)
+    _check_alpha(alpha)
+    return _estimate(chain, [("beckner", alpha)], opts or OptimizerOptions(),
+                     extra_candidates)[0]
 
 
 def mlsi_constant(chain: FiniteChain, opts: OptimizerOptions | None = None,
@@ -423,25 +535,19 @@ def mlsi_constant(chain: FiniteChain, opts: OptimizerOptions | None = None,
     """Upper bracket of the modified log-Sobolev constant lambda_M.
 
     When ``continuity_check`` is set, the power-entropy estimate at
-    alpha = 1 + 1e-4 is computed with the same protocol and its relative
-    gap recorded (the power family tends to the log case as alpha -> 1).
+    alpha = 1 + 1e-4 is computed in the same stack with the same protocol
+    and its relative gap recorded (the power family tends to the log case
+    as alpha -> 1).
     """
-    opts = opts or OptimizerOptions()
-    est = _estimate(chain, "mlsi", None, opts, extra_candidates)
-    if continuity_check:
-        near = _estimate(chain, "beckner", 1.0 + 1e-4, opts,
-                         extra_candidates=(est.minimizer.values,))
-        rel = abs(near.value - est.value) / max(abs(est.value), 1e-300)
-        est.convergence["alpha_to_one_gap"] = rel
-        est.convergence["alpha_to_one_value"] = near.value
-    return est
+    return _estimate(chain, [("mlsi", None)], opts or OptimizerOptions(),
+                     extra_candidates, continuity_check)[0]
 
 
 def lsi_constant(chain: FiniteChain, opts: OptimizerOptions | None = None,
                  extra_candidates=()) -> ConstantEstimate:
     """Upper bracket of the log-Sobolev constant lambda_L."""
-    return _estimate(chain, "lsi", None, opts or OptimizerOptions(),
-                     extra_candidates)
+    return _estimate(chain, [("lsi", None)], opts or OptimizerOptions(),
+                     extra_candidates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +572,7 @@ class ConstantsTable:
     mlsi_continuity_gap: float
     references: dict
     ordering_pass: bool
+    estimates: list[ConstantEstimate]   # each alpha, then mlsi and lsi
 
 
 def constants_report(chain: FiniteChain, alphas,
@@ -474,34 +581,41 @@ def constants_report(chain: FiniteChain, alphas,
                      tol: float = 1e-6) -> ConstantsTable:
     """One row per alpha plus the log-case constants and their orderings.
 
-    All quotient kinds are cross-evaluated on the union of minimizers, so
-    the pointwise relations (the log-production dominates four times the
-    square-root production, every quotient linearizes to 2 lambda_P)
-    transfer to the reported estimates.
+    Every estimate (each alpha, mlsi with its continuity check, lsi) runs
+    in one stacked descent.  All quotient kinds are cross-evaluated on the
+    union of minimizers, so the pointwise relations (the log-production
+    dominates four times the square-root production, every quotient
+    linearizes to 2 lambda_P) transfer to the reported estimates.
     """
     opts = opts or OptimizerOptions()
     lam_p = spectral_gap(chain)
+    distinct = list(dict.fromkeys(alphas))
+    for a in distinct:
+        _check_alpha(a)
+    ests = _estimate(chain, [("beckner", a) for a in distinct]
+                     + [("mlsi", None), ("lsi", None)], opts,
+                     continuity_check=True)
+    est_m, est_l = ests[-2:]
 
-    ests = {a: beckner_constant(chain, a, opts) for a in alphas}
-    est_m = mlsi_constant(chain, opts)
-    est_l = lsi_constant(chain, opts)
-
-    pool = [e.minimizer.values for e in ests.values()]
-    pool += [est_m.minimizer.values, est_l.minimizer.values]
-
-    def folded(kind, alpha, base):
-        return min([base.value] + [quotient_value(chain, kind, alpha,
-                                                  Density(rho))
-                                   for rho in pool])
-
-    lam_m = folded("mlsi", None, est_m)
-    lam_l = folded("lsi", None, est_l)
+    # every quotient at every pooled minimizer, in one evaluation
+    pool = np.array([e.minimizer.values for e in ests])
+    folds = [("mlsi", None), ("lsi", None)] + [("beckner", a)
+                                               for a in distinct]
+    num, den, _ = _Quotient(chain, specs=folds, block=len(pool)).parts(
+        np.tile(pool, (len(folds), 1)))
+    if np.any(den <= 0.0):
+        raise DomainError("entropy vanished at the evaluation point")
+    vals = (num / den).reshape(len(folds), -1).tolist()
+    lam_m = min([est_m.value] + vals[0])
+    lam_l = min([est_l.value] + vals[1])
+    beckner = {a: min([e.value] + v)
+               for a, e, v in zip(distinct, ests, vals[2:])}
 
     references = {}
     rows = []
     global_ok = (4.0 * lam_l <= lam_m + tol) and (lam_m <= 2.0 * lam_p + tol)
     for a in alphas:
-        val = folded("beckner", a, ests[a])
+        val = beckner[a]
         bound = math.nan
         if spec is not None:
             const = paper_lambda(spec, a)
@@ -519,4 +633,5 @@ def constants_report(chain: FiniteChain, alphas,
         mlsi_continuity_gap=est_m.convergence.get("alpha_to_one_gap",
                                                   math.nan),
         references=references,
-        ordering_pass=global_ok and all(r.ordering_pass for r in rows))
+        ordering_pass=global_ok and all(r.ordering_pass for r in rows),
+        estimates=ests)

@@ -361,9 +361,11 @@ def _ray_infimum(a, A, B, max_iter):
 
     A 2401-point scan of w in [-60, 60] brackets each row's minimizer;
     rows whose minimum sits on the boundary are rescanned at twice the
-    span, up to 480.  A flat row returns its scan minimum; the others are
-    refined by :func:`_golden`.  The scan runs ``_SCAN_ROWS`` rows at a
-    time on factors computed once per span.
+    span, up to 480.  A row still on the boundary there returns the
+    boundary limit (a-1)(A+B) if its edge value lies within 1e-9 relative
+    of it, and raises otherwise.  A flat row returns its scan minimum; the
+    others are refined by :func:`_golden`.  The scan runs ``_SCAN_ROWS``
+    rows at a time on factors computed once per span.
     """
     n = A.size
     out, lo, hi = np.empty(n), np.empty(n), np.empty(n)
@@ -387,11 +389,18 @@ def _ray_infimum(a, A, B, max_iter):
                 refine[rows[inner]] = True
                 lo[rows[inner]] = ws[i[inner] - 1]
                 hi[rows[inner]] = ws[i[inner] + 1]
-                if span * 2.0 > 600.0 and edge.any():
-                    j = np.flatnonzero(edge)[0]
-                    raise NumericalError(
-                        f"ray scan did not bracket the minimizer; best "
-                        f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
+                if span * 2.0 > 600.0:
+                    # an edge row of the last span approaches the limit
+                    # of the objective as |w| grows
+                    floor = (a - 1.0) * (A[rows] + B[rows])
+                    limit = edge & (np.abs(vi - floor) <= 1e-9 * floor)
+                    out[rows[limit]] = floor[limit]
+                    edge &= ~limit
+                    if edge.any():
+                        j = np.flatnonzero(edge)[0]
+                        raise NumericalError(
+                            f"ray scan did not bracket the minimizer; best "
+                            f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
                 wider.append(rows[edge])
             todo, span = np.concatenate(wider), span * 2.0
         if refine.any():

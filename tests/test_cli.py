@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from beckner_lab import ConfigError
+from beckner_lab import (ConfigError, OptimizerOptions, beckner_constant,
+                         build_random_transposition, lsi_constant,
+                         mlsi_constant)
 from beckner_lab.cli import main, parse_model_block, validate_config
 
 
@@ -138,6 +140,26 @@ class TestCommands:
         lines = (tmp_path / "constants.csv").read_text().splitlines()
         assert lines[0] == "alpha,paper_bound,beckner_hat,two_lambda_P,ordering_pass"
         assert len(lines) == 3
+
+    def test_constants_report_records_solver_health(self, tmp_path):
+        status = main(["constants", "--model", "random_transposition",
+                       "--n", "3", "--alpha", "1.5", "2.0", "--starts", "8",
+                       "--seed", "5", "--out", str(tmp_path)])
+        assert status == 0
+        report = json.loads((tmp_path / "constants_report.json").read_text())
+        entries = report["convergence"]
+        chain = build_random_transposition(3)
+        opts = OptimizerOptions(starts=8, seed=5)
+        alone = [beckner_constant(chain, 1.5, opts),
+                 beckner_constant(chain, 2.0, opts),
+                 mlsi_constant(chain, opts), lsi_constant(chain, opts)]
+        assert [(e["name"], e["alpha"]) for e in entries] == [
+            ("beckner", 1.5), ("beckner", 2.0), ("mlsi", None), ("lsi", None)]
+        for entry, est in zip(entries, alone):
+            conv = entry["convergence"]
+            assert sum(conv["status_counts"].values()) == conv["starts"] == 8
+            assert conv["rounds"] == est.convergence["rounds"]
+            assert conv["evaluations"] == est.convergence["evaluations"]
 
     def test_constants_leaves_scipy_optimize_unimported(self, tmp_path):
         # the optimizer is numpy only; scipy.optimize would add ~22 MB

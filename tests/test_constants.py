@@ -178,6 +178,21 @@ class TestConstantsReport:
         assert last.alpha == 2.0
         assert last.beckner_hat == pytest.approx(2.0 * gap, rel=1e-6)
 
+    @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
+    def test_stacked_estimates_equal_standalone_calls(self, zr33, rt4,
+                                                      chain_name):
+        chain = {"zr33": zr33, "rt4": rt4}[chain_name]
+        table = bl.constants_report(chain, [1.1, 1.5, 2.0])
+        alone = [bl.beckner_constant(chain, a) for a in (1.1, 1.5, 2.0)]
+        alone += [bl.mlsi_constant(chain), bl.lsi_constant(chain)]
+        assert len(table.estimates) == len(alone)
+        for est, one in zip(table.estimates, alone):
+            assert (est.name, est.alpha) == (one.name, one.alpha)
+            assert est.value == one.value, est.name
+            assert np.array_equal(est.minimizer.values, one.minimizer.values)
+            assert est.convergence == one.convergence, est.name
+        assert "alpha_to_one_value" in table.estimates[3].convergence
+
     def test_homogeneous_exclusion_references(self, bl52, specs):
         table = bl.constants_report(bl52, [1.5],
                                     spec=specs["bernoulli_laplace"])
@@ -261,6 +276,8 @@ def reference_descend(quot, u0, max_iter=400, gtol=1e-8, memory=10):
 
 LOCKSTEP_CASES = [("beckner", 1.1), ("beckner", 2.0), ("mlsi", None),
                   ("lsi", None)]
+MIXED_SPECS = [("beckner", 1.1), ("beckner", 1.5), ("beckner", 2.0),
+               ("beckner", 1.0 + 1e-4), ("mlsi", None), ("lsi", None)]
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +350,31 @@ class TestLockstepDescent:
                 one = quot.at(U[k:k + 1])
                 assert one.val[0] == p.val[k]
                 assert np.array_equal(quot.gradient(one)[0], G[k])
+                rho = bl.Density(p.rho[k])
+                assert quotient_value(chain, kind, alpha, rho) == p.val[k]
+
+    def test_mixed_stack_rows_equal_one_row(self, zr33, rt4):
+        # every kind, and beckner at four alphas, in one stack of blocks
+        rng = np.random.default_rng(4)
+        for chain in (zr33, rt4):
+            quot = _Quotient(chain, specs=MIXED_SPECS, block=8)
+            U = rng.standard_normal((48, chain.n_states)) * \
+                np.tile(np.repeat([0.1, 1.0, 3.0, 10.0], 2), 6)[:, None]
+            p = quot.at(U)
+            G = quot.gradient(p)
+            mask = np.arange(48) % 3 == 0
+            assert np.array_equal(quot.gradient(p, mask), G[mask])
+            # a trial stack of scattered rows keeps each row's spec
+            rows = np.flatnonzero(mask)
+            sub = quot.at(U[rows], rows)
+            assert np.array_equal(sub.val, p.val[rows])
+            assert np.array_equal(quot.gradient(sub), G[rows])
+            for k in range(48):
+                kind, alpha = MIXED_SPECS[k // 8]
+                one_quot = _Quotient(chain, kind, alpha)
+                one = one_quot.at(U[k:k + 1])
+                assert one.val[0] == p.val[k], k
+                assert np.array_equal(one_quot.gradient(one)[0], G[k]), k
                 rho = bl.Density(p.rho[k])
                 assert quotient_value(chain, kind, alpha, rho) == p.val[k]
 

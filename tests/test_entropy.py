@@ -332,11 +332,28 @@ class TestLockstepBigTheta:
         A, B = np.array([1.0, 1e-60, 1.0]), np.array([1e-30, 1.0, 1e-110])
         assert np.array_equal(bl.big_theta(e, A, B),
                               reference_big_theta(e, A, B))
-        # and this one nowhere up to 480, so the whole batch fails
+        # and this one nowhere up to 480, where its edge value is the
+        # boundary limit (a-1)(A+B) to 4e-11 relative, which it returns
         with pytest.raises(NumericalError):
             reference_big_theta(e, [1.0], [1e-300])
+        out = bl.big_theta(e, np.append(A, 1.0), np.append(B, 1e-300))
+        assert np.array_equal(out[:3], reference_big_theta(e, A, B))
+        assert out[3] == bl.big_theta_lower_bound(1.05, 1.0, 1e-300)
+
+    @pytest.mark.parametrize("alpha,A,B", [(1.05, 1e-300, 1.0),
+                                           (1.5, 1e-300, 1.0),
+                                           (1.95, 1e-30, 1.0)])
+    def test_unbracketed_edge_at_the_floor(self, alpha, A, B):
+        floor = bl.big_theta_lower_bound(alpha, A, B)
+        assert bl.big_theta(bl.power_entropy(alpha), A, B) == floor
+        batch = bl.big_theta(bl.power_entropy(alpha), [2.0, A], [3.0, B])
+        assert batch[1] == floor
+        assert batch[0] == bl.big_theta(bl.power_entropy(alpha), 2.0, 3.0)
+
+    def test_unbracketed_edge_above_the_floor(self):
+        # at alpha = 1.01 the span-480 edge value is 0.8% above the floor
         with pytest.raises(NumericalError, match="did not bracket"):
-            bl.big_theta(e, np.append(A, 1.0), np.append(B, 1e-300))
+            bl.big_theta(bl.power_entropy(1.01), 1.0, 1e-300)
 
     def test_log_entropy_points(self):
         A, B = np.array([2.0, 10.0, 0.3]), np.array([7.0, 0.5, 5.0])
