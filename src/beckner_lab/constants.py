@@ -87,7 +87,7 @@ class _Quotient:
     ``_Quotient(chain, kind, alpha)`` evaluates one quotient on every row.
     ``_Quotient(chain, specs=[(kind, alpha), ...], block=n)`` evaluates a
     stack of blocks: the row with id r in the descent stack evaluates
-    ``specs[r // n]``.  Each kind keeps one formula, run on all of its rows
+    ``specs[r // n]``; without ``block`` all rows form one block.  Each kind keeps one formula, run on all of its rows
     at once; the beckner formula takes alpha as a per-row column.
 
     Every row gets the bits it would get in a stack of its own: products
@@ -100,7 +100,8 @@ class _Quotient:
     """
 
     def __init__(self, chain: FiniteChain, kind: str | None = None,
-                 alpha: float | None = None, *, specs=(), block: int = 1):
+                 alpha: float | None = None, *, specs=(),
+                 block: int | None = None):
         self.specs = list(specs) or [(kind, alpha)]
         for k, _ in self.specs:
             if k not in ("beckner", "mlsi", "lsi"):
@@ -115,7 +116,7 @@ class _Quotient:
     def _groups(self, ids):
         """(kind, row mask, alpha column) for each kind among the rows
         with stack ids ``ids``."""
-        spec = ids // self.block
+        spec = ids // self.block if self.block else np.zeros_like(ids)
         for kind in ("beckner", "mlsi", "lsi"):
             sel = self.kinds[spec] == kind
             if sel.any():
@@ -125,8 +126,6 @@ class _Quotient:
         """Numerator and denominator per row, and the terms that
         :meth:`derivatives` reuses.  ``ids`` are the rows' stack ids
         (by default the first rows of the stack)."""
-        if len(self.specs) == 1:
-            return self._parts(*self.specs[0], rho)
         ids = np.arange(len(rho)) if ids is None else ids
         num, den = np.empty(len(rho)), np.empty(len(rho))
         terms = np.empty_like(rho), np.empty_like(rho)
@@ -157,8 +156,6 @@ class _Quotient:
 
     def derivatives(self, rho, terms, ids):
         """Gradients of numerator and denominator with respect to rho."""
-        if len(self.specs) == 1:
-            return self._derivatives(*self.specs[0], rho, terms)
         dnum, dden = np.empty_like(rho), np.empty_like(rho)
         for kind, sel, a in self._groups(ids):
             dnum[sel], dden[sel] = self._derivatives(
