@@ -90,7 +90,7 @@ class ConvexEntropy:
         if self.kind == "quadratic":
             return 2.0 * s - 2.0
         a = self.alpha
-        return a * (s ** (a - 1.0) - 1.0) / (a - 1.0)
+        return a * np.expm1((a - 1.0) * np.log(s)) / (a - 1.0)
 
     def d2(self, s):
         s = _check_positive(s)
@@ -161,7 +161,7 @@ def _order(entropy: ConvexEntropy) -> float:
 
 def _check_positive(s):
     arr = np.asarray(s, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not ((arr > 0.0) & (arr < np.inf)).all():
         raise DomainError("arguments must be finite and strictly positive")
     return arr if arr.ndim else float(arr)
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 from numpy.polynomial.legendre import leggauss
 
 from .chain import FiniteChain
@@ -358,7 +357,8 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
 
 def erf(s):
     """The Gauss error function 2/sqrt(pi) int_0^s e^{-t^2} dt."""
-    out = scipy.special.erf(np.asarray(s, dtype=float))
+    out = np.asarray(np.frompyfunc(math.erf, 1, 1)(np.asarray(s, dtype=float)),
+                     dtype=float)
     return out if out.ndim else float(out)
 
 

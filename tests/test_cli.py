@@ -161,17 +161,28 @@ class TestCommands:
             assert conv["rounds"] == est.convergence["rounds"]
             assert conv["evaluations"] == est.convergence["evaluations"]
 
-    def test_constants_leaves_scipy_optimize_unimported(self, tmp_path):
-        # the optimizer is numpy only; scipy.optimize would add ~22 MB
+    @pytest.mark.parametrize("argv", [
+        ["theta-surface", "--alpha", "1.5", "--grid", "0:2:0.5"],
+        ["verify-lemmas", "--alpha", "1.5", "--samples", "200"],
+        ["verify-bochner", "--model", "random_transposition", "--n", "3"],
+        ["decay", "--model", "random_transposition", "--n", "3"],
+        ["constants", "--model", "bernoulli_laplace", "--L", "5", "--N", "2",
+         "--alpha", "1.5"],
+        ["export-chain", "--model", "birth_death", "--K", "4"],
+        ["fokker-planck", "--model", "fokker_planck_fv", "--coeff", "2.0",
+         "--cells", "8", "16", "--alpha", "2.0"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_leave_scipy_unimported(self, argv, tmp_path):
+        # every command runs on numpy alone; importing scipy would double
+        # the start-up time of each invocation
         import beckner_lab
         src = os.path.dirname(os.path.dirname(beckner_lab.__file__))
         code = ("import sys; from beckner_lab.cli import main; "
                 "status = main(sys.argv[1:]); "
-                "print(status, 'scipy.optimize' in sys.modules)")
+                "print(status, any(m.split('.')[0] == 'scipy' "
+                "for m in sys.modules))")
         done = subprocess.run(
-            [sys.executable, "-c", code, "constants", "--model",
-             "bernoulli_laplace", "--L", "5", "--N", "2", "--alpha", "1.5",
-             "--out", str(tmp_path)],
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, check=True)
         assert done.stdout.splitlines()[-1] == "0 False"

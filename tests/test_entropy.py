@@ -124,6 +124,22 @@ class TestPhi:
                     ref = reference(e, s)
                     assert abs(e.eval(s) - ref) <= bound * ref, (e, s)
 
+    def test_centered_d1_near_one(self):
+        # phi'(1 + eps) = a (s^{a-1} - 1)/(a - 1) is O(eps) while s^{a-1}
+        # is O(1); compare against a 60-digit evaluation at the same float
+        def reference(a, s):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                S, A = Decimal(s), Decimal(a)
+                return float(A * (((A - 1) * S.ln()).exp() - 1) / (A - 1))
+
+        for eps in (1e-7, 1e-9):
+            for s in (1.0 + eps, 1.0 - eps):
+                for a in (1.01, 1.2, 1.5, 2.0):
+                    ref = reference(a, s)
+                    got = bl.power_entropy(a).d1(s)
+                    assert abs(got - ref) <= 1e-14 * abs(ref), (a, s)
+
     def test_third_derivative_nonpositive(self):
         s = np.linspace(0.05, 50.0, 100)
         assert np.all(np.asarray(bl.log_entropy().d3(s)) <= 0.0)
@@ -139,6 +155,9 @@ class TestPhi:
             bl.power_entropy(1.0)
         with pytest.raises(DomainError):
             bl.power_entropy(2.5)
+        for bad in (math.nan, math.inf, -math.inf, [1.0, 2.0, math.nan, 0.5]):
+            with pytest.raises(DomainError):
+                bl.power_entropy(1.5).eval(bad)
 
 
 class TestTheta:
