@@ -402,17 +402,21 @@ def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
     return lhs, rhs
 
 
-def entropy_production(chain: FiniteChain, e: ConvexEntropy,
-                       rho: Density) -> float:
-    """pi[sum_g c grad_g phi'(rho) grad_g rho] = 2 E(phi'(rho), rho)."""
-    r = rho.values
+def entropy_production(chain: FiniteChain, e: ConvexEntropy, rho):
+    """pi[sum_g c grad_g phi'(rho) grad_g rho] = 2 E(phi'(rho), rho).
+
+    One density (a ``Density`` or a 1-D row) gives a float, a (T, S)
+    stack of rows a (T,) array; each row gets the bits of its
+    one-density call, with the moves added in move order.
+    """
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     f = e.d1(r)
-    total = 0.0
+    total = np.zeros(r.shape[:-1])
     for g in range(chain.n_moves):
         tg = chain.targets[g]
-        total += float(np.sum(chain.pi * chain.rates[:, g]
-                              * (f[tg] - f) * (r[tg] - r)))
-    return total
+        total += np.add.reduce(chain.pi * chain.rates[:, g]
+                               * (f[..., tg] - f) * (r[..., tg] - r), axis=-1)
+    return total if total.ndim else float(total)
 
 
 def ineq_ratio(chain: FiniteChain, bs: BochnerStructure,

@@ -189,9 +189,17 @@ def dirichlet_form(chain: FiniteChain, f, g) -> float:
     return sym
 
 
-def entropy(chain: FiniteChain, e: ConvexEntropy, rho: Density) -> float:
-    """pi[phi(rho)] >= 0, vanishing iff rho is identically one."""
-    return float(np.sum(chain.pi * e.eval(rho.values)))
+def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
+    """pi[phi(rho)] >= 0, vanishing iff rho is identically one.
+
+    One density (a ``Density`` or a 1-D row) gives a float, a (T, S)
+    stack of rows a (T,) array.  Each row is summed on its own
+    (``np.add.reduce`` along the last axis), so it gets the bits of its
+    one-density call.
+    """
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    out = np.add.reduce(chain.pi * e.eval(r), axis=-1)
+    return out if out.ndim else float(out)
 
 
 def check_reversibility(chain: FiniteChain, trials: int = 100, seed: int = 0,

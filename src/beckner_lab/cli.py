@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -414,9 +415,11 @@ def _cmd_fokker_planck(cfg: ExperimentConfig) -> int:
                    "h,lambda_h,fitted_rate,bound_2alpha_lambda_h,pass",
                    [(r.h, r.lambda_h, r.fitted_rate, r.bound, r.passed)
                     for r in study.rows])
-        exp = fokker_planck.run_fv_experiment(
-            ModelSpec("fokker_planck_fv", dict(spec.params)), a,
-            seed=cfg.seed)
+        exp = study.experiments.get(spec.params["n_cells"])
+        if exp is None:
+            exp = fokker_planck.run_fv_experiment(
+                ModelSpec("fokker_planck_fv", dict(spec.params)), a,
+                seed=cfg.seed)
         _write_json(os.path.join(cfg.out, f"fv_report_alpha{tag}.json"),
                     exp.checks.to_dict())
         ok = (study.lambda_h_increasing and study.ratio_ok
@@ -460,7 +463,9 @@ def run(cfg: ExperimentConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     ap = argparse.ArgumentParser(prog="beckner-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

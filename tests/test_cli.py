@@ -13,6 +13,31 @@ from beckner_lab import (ConfigError, OptimizerOptions, beckner_constant,
 from beckner_lab.cli import main, parse_model_block, validate_config
 
 
+def _fv_report_text(n_cells, alpha):
+    """fv_report JSON of a standalone run on the command's default model."""
+    from beckner_lab import ModelSpec, run_fv_experiment
+    spec = ModelSpec("fokker_planck_fv",
+                     {"potential": {"kind": "quadratic", "coeff": 2.0},
+                      "n_cells": n_cells, "lambda_conv": 4.0})
+    checks = run_fv_experiment(spec, alpha, seed=0).checks.to_dict()
+    return json.dumps(checks, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def fv_runs(monkeypatch):
+    """(n_cells, alpha) of every run_fv_experiment call, in call order."""
+    from beckner_lab import fokker_planck
+    calls = []
+    run = fokker_planck.run_fv_experiment
+
+    def counted(spec, alpha, **kw):
+        calls.append((spec.params["n_cells"], alpha))
+        return run(spec, alpha, **kw)
+
+    monkeypatch.setattr(fokker_planck, "run_fv_experiment", counted)
+    return calls
+
+
 class TestValidateConfig:
     def test_empty_file(self):
         with pytest.raises(ConfigError, match="missing command"):
@@ -206,6 +231,63 @@ class TestCommands:
             rep = json.loads(
                 (tmp_path / f"fv_report_alpha{tag}.json").read_text())
             assert rep["passed"]
+
+    def test_fokker_planck_reuses_the_study_experiment(self, tmp_path,
+                                                        fv_runs):
+        # the model's n_cells (32 by default) is one of --cells, so the
+        # report comes from the study: 4 meshes x 2 alphas, no extra run
+        status = main(["fokker-planck", "--model", "fokker_planck_fv",
+                       "--coeff", "2.0", "--cells", "8", "16", "32", "64",
+                       "--alpha", "1.5", "2.0", "--out", str(tmp_path)])
+        assert status == 0
+        assert len(fv_runs) == 8
+        for tag, alpha in (("1_5", 1.5), ("2", 2.0)):
+            assert (tmp_path / f"fv_report_alpha{tag}.json").read_text() == \
+                _fv_report_text(32, alpha)
+
+    def test_fokker_planck_model_mesh_outside_the_study(self, tmp_path,
+                                                        fv_runs):
+        status = main(["fokker-planck", "--model", "fokker_planck_fv",
+                       "--coeff", "2.0", "--n-cells", "24", "--cells", "8",
+                       "16", "--alpha", "1.5", "2.0", "--out", str(tmp_path)])
+        assert status == 0
+        assert [n for n, _ in fv_runs] == [8, 16, 24, 8, 16, 24]
+        for tag, alpha in (("1_5", 1.5), ("2", 2.0)):
+            assert (tmp_path / f"fv_report_alpha{tag}.json").read_text() == \
+                _fv_report_text(24, alpha)
+
+    def test_repeated_main_calls_share_no_parsed_state(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # the parser is built once per process; each run must write what
+        # a run with a freshly built parser writes
+        from beckner_lab.cli import _build_parser
+        runs = [["decay", "--model", "random_transposition", "--n", "3",
+                 "--alpha", "1.1", "2.0"],
+                ["decay", "--model", "random_transposition", "--n", "3"],
+                ["fokker-planck", "--model", "fokker_planck_fv", "--coeff",
+                 "2.0", "--cells", "8", "16"]]
+
+        def outputs(base, fresh):
+            base.mkdir()
+            monkeypatch.chdir(base)
+            got = []
+            for k, argv in enumerate(runs):
+                if fresh:
+                    _build_parser.cache_clear()
+                status = main(argv + ["--out", f"run{k}"])
+                files = {p.name: p.read_bytes()
+                         for p in sorted((base / f"run{k}").iterdir())}
+                got.append((status, capsys.readouterr(), files))
+            return got
+
+        cached = outputs(tmp_path / "cached", fresh=False)
+        fresh = outputs(tmp_path / "fresh", fresh=True)
+        assert cached == fresh
+        assert sorted(cached[0][2]) == ["effective_config.json",
+                                        "trajectory_alpha1_1.csv",
+                                        "trajectory_alpha2.csv"]
+        assert sorted(cached[1][2]) == ["effective_config.json",
+                                        "trajectory_alpha1_5.csv"]
 
     def test_export_chain(self, tmp_path):
         status = main(["export-chain", "--model", "bernoulli_laplace",

@@ -231,3 +231,131 @@ class TestRunDecay:
         rho0 = bl.random_density(rt4, np.random.default_rng(11), 1.0)
         rep = bl.run_decay(rt4, bl.power_entropy(1.5), rho0, 10.0 * 2.0 / 3.0)
         assert not rep.certified
+
+
+# ---------------------------------------------------------------------------
+# trajectory functionals on (T, S) stacks
+# ---------------------------------------------------------------------------
+
+ENTROPIES = [bl.power_entropy(a) for a in (1.1, 1.5, 2.0)] + \
+    [bl.log_entropy(), bl.quadratic_entropy()]
+
+
+@pytest.fixture(scope="module")
+def acceptance_chains(bd12, zr33, bl52, rt3, rt4):
+    fv = [bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
+          for n in (8, 16, 32, 64, 128)]
+    return [bd12, zr33, bl52, rt3, rt4] + fv
+
+
+def _density_stack(chain, seed):
+    """Densities far from, near and at the flat one, one per row."""
+    rng = np.random.default_rng(seed)
+    rows = [bl.random_density(chain, rng, amp).values
+            for amp in (0.1, 1.0, 3.0, 0.1, 1.0, 3.0)]
+    for eps in (1e-5, 1e-9):
+        rows.append(bl.normalize_density(
+            chain, 1.0 + eps * rng.standard_normal(chain.n_states)).values)
+    rows.append(np.ones(chain.n_states))
+    return np.array(rows)
+
+
+def _reference_functionals(chain, e, dens):
+    """Entropy and half the production, one sample at a time, each a
+    pairwise sum per move added up in move order."""
+    ent, dir_ = [], []
+    for row in dens:
+        r = np.maximum(row, 1e-300)
+        ent.append(float(np.sum(chain.pi * e.eval(r))))
+        f = e.d1(r)
+        total = 0.0
+        for g in range(chain.n_moves):
+            tg = chain.targets[g]
+            total += float(np.sum(chain.pi * chain.rates[:, g]
+                                  * (f[tg] - f) * (r[tg] - r)))
+        dir_.append(0.5 * total)
+    return np.array(ent), np.array(dir_)
+
+
+class TestStackedFunctionals:
+    def test_rows_equal_one_density_calls(self, acceptance_chains):
+        for k, chain in enumerate(acceptance_chains):
+            stack = _density_stack(chain, k)
+            for e in ENTROPIES:
+                ent = bl.entropy(chain, e, stack)
+                prod = bl.bochner.entropy_production(chain, e, stack)
+                assert ent.shape == prod.shape == (len(stack),)
+                for i, row in enumerate(stack):
+                    one = bl.entropy(chain, e, bl.Density(row))
+                    assert type(one) is float
+                    assert ent[i] == one == bl.entropy(chain, e, row)
+                    one = bl.bochner.entropy_production(chain, e,
+                                                        bl.Density(row))
+                    assert type(one) is float
+                    assert prod[i] == one
+
+    def test_evolve_matches_per_sample_loop(self, acceptance_chains):
+        times = np.linspace(0.0, 30.0, 41)
+        for k, chain in enumerate(acceptance_chains):
+            rho0 = bl.random_density(chain, np.random.default_rng(k), 1.0)
+            for e in ENTROPIES:
+                traj = bl.evolve(chain, e, rho0, times)
+                ent, dir_ = _reference_functionals(chain, e, traj.densities)
+                assert np.array_equal(traj.entropy_values, ent)
+                assert np.array_equal(traj.dirichlet_values, dir_)
+
+    def test_single_sample_trajectory(self, rt3):
+        rho0 = bl.random_density(rt3, np.random.default_rng(2), 1.0)
+        traj = bl.evolve(rt3, bl.log_entropy(), rho0, [0.5])
+        ent, dir_ = _reference_functionals(rt3, bl.log_entropy(),
+                                           traj.densities)
+        assert np.array_equal(traj.entropy_values, ent)
+        assert np.array_equal(traj.dirichlet_values, dir_)
+
+
+def _decay_check_reference(traj, lam):
+    """The per-s scan: the worst gap over s < t and the first pair that
+    reaches it in (s, t) order."""
+    dval, t = traj.dirichlet_values, traj.times
+    worst, witness = 0.0, None
+    for i in range(len(t)):
+        gap = dval[i + 1:] - dval[i] * np.exp(-lam * (t[i + 1:] - t[i]))
+        if len(gap) and float(np.max(gap)) > worst:
+            worst = float(np.max(gap))
+            j = int(np.argmax(gap)) + i + 1
+            witness = {"s": float(t[i]), "t": float(t[j])}
+    return worst, witness
+
+
+class TestDirichletDecayPairs:
+    @pytest.mark.parametrize("block", [None, 100, 1])
+    @pytest.mark.parametrize("seed,factor", [(9, 10.0), (8, 1.0), (3, 1.5)])
+    def test_matches_per_s_scan(self, rt4, monkeypatch, block, seed, factor):
+        # the default evaluates the 41 x 41 pairs at once; block 100 takes
+        # two rows s at a time, block 1 one (a block is at least one row)
+        if block is not None:
+            monkeypatch.setattr(bl.dynamics, "_PAIR_BLOCK", block)
+        rho0 = bl.random_density(rt4, np.random.default_rng(seed), 1.0)
+        e = bl.power_entropy(1.5)
+        traj = bl.evolve(rt4, e, rho0, np.linspace(0.0, 5.0, 41))
+        lam = factor * 2.0 / 3.0
+        worst, witness = _decay_check_reference(traj, lam)
+        check, = bl.dirichlet_decay_check(rt4, e, traj, lam).checks
+        scale = float(np.max(np.abs(traj.dirichlet_values)) + 1e-300)
+        assert check.max_residual == worst / scale
+        assert check.passed == (worst <= 1e-9 * scale)
+        assert check.witness == (None if check.passed else witness)
+        if factor == 10.0:
+            assert not check.passed
+
+    def test_first_of_tied_pairs_is_the_witness(self, two_state):
+        # exp(-1000 (t - s)) underflows to 0, so a constant production
+        # ties every pair s < t at a gap of 1
+        times = np.arange(5.0)
+        traj = bl.dynamics.Trajectory(times, np.ones((5, 2)), np.ones(5),
+                                      np.ones(5), bl.log_entropy())
+        check, = bl.dirichlet_decay_check(two_state, bl.log_entropy(), traj,
+                                          1e3).checks
+        assert check.max_residual == 1.0
+        assert check.witness == {"s": 0.0, "t": 1.0} == \
+            _decay_check_reference(traj, 1e3)[1]

@@ -134,6 +134,32 @@ class TestRunExperiment:
                 assert np.allclose(scaled, scaled[0], rtol=1e-4), scaled
 
 
+    @pytest.mark.parametrize("n_cells", [8, 128])
+    def test_discrete_inequality_stack_rows_equal_one_row_calls(self,
+                                                                 n_cells):
+        from beckner_lab.fokker_planck import discrete_power_inequality
+        chain = bl.build_fokker_planck_fv(
+            lambda x: 2.0 * np.asarray(x) ** 2, n_cells, 4.0)
+        rng = np.random.default_rng(n_cells)
+        stack = np.array(
+            [bl.random_density(chain, rng, amp).values
+             for amp in (0.1, 1.0, 3.0, 0.1, 1.0, 3.0)]
+            + [bl.normalize_density(
+                chain, 1.0 + 1e-8 * rng.standard_normal(n_cells)).values,
+               np.ones(n_cells)])
+        for alpha in (1.1, 1.5, 2.0):
+            lhs, rhs = discrete_power_inequality(chain, alpha, stack)
+            assert lhs.shape == rhs.shape == (len(stack),)
+            for i, row in enumerate(stack):
+                one = discrete_power_inequality(chain, alpha, row)
+                assert all(type(v) is float for v in one)
+                assert (lhs[i], rhs[i]) == one
+        # one row off mass one rejects the whole stack
+        stack[3] *= 1.0 + 1e-6
+        with pytest.raises(bl.DomainError, match="mass one"):
+            discrete_power_inequality(chain, 1.5, stack)
+
+
 class TestRefinementStudy:
     def test_small_sweep(self):
         study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16, 32], 2.0, seed=2)
@@ -142,6 +168,14 @@ class TestRefinementStudy:
         assert len(study.gap_ratios) == 2
         for row in study.rows:
             assert row.passed
+
+    def test_keeps_each_mesh_experiment(self):
+        study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16], 1.5, seed=2)
+        assert list(study.experiments) == [8, 16]
+        for row, (n, exp) in zip(study.rows, study.experiments.items()):
+            assert exp.n_cells == n and exp.alpha == 1.5
+            assert (row.h, row.lambda_h, row.fitted_rate) == \
+                (exp.h, exp.lambda_h, exp.decay.fit.rate)
 
     def test_monotone_cells_required(self):
         with pytest.raises(bl.DomainError):
