@@ -9,7 +9,7 @@ variationally.
 
 from .bochner import (BochnerStructure, bochner_identity_check,
                       identity_3id_check, ineq_ratio, proposition_sides,
-                      r_function, r_function_for_chain, verify_assumption)
+                      r_function, verify_assumption)
 from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
                     check_reversibility, dirichlet_form, entropy,
                     normalize_density, random_density)

@@ -22,6 +22,14 @@ by pi[sum_g c grad_g phi'(rho) grad_g rho].
 R is stored sparsely (COO over nonzero triples); all checks are
 vectorized gathers over the support, summed in a fixed state-major,
 move-lexicographic order so residuals are reproducible.
+
+The pointwise checks take one density (or function) or a (K, S) stack
+of rows.  Rows are gathered with ``np.take(., idx, axis=-1)``, which
+keeps them C-contiguous, and summed with ``np.add.reduce(., axis=-1)``,
+so each row gets the bits of its one-density call.  (A fancy index
+``A[:, idx]`` returns a column-major copy, whose row sums round
+differently.)  Callers cut long stacks into row chunks of at most
+``STACK_ELEMENTS`` elements per array with ``row_chunks``.
 """
 
 from __future__ import annotations
@@ -35,6 +43,20 @@ from .entropy import ConvexEntropy, MeanFunction
 from .errors import CapabilityError, DegeneracyError, DomainError
 from .models import ModelSpec, build_model
 from .reporting import CheckReport, VerificationReport
+
+# elements in the widest array of one row chunk of a stacked check (256 KiB
+# of floats); a row wider than this runs alone, so large chains hold one
+# row at a time.  It fits verify-bochner's 20 densities on every acceptance
+# chain in one chunk; 2^16 gained no time there and lifted peak RSS.
+STACK_ELEMENTS = 2 ** 15
+
+
+def row_chunks(n_rows: int, row_elements: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows, each of at most
+    ``STACK_ELEMENTS`` elements when a row has ``row_elements`` (and at
+    least one row)."""
+    step = max(1, STACK_ELEMENTS // max(1, row_elements))
+    return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 
 @dataclass
@@ -104,31 +126,6 @@ def r_function(spec: ModelSpec, chain: FiniteChain | None = None) -> BochnerStru
     if kind == "random_transposition":
         return _r_random_transposition(chain)
     raise CapabilityError(f"no auxiliary function for variant {kind!r}")
-
-
-def r_function_for_chain(chain: FiniteChain) -> BochnerStructure:
-    """Dispatch on the chain's own model metadata."""
-    model = chain.meta.get("model")
-    if model is None:
-        raise CapabilityError("chain carries no model metadata")
-    return r_function(ModelSpec(model, _params_from_meta(chain)), chain)
-
-
-def _params_from_meta(chain: FiniteChain) -> dict:
-    m = chain.meta
-    model = m["model"]
-    if model == "birth_death":
-        return {"a": m["a"], "b": m["b"]}
-    if model == "fokker_planck_fv":
-        return {"n_cells": m["n_cells"], "lambda_conv": m["lambda_conv"],
-                "potential": None}
-    if model == "zero_range":
-        return {"L": m["L"], "N": m["N"], "c_x": m["rate_table"]}
-    if model == "bernoulli_laplace":
-        return {"L": m["L"], "N": m["N"], "lambda_x": m["lambda_x"]}
-    if model == "random_transposition":
-        return {"n": m["n"]}
-    raise CapabilityError(f"no auxiliary function for model {model!r}")
 
 
 def _coo_from_dense(R: np.ndarray) -> BochnerStructure:
@@ -205,6 +202,20 @@ def _r_random_transposition(chain: FiniteChain) -> BochnerStructure:
 # structural checks
 # ---------------------------------------------------------------------------
 
+def _symmetry_check(chain: FiniteChain, bs: BochnerStructure) -> CheckReport:
+    """(i) exact symmetry over stored triples.  Its two dense (S, G, G)
+    arrays are freed on return, before the adjointness trials draw."""
+    Rd = bs.r_dense(chain)
+    asym = np.abs(Rd - np.transpose(Rd, (0, 2, 1)))
+    worst = float(asym.max())
+    i, g, d = np.unravel_index(np.argmax(asym), asym.shape)
+    return CheckReport(
+        "symmetry", worst == 0.0, worst, 0.0,
+        witness=None if worst == 0.0 else
+        {"state": chain.keys[int(i)], "moves": (chain.move_names[int(g)],
+                                                chain.move_names[int(d)])})
+
+
 def verify_assumption(chain: FiniteChain, bs: BochnerStructure,
                       trials: int = 100, seed: int = 0,
                       tol: float = 1e-10) -> VerificationReport:
@@ -213,39 +224,33 @@ def verify_assumption(chain: FiniteChain, bs: BochnerStructure,
         raise DomainError("trials must be >= 1")
     report = VerificationReport()
     S, G = chain.n_states, chain.n_moves
+    report.add(_symmetry_check(chain, bs))
 
-    # (i) exact symmetry over stored triples
-    Rd = bs.r_dense(chain)
-    asym = np.abs(Rd - np.transpose(Rd, (0, 2, 1)))
-    worst = float(asym.max())
-    i, g, d = np.unravel_index(np.argmax(asym), asym.shape)
-    report.add(CheckReport(
-        "symmetry", worst == 0.0, worst, 0.0,
-        witness=None if worst == 0.0 else
-        {"state": chain.keys[int(i)], "moves": (chain.move_names[int(g)],
-                                                chain.move_names[int(d)])}))
-
-    # (ii) adjointness on random bounded psi
+    # (ii) adjointness on random bounded psi, one (S, G, G) psi per row
+    # (flattened); a block of c rows is the same stream as c single draws
     rng = np.random.default_rng(seed)
     ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
     tg = chain.targets[gg, ii]          # gamma eta
-    ginv = chain.inverse[gg]
+    here = (ii * G + gg) * G + dd                       # psi(eta, g, d)
+    moved = (tg * G + chain.inverse[gg]) * G + dd       # psi(g eta, g^-1, d)
+    w = chain.pi[ii] * vv
     scale = max(float(np.sum(chain.pi[ii] * np.abs(vv))), 1e-300)
     worst_gap = 0.0
     worst_psi = None
-    for _ in range(trials):
-        psi = rng.uniform(-1.0, 1.0, size=(S, G, G))
-        lhs = float(np.sum(chain.pi[ii] * vv * psi[ii, gg, dd]))
-        rhs = float(np.sum(chain.pi[ii] * vv * psi[tg, ginv, dd]))
-        if abs(lhs - rhs) > worst_gap:
-            worst_gap = abs(lhs - rhs)
-            worst_psi = psi
+    for rows in row_chunks(trials, S * G * G):
+        psi = rng.uniform(-1.0, 1.0, size=(rows.stop - rows.start, S * G * G))
+        lhs = np.add.reduce(w * np.take(psi, here, axis=-1), axis=-1)
+        rhs = np.add.reduce(w * np.take(psi, moved, axis=-1), axis=-1)
+        gap = np.abs(lhs - rhs)
+        k = int(np.argmax(gap))         # the first trial of the worst gap
+        if gap[k] > worst_gap:
+            worst_gap = float(gap[k])
+            worst_psi = psi[k]
     passed_ii = worst_gap <= tol * scale
     witness = None
     if not passed_ii and worst_psi is not None:
         # locate the triple with the largest one-sided imbalance
-        contrib = np.abs(chain.pi[ii] * vv * (worst_psi[ii, gg, dd]
-                                              - worst_psi[tg, ginv, dd]))
+        contrib = np.abs(w * (worst_psi[here] - worst_psi[moved]))
         k = int(np.argmax(contrib))
         witness = {"state": chain.keys[int(ii[k])],
                    "moves": (chain.move_names[int(gg[k])],
@@ -268,18 +273,31 @@ def verify_assumption(chain: FiniteChain, bs: BochnerStructure,
 
 @dataclass(frozen=True)
 class IdentityGap:
-    """Absolute two-sided gap of an identity, with its size scale."""
-    gap: float
-    scale: float
+    """Absolute two-sided gap of an identity, with its size scale.
+
+    ``gap`` and ``scale`` are floats for one function and (K,) arrays for
+    a stack, in which case ``passed`` is a (K,) array too.
+    """
+    gap: float | np.ndarray
+    scale: float | np.ndarray
     tolerance: float
 
     @property
-    def passed(self) -> bool:
+    def passed(self):
         return self.gap <= self.tolerance * self.scale
 
 
+def _symmetric_pairs(beta, x, y) -> np.ndarray:
+    """beta at the state pairs (x, y), checked against beta at (y, x)."""
+    b, bt = beta(x, y), beta(y, x)
+    size = np.max(np.abs(b), axis=-1, keepdims=True, initial=1.0)
+    if np.any(np.abs(b - bt) > 1e-9 * (np.abs(b) + np.abs(bt)) + 1e-15 * size):
+        raise DomainError("beta must be symmetric")
+    return b
+
+
 def bochner_identity_check(chain: FiniteChain, bs: BochnerStructure,
-                           chi, psi, beta: np.ndarray,
+                           chi, psi, beta,
                            tol: float = 1e-10) -> IdentityGap:
     """Two sides of the summation-by-parts identity
 
@@ -287,46 +305,59 @@ def bochner_identity_check(chain: FiniteChain, bs: BochnerStructure,
         = 1/4 pi[sum R grad_g(beta(eta, d eta) grad_d chi)
                        grad_d grad_g psi].
 
-    ``beta`` is a symmetric (S, S) state-pair array.
+    ``chi`` and ``psi`` are functions on states, or (K, S) stacks with
+    one function per row.  ``beta`` is a symmetric (S, S) state-pair
+    array, or a callable ``beta(x, y)`` giving its values at the state
+    index pairs (x, y), one row per row of the stack.  It is read only
+    at the support pairs (eta, d eta) and (g eta, d g eta), and must be
+    symmetric there.
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    S = chain.n_states
-    if beta.shape != (S, S):
-        raise DomainError("beta must be a full state-pair array")
-    asym = np.abs(beta - beta.T)
-    allowed = 1e-9 * (np.abs(beta) + np.abs(beta.T)) \
-        + 1e-15 * max(1.0, float(np.abs(beta).max()))
-    if np.any(asym > allowed):
-        raise DomainError("beta must be symmetric")
+    if not callable(beta):
+        full = np.asarray(beta, dtype=float)
+        if full.shape != (chain.n_states, chain.n_states):
+            raise DomainError("beta must be a full state-pair array")
+
+        def beta(x, y):
+            return full[x, y]
 
     ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
     dg_eta = chain.targets[dd, g_eta]          # delta gamma eta
+    b_here = _symmetric_pairs(beta, ii, d_eta)
+    b_moved = _symmetric_pairs(beta, g_eta, dg_eta)
+
+    def at(f, idx):
+        return np.take(f, idx, axis=-1)
 
     w = chain.pi[ii] * vv
-    grad_d_chi = chi[d_eta] - chi[ii]
-    grad_g_psi = psi[g_eta] - psi[ii]
-    lhs_terms = w * beta[ii, d_eta] * grad_d_chi * grad_g_psi
-    lhs = float(np.sum(lhs_terms))
+    grad_d_chi = at(chi, d_eta) - at(chi, ii)
+    grad_g_psi = at(psi, g_eta) - at(psi, ii)
+    lhs_terms = w * b_here * grad_d_chi * grad_g_psi
+    lhs = np.add.reduce(lhs_terms, axis=-1)
 
-    F_here = beta[ii, d_eta] * grad_d_chi
-    F_moved = beta[g_eta, dg_eta] * (chi[dg_eta] - chi[g_eta])
+    F_here = b_here * grad_d_chi
+    F_moved = b_moved * (at(chi, dg_eta) - at(chi, g_eta))
     grad_g_F = F_moved - F_here
     # grad_d of (eta -> grad_g psi(eta))
-    grad_dg_psi = (psi[chain.targets[gg, d_eta]] - psi[d_eta]) - grad_g_psi
+    grad_dg_psi = (at(psi, chain.targets[gg, d_eta]) - at(psi, d_eta)) \
+        - grad_g_psi
     rhs_terms = 0.25 * w * grad_g_F * grad_dg_psi
-    rhs = float(np.sum(rhs_terms))
+    rhs = np.add.reduce(rhs_terms, axis=-1)
 
-    scale = float(np.sum(np.abs(lhs_terms)) + np.sum(np.abs(rhs_terms)))
-    return IdentityGap(abs(lhs - rhs), max(scale, 1e-300), tol)
+    gap = np.abs(lhs - rhs)
+    scale = np.maximum(np.add.reduce(np.abs(lhs_terms), axis=-1)
+                       + np.add.reduce(np.abs(rhs_terms), axis=-1), 1e-300)
+    if gap.ndim == 0:
+        gap, scale = float(gap), float(scale)
+    return IdentityGap(gap, scale, tol)
 
 
 def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
-                       rho: Density, e: ConvexEntropy,
-                       samples: int = 200, seed: int = 0) -> float:
+                       rho, e: ConvexEntropy,
+                       samples: int = 200, seed: int = 0):
     """Pointwise second-gradient identity at sampled support triples.
 
     With psi = phi'(rho) and hat(eta, xi) = theta(rho(eta), rho(xi)):
@@ -337,30 +368,37 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
           - hat(eta, d eta) grad_d psi(g eta) grad_d psi(eta)
           + hat(g eta, d g eta) grad_d psi(g eta) grad_d psi(eta).
 
-    Returns the maximum residual scaled by each triple's term sizes.
+    Returns the maximum residual scaled by each triple's term sizes: a
+    float for one density (a ``Density`` or 1-D row), a (K,) array for a
+    (K, S) stack, whose row k samples its triples with seed ``seed + k``.
     """
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    stack = np.atleast_2d(r)
     if bs.nnz == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
+        return np.zeros(len(stack)) if r.ndim == 2 else 0.0
     take = min(samples, bs.nnz)
-    sel = rng.choice(bs.nnz, size=take, replace=False)
+    sel = np.array([np.random.default_rng(seed + k).choice(
+        bs.nnz, size=take, replace=False) for k in range(len(stack))])
     ii, gg, dd = bs.eta[sel], bs.gamma[sel], bs.delta[sel]
 
     mean = MeanFunction(e)
-    r = rho.values
-    psi = e.d1(r)
+    psi = e.d1(stack)
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
     gd_eta = chain.targets[gg, d_eta]     # gamma delta eta
     dg_eta = chain.targets[dd, g_eta]     # delta gamma eta
 
-    hat = mean.theta(r[ii], r[d_eta])
-    hat_g = mean.theta(r[g_eta], r[gd_eta])
-    hat_dg = mean.theta(r[g_eta], r[dg_eta])
+    def at(f, idx):
+        return np.take_along_axis(f, idx, axis=-1)
 
-    grad_d_psi = psi[d_eta] - psi[ii]
-    grad_d_psi_g = psi[dg_eta] - psi[g_eta]
-    grad_dg = (psi[gd_eta] - psi[d_eta]) - (psi[g_eta] - psi[ii])
+    hat = mean.theta(at(stack, ii), at(stack, d_eta))
+    hat_g = mean.theta(at(stack, g_eta), at(stack, gd_eta))
+    hat_dg = mean.theta(at(stack, g_eta), at(stack, dg_eta))
+
+    grad_d_psi = at(psi, d_eta) - at(psi, ii)
+    grad_d_psi_g = at(psi, dg_eta) - at(psi, g_eta)
+    grad_dg = (at(psi, gd_eta) - at(psi, d_eta)) - (at(psi, g_eta)
+                                                    - at(psi, ii))
 
     # grad_g of (eta -> hat(eta, d eta)) lands at hat(g eta, d g eta);
     # on the R-support the moves commute so hat_dg and hat_g coincide
@@ -372,7 +410,8 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
     scale = (np.abs(lhs) + np.abs(hat_g * grad_dg ** 2)
              + np.abs(hat * grad_d_psi_g * grad_d_psi)
              + np.abs(hat_dg * grad_d_psi_g * grad_d_psi) + 1e-300)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    out = np.max(np.abs(lhs - rhs) / scale, axis=-1)
+    return out if r.ndim == 2 else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +419,32 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
 # ---------------------------------------------------------------------------
 
 def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
-                      e: ConvexEntropy, rho: Density) -> tuple[float, float]:
+                      e: ConvexEntropy, rho):
     """(lhs, rhs) of the curvature inequality
 
         pi[L phi'(rho) L rho + phi''(rho)(L rho)^2]
         >= pi[sum Gamma (grad_g phi'(rho) grad_d rho
                          + phi''(rho) grad_g rho grad_d rho)].
+
+    One density (a ``Density`` or a 1-D row) gives two floats, a (K, S)
+    stack two (K,) arrays, each row with the bits of its one-density call.
     """
-    r = rho.values
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     f = e.d1(r)
     Lr = chain.apply_generator(r)
     Lf = chain.apply_generator(f)
-    lhs = float(np.sum(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr)))
+    lhs = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)
 
     ii, gg, dd, gam = bs.gamma_coo(chain)
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
-    term = ((f[g_eta] - f[ii]) * (r[d_eta] - r[ii])
-            + e.d2(r[ii]) * (r[g_eta] - r[ii]) * (r[d_eta] - r[ii]))
-    rhs = float(np.sum(chain.pi[ii] * gam * term))
-    return lhs, rhs
+    r_here = np.take(r, ii, axis=-1)
+    grad_g_r = np.take(r, g_eta, axis=-1) - r_here
+    grad_d_r = np.take(r, d_eta, axis=-1) - r_here
+    grad_g_f = np.take(f, g_eta, axis=-1) - np.take(f, ii, axis=-1)
+    term = grad_g_f * grad_d_r + e.d2(r_here) * grad_g_r * grad_d_r
+    rhs = np.add.reduce(chain.pi[ii] * gam * term, axis=-1)
+    return (lhs, rhs) if lhs.ndim else (float(lhs), float(rhs))
 
 
 def entropy_production(chain: FiniteChain, e: ConvexEntropy, rho):

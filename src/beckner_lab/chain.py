@@ -99,13 +99,18 @@ class FiniteChain:
         return f[self.targets[g]] - f
 
     def apply_generator(self, f):
-        """(L f)(eta) = sum_g c(eta, g)(f(g eta) - f(eta)); L 1 = 0."""
+        """(L f)(eta) = sum_g c(eta, g)(f(g eta) - f(eta)); L 1 = 0.
+
+        ``f`` is one function (shape (S,)) or a (..., S) stack of rows;
+        the moves are added in move order, so each row gets the bits of
+        its one-row call.
+        """
         f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_states,):
+        if f.ndim == 0 or f.shape[-1] != self.n_states:
             raise DomainError("f must assign one value per state")
         out = np.zeros_like(f)
         for g in range(self.n_moves):
-            out += self.rates[:, g] * (f[self.targets[g]] - f)
+            out += self.rates[:, g] * (np.take(f, self.targets[g], axis=-1) - f)
         return out
 
     def dense_generator(self) -> np.ndarray:

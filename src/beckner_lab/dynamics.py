@@ -40,9 +40,6 @@ class Trajectory:
     dirichlet_values: np.ndarray    # E(phi'(rho_t), rho_t)
     entropy_kind: ConvexEntropy
 
-    def density(self, k: int) -> Density:
-        return Density(self.densities[k])
-
     def instantaneous_rate(self) -> np.ndarray:
         """-(d/dt) log Ent by central differences, NaN at both ends.
 

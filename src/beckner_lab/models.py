@@ -509,7 +509,12 @@ def potential_from_config(cfg: dict):
         return (lambda x: c * np.asarray(x) ** 2,
                 lambda x: 2.0 * c * np.ones_like(np.asarray(x, dtype=float)))
     if kind == "table":
-        from scipy.interpolate import CubicSpline
+        try:
+            from scipy.interpolate import CubicSpline
+        except ImportError as exc:
+            raise ConfigError(
+                "a tabulated potential needs scipy, the 'table' extra: "
+                "pip install 'beckner-lab[table]'") from exc
         xs = np.asarray(cfg["x"], dtype=float)
         vs = np.asarray(cfg["v"], dtype=float)
         if len(xs) < 4 or np.any(np.diff(xs) <= 0):

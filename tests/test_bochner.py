@@ -72,8 +72,8 @@ class TestRFunction:
                     else 4.0 / (n ** 2 * (n - 1) ** 2)
                 assert np.allclose(gam[:, m1, m2], expected, atol=1e-15)
 
-    def test_dispatch_from_chain_meta(self, zr33):
-        bs = bl.r_function_for_chain(zr33)
+    def test_dispatch_from_spec(self, specs, zr33):
+        bs = bl.r_function(specs["zero_range"], zr33)
         assert bs.nnz > 0
 
 
@@ -286,3 +286,172 @@ class TestCurvatureInequality:
             ent = bl.entropy(chain, e, rho)
             prod = 0.5 * bl.bochner.entropy_production(chain, e, rho)
             assert lam * ent <= prod + 1e-9 * prod
+
+
+# ---------------------------------------------------------------------------
+# stacked checks: each row equals its one-density call bit for bit
+# ---------------------------------------------------------------------------
+
+def _acceptance_specs():
+    fv = [bl.ModelSpec("fokker_planck_fv",
+                       {"potential": {"kind": "quadratic", "coeff": 2.0},
+                        "n_cells": n, "lambda_conv": 4.0})
+          for n in (8, 16, 32, 64, 128)]
+    return [bl.ModelSpec("birth_death",
+                         dict(zip(("a", "b"), bl.mm_infinity_rates(12)))),
+            bl.ModelSpec("zero_range", {"L": 3, "N": 3,
+                                        "c_x": bl.linear_rate_table(3, 3)}),
+            bl.ModelSpec("bernoulli_laplace", {"L": 5, "N": 2,
+                                               "lambda_x": 1.0}),
+            bl.ModelSpec("random_transposition", {"n": 3}),
+            bl.ModelSpec("random_transposition", {"n": 4})] + fv
+
+
+def _draws(chain, seed, k=20):
+    """k densities with a chi and a psi each, in the CLI's draw order."""
+    rng = np.random.default_rng(seed)
+    out = [(bl.random_density(chain, rng, (0.1, 1.0, 3.0)[j % 3]).values,
+            rng.standard_normal(chain.n_states),
+            rng.standard_normal(chain.n_states)) for j in range(k)]
+    return tuple(np.array(col) for col in zip(*out))
+
+
+@pytest.fixture(scope="module")
+def acceptance():
+    out = []
+    for spec in _acceptance_specs():
+        chain = bl.build_model(spec)
+        out.append((chain, bl.r_function(spec, chain)))
+    return out
+
+
+def _pair_theta(mean, rho):
+    return lambda x, y: mean.theta(np.take(rho, x, axis=-1),
+                                   np.take(rho, y, axis=-1))
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_rows_equal_one_density_calls(self, acceptance, alpha):
+        e = bl.power_entropy(alpha)
+        mean = bl.MeanFunction(e)
+        for chain, bs in acceptance:
+            rho, chi, psi = _draws(chain, 8)
+            res = bl.bochner_identity_check(chain, bs, chi, psi,
+                                            _pair_theta(mean, rho))
+            ids = bl.identity_3id_check(chain, bs, rho, e, seed=7)
+            lhs, rhs = bl.proposition_sides(chain, bs, e, rho)
+            assert res.gap.shape == ids.shape == lhs.shape == (20,)
+            for k in range(20):
+                r = rho[k]
+                beta = np.asarray(mean.theta(r[:, None], r[None, :]))
+                one = bl.bochner_identity_check(chain, bs, chi[k], psi[k],
+                                                beta)
+                assert (res.gap[k], res.scale[k]) == (one.gap, one.scale)
+                assert ids[k] == bl.identity_3id_check(
+                    chain, bs, bl.Density(r), e, seed=7 + k)
+                assert (lhs[k], rhs[k]) == bl.proposition_sides(
+                    chain, bs, e, bl.Density(r))
+
+    def test_empty_support_rows(self, acceptance):
+        chain, bs = acceptance[3]
+        assert chain.n_states == 6 and bs.nnz == 0
+        rho, chi, psi = _draws(chain, 3, k=4)
+        res = bl.bochner_identity_check(chain, bs, chi, psi,
+                                        np.ones((6, 6)))
+        assert np.array_equal(res.gap, np.zeros(4))
+        assert np.array_equal(
+            bl.identity_3id_check(chain, bs, rho, bl.log_entropy()),
+            np.zeros(4))
+
+    def test_generator_rows_equal_one_row_calls(self, acceptance):
+        for chain, _ in acceptance:
+            rho, chi, _ = _draws(chain, 5, k=6)
+            stack = np.stack([rho, chi])            # (2, 6, S)
+            out = chain.apply_generator(stack)
+            for k in np.ndindex(stack.shape[:-1]):
+                assert np.array_equal(out[k], chain.apply_generator(stack[k]))
+
+    def test_generator_rejects_a_wrong_last_axis(self, rt3):
+        for bad in (np.ones((4, 3)), np.ones((6, 4)), np.float64(1.0)):
+            with pytest.raises(bl.DomainError):
+                rt3.apply_generator(bad)
+
+    def test_asymmetric_beta_rejected_in_either_orientation(self, chains,
+                                                            structures):
+        chain = chains["birth_death"]
+        bs = structures["birth_death"]
+        ones = np.ones((2, chain.n_states))
+        for x, y in ((0, 1), (1, 0)):
+            def beta(a, b, x=x, y=y):
+                return np.where((a == x) & (b == y), 2.0, 1.0)
+            with pytest.raises(bl.DomainError):
+                bl.bochner_identity_check(chain, bs, ones, ones, beta)
+
+    def test_row_chunks_cover_the_rows_in_order(self, monkeypatch):
+        from beckner_lab import bochner
+        monkeypatch.setattr(bochner, "STACK_ELEMENTS", 100)
+        assert bochner.row_chunks(5, 30) == [slice(0, 3), slice(3, 5)]
+        assert bochner.row_chunks(3, 1000) == [slice(0, 1), slice(1, 2),
+                                               slice(2, 3)]
+        assert bochner.row_chunks(4, 0) == [slice(0, 4)]
+
+
+def _adjointness_reference(chain, bs, trials, seed):
+    """Residual and witness of the one-psi-per-trial adjointness loop."""
+    S, G = chain.n_states, chain.n_moves
+    rng = np.random.default_rng(seed)
+    ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
+    tg = chain.targets[gg, ii]
+    ginv = chain.inverse[gg]
+    worst, worst_psi = 0.0, None
+    for _ in range(trials):
+        psi = rng.uniform(-1.0, 1.0, size=(S, G, G))
+        lhs = float(np.sum(chain.pi[ii] * vv * psi[ii, gg, dd]))
+        rhs = float(np.sum(chain.pi[ii] * vv * psi[tg, ginv, dd]))
+        if abs(lhs - rhs) > worst:
+            worst, worst_psi = abs(lhs - rhs), psi
+    scale = max(float(np.sum(chain.pi[ii] * np.abs(vv))), 1e-300)
+    k = None
+    if worst_psi is not None:
+        k = int(np.argmax(np.abs(chain.pi[ii] * vv * (
+            worst_psi[ii, gg, dd] - worst_psi[tg, ginv, dd]))))
+    return worst / scale, k
+
+
+class TestChunkedAdjointness:
+    def test_block_draws_are_the_single_draw_stream(self):
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        blocks = [a.uniform(-1.0, 1.0, size=(c, 37)) for c in (7, 1, 5)]
+        singles = [b.uniform(-1.0, 1.0, size=(37,)) for _ in range(13)]
+        assert np.array_equal(np.vstack(blocks), np.array(singles))
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, acceptance,
+                                                chains, structures, rows):
+        from beckner_lab import bochner
+        bs = structures["zero_range"]
+        val = np.array(bs.value)
+        val[0] *= 1.25              # as in test_perturbed_r_fails_adjointness
+        mate = np.flatnonzero((bs.eta == bs.eta[0]) & (bs.gamma == bs.delta[0])
+                              & (bs.delta == bs.gamma[0]))[0]
+        if mate != 0:
+            val[mate] *= 1.25
+        broken = (chains["zero_range"],
+                  bl.BochnerStructure(bs.eta, bs.gamma, bs.delta, val))
+        for chain, bs in acceptance + [broken]:
+            width = chain.n_states * chain.n_moves ** 2
+            monkeypatch.setattr(bochner, "STACK_ELEMENTS", rows * width)
+            rep = bl.verify_assumption(chain, bs, trials=100, seed=3)
+            monkeypatch.setattr(bochner, "STACK_ELEMENTS", 100 * width)
+            assert rep.to_dict() == bl.verify_assumption(
+                chain, bs, trials=100, seed=3).to_dict()
+            adj = {c.name: c for c in rep.checks}["adjointness"]
+            residual, k = _adjointness_reference(chain, bs, 100, 3)
+            assert adj.max_residual == residual
+            if bs is broken[1]:
+                assert not adj.passed
+                assert adj.witness == {
+                    "state": chain.keys[int(bs.eta[k])],
+                    "moves": (chain.move_names[int(bs.gamma[k])],
+                              chain.move_names[int(bs.delta[k])])}

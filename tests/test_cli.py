@@ -9,7 +9,7 @@ import pytest
 
 from beckner_lab import (ConfigError, OptimizerOptions, beckner_constant,
                          build_random_transposition, lsi_constant,
-                         mlsi_constant)
+                         mlsi_constant, potential_from_config)
 from beckner_lab.cli import main, parse_model_block, validate_config
 
 
@@ -142,6 +142,39 @@ class TestCommands:
         assert rep["passed"]
         for check in rep["checks"]:
             assert check["max_residual"] <= max(check["tolerance"], 1e-9)
+
+    def test_verify_bochner_reports_every_alpha(self, tmp_path):
+        def checks(alphas, out):
+            assert main(["verify-bochner", "--model", "zero_range", "--L",
+                         "3", "--N", "3", "--seed", "7", "--alpha", *alphas,
+                         "--out", str(out)]) == 0
+            doc = json.loads((out / "bochner_report.json").read_text())
+            return [(c.pop("name"), c) for c in doc["checks"]]
+
+        both = checks(["1.1", "2.0"], tmp_path / "both")
+        structural = ["symmetry", "adjointness", "commutation"]
+        per_alpha = ["summation_by_parts_identity", "second_gradient_identity",
+                     "curvature_inequality"]
+        assert [n for n, _ in both] == structural + [
+            f"{n}[alpha={a}]" for a in ("1.1", "2.0") for n in per_alpha]
+        # each alpha's checks read what a one-alpha run reports
+        for k, a in enumerate(("1.1", "2.0")):
+            one = checks([a], tmp_path / a)
+            assert [n for n, _ in one] == structural + per_alpha
+            assert [c for _, c in one] == [c for _, c in both[:3]] + [
+                c for _, c in both[3 + 3 * k:6 + 3 * k]]
+
+    def test_verify_bochner_bytes_do_not_depend_on_row_chunks(
+            self, tmp_path, monkeypatch):
+        from beckner_lab import bochner
+        argv = ["verify-bochner", "--model", "random_transposition", "--n",
+                "4", "--seed", "12345", "--alpha", "1.1", "1.5"]
+        assert main(argv + ["--out", str(tmp_path / "stack")]) == 0
+        monkeypatch.setattr(bochner, "STACK_ELEMENTS", 1)   # one row a chunk
+        assert main(argv + ["--out", str(tmp_path / "rows")]) == 0
+        report = "bochner_report.json"
+        assert (tmp_path / "stack" / report).read_bytes() == (
+            tmp_path / "rows" / report).read_bytes()
 
     def test_verify_lemmas(self, tmp_path):
         status = main(["verify-lemmas", "--alpha", "1.5", "--samples", "2000",
@@ -338,6 +371,45 @@ class TestCommands:
         status = main(argv + ["--out", str(tmp_path)])
         assert status == 2
         assert f"{argv[-2][2:]} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_points", ["-5", "0", "2"])
+    def test_too_few_points_flag_exit_code(self, tmp_path, capsys, n_points):
+        status = main(["decay", "--model", "random_transposition", "--n", "3",
+                       "--n-points", n_points, "--out", str(tmp_path)])
+        assert status == 2
+        assert "n_points must be >= 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trajectory_*.csv"))
+
+    @pytest.mark.parametrize("n_points", [-5, 0, 2])
+    def test_too_few_points_config_exit_code(self, tmp_path, capsys,
+                                             n_points):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay",
+            "model": {"model": "random_transposition", "n": 3},
+            "n_points": n_points}))
+        status = main(["decay", "--config", str(cfg), "--out", str(tmp_path)])
+        assert status == 2
+        assert "n_points must be >= 3" in capsys.readouterr().err
+
+    def test_table_potential_without_scipy_names_the_extra(
+            self, tmp_path, capsys, monkeypatch):
+        # a None entry in sys.modules makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+        table = {"kind": "table", "x": [0.0, 0.3, 0.6, 1.0],
+                 "v": [0.0, 0.1, 0.4, 1.0]}
+        with pytest.raises(ConfigError, match=r"beckner-lab\[table\]"):
+            potential_from_config(table)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "fokker-planck",
+            "model": {"model": "fokker_planck_fv", "potential": table,
+                      "n_cells": 8, "lambda": 4.0}}))
+        status = main(["fokker-planck", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert status == 2
+        assert "beckner-lab[table]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("starts", [0, -1])
     def test_nonpositive_starts_config_exit_code(self, tmp_path, capsys,
