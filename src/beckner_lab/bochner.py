@@ -19,9 +19,11 @@ curvature content: for any positive density rho and admissible entropy,
 and the decay constant certified at rho is twice that right side divided
 by pi[sum_g c grad_g phi'(rho) grad_g rho].
 
-R is stored sparsely (COO over nonzero triples); all checks are
-vectorized gathers over the support, summed in a fixed state-major,
-move-lexicographic order so residuals are reproducible.
+R is stored sparsely (COO over nonzero triples), built per family on
+the c c > 0 support; all checks are vectorized gathers over the
+support, summed in a fixed state-major, move-lexicographic order so
+residuals are reproducible.  The structure checks are exact: each
+triple is looked up against its partner by its sorted linear key.
 
 The pointwise checks take one density (or function) or a (K, S) stack
 of rows.  Rows are gathered with ``np.take(., idx, axis=-1)``, which
@@ -63,9 +65,12 @@ def row_chunks(n_rows: int, row_elements: int) -> list[slice]:
 class BochnerStructure:
     """Sparse R over (state, move, move) triples plus the derived Gamma.
 
-    ``eta``/``gamma``/``delta``/``value`` list the nonzero R entries;
-    the Gamma support (all triples with c(eta,g) c(eta,d) > 0) is
-    materialized lazily on first use.
+    ``eta``/``gamma``/``delta``/``value`` list the nonzero R entries in
+    state-major, move-lexicographic order without duplicates; the
+    pointwise lookups (``at``) rely on that order and raise
+    ``DomainError`` when a structure breaks it.  The Gamma support (all
+    triples with c(eta,g) c(eta,d) > 0) is materialized lazily on first
+    use.
     """
     eta: np.ndarray
     gamma: np.ndarray
@@ -78,9 +83,29 @@ class BochnerStructure:
         return len(self.value)
 
     def r_dense(self, chain: FiniteChain) -> np.ndarray:
+        """Dense (S, G, G) view of R for inspection; no check uses it."""
         R = np.zeros((chain.n_states, chain.n_moves, chain.n_moves))
         R[self.eta, self.gamma, self.delta] = self.value
         return R
+
+    def at(self, chain: FiniteChain, keys: np.ndarray) -> np.ndarray:
+        """R at the linear triple keys (eta G + gamma) G + delta, zero off
+        the stored support."""
+        S, G = chain.n_states, chain.n_moves
+        own = (self.eta * G + self.gamma) * G + self.delta
+        inside = all(np.all((0 <= a) & (a < n)) for a, n in
+                     ((self.eta, S), (self.gamma, G), (self.delta, G)))
+        if not inside or np.any(np.diff(own) <= 0):
+            raise DomainError("R triples must be in range and sorted "
+                              "state-major, move-lexicographic, without "
+                              "duplicates")
+        if self.nnz == 0:
+            return np.zeros(len(keys))
+        pos = np.searchsorted(own, keys)
+        np.minimum(pos, self.nnz - 1, out=pos)
+        out = np.asarray(self.value, dtype=float)[pos]
+        out[own[pos] != keys] = 0.0
+        return out
 
     def gamma_coo(self, chain: FiniteChain):
         """COO triples of Gamma = c c - R over the support of c c > 0.
@@ -91,11 +116,30 @@ class BochnerStructure:
         if self._gamma_coo is not None and self._gamma_coo[0] is not chain:
             self._gamma_coo = None
         if self._gamma_coo is None:
-            cc = chain.rates[:, :, None] * chain.rates[:, None, :]
-            gam = cc - self.r_dense(chain)
-            ii, gg, dd = np.nonzero(cc > 0.0)
-            self._gamma_coo = (chain, ii, gg, dd, gam[ii, gg, dd])
+            ii, gg, dd, cc = _cc_support(chain)
+            G = chain.n_moves
+            gam = self.at(chain, (ii * G + gg) * G + dd)
+            np.subtract(cc, gam, out=gam)
+            self._gamma_coo = (chain, ii, gg, dd, gam)
         return self._gamma_coo[1:]
+
+
+def _cc_support(chain: FiniteChain):
+    """(eta, gamma, delta, c(eta,g) c(eta,d)) over the triples where the
+    product is positive, in state-major, move-lexicographic order."""
+    act_i, act_g = np.nonzero(chain.rates > 0.0)    # state-major
+    per_state = np.bincount(act_i, minlength=chain.n_states)
+    reps = per_state[act_i]
+    ii, gg = np.repeat(act_i, reps), np.repeat(act_g, reps)
+    first = np.cumsum(per_state) - per_state     # where a state's moves start
+    # entry j of the block of (eta, gamma) pairs it with the j-th active
+    # move at eta
+    shift = first[act_i] - (np.cumsum(reps) - reps)
+    dd = act_g[np.repeat(shift, reps) + np.arange(len(ii))]
+    cc = chain.rates[ii, gg]
+    cc *= chain.rates[ii, dd]
+    keep = cc > 0.0                 # a product of positive rates can underflow
+    return ii[keep], gg[keep], dd[keep], cc[keep]
 
 
 def r_function(spec: ModelSpec, chain: FiniteChain | None = None) -> BochnerStructure:
@@ -112,162 +156,117 @@ def r_function(spec: ModelSpec, chain: FiniteChain | None = None) -> BochnerStru
     * random transposition:  4/(n^2 (n-1)^2) when the two transpositions
       are disjoint, else 0.
 
-    The finite-volume chain reuses the birth-death construction.
+    The finite-volume chain reuses the birth-death construction.  Each
+    family is evaluated on the triples with c(eta,g) c(eta,d) > 0, which
+    hold every nonzero R; the nonzero values are kept in that
+    state-major, move-lexicographic order.
     """
     if chain is None:
         chain = build_model(spec)
-    kind = spec.kind
-    if kind in ("birth_death", "fokker_planck_fv"):
-        return _r_birth_death(chain)
-    if kind == "zero_range":
-        return _r_zero_range(chain)
-    if kind == "bernoulli_laplace":
-        return _r_bernoulli_laplace(chain)
-    if kind == "random_transposition":
-        return _r_random_transposition(chain)
-    raise CapabilityError(f"no auxiliary function for variant {kind!r}")
+    family = _FAMILIES.get(spec.kind)
+    if family is None:
+        raise CapabilityError(
+            f"no auxiliary function for variant {spec.kind!r}")
+    ii, gg, dd, cc = _cc_support(chain)
+    value = family(chain, ii, gg, dd, cc)
+    keep = value != 0.0
+    return BochnerStructure(ii[keep], gg[keep], dd[keep], value[keep])
 
 
-def _coo_from_dense(R: np.ndarray) -> BochnerStructure:
-    ii, gg, dd = np.nonzero(R)
-    order = np.lexsort((dd, gg, ii))      # state-major, move-lexicographic
-    return BochnerStructure(ii[order], gg[order], dd[order],
-                            R[ii, gg, dd][order])
-
-
-def _r_birth_death(chain: FiniteChain) -> BochnerStructure:
+def _r_birth_death(chain, ii, gg, dd, cc):
     a = np.asarray(chain.meta["a"], dtype=float)
     b = np.asarray(chain.meta["b"], dtype=float)
-    S = chain.n_states
-    R = np.zeros((S, 2, 2))
-    up, down = 0, 1
     a_next = np.append(a[1:], 0.0)
     b_prev = np.concatenate([[0.0], b[:-1]])
-    R[:, up, up] = a * a_next
-    R[:, down, down] = b * b_prev
-    R[:, up, down] = R[:, down, up] = a * b
-    return _coo_from_dense(R)
+    # column 2 gamma + delta, with move 0 up and move 1 down
+    table = np.column_stack([a * a_next, a * b, a * b, b * b_prev])
+    return table[ii, 2 * gg + dd]
 
 
-def _r_zero_range(chain: FiniteChain) -> BochnerStructure:
+def _r_zero_range(chain, ii, gg, dd, cc):
     occ = np.asarray(chain.meta["occupancy"], dtype=np.intp)
     table = np.asarray(chain.meta["rate_table"], dtype=float)
-    pairs = [tuple(p) for p in chain.meta["pairs"]]
-    L = int(chain.meta["L"])
-    S, G = chain.n_states, chain.n_moves
-    c_here = np.empty((S, G))
-    c_less = np.empty((S, G))
-    for m, (x, _) in enumerate(pairs):
-        nx = occ[:, x]
-        c_here[:, m] = table[x, nx]
-        c_less[:, m] = np.where(nx >= 1, table[x, np.maximum(nx - 1, 0)], 0.0)
-    src = np.array([x for (x, _) in pairs])
-    R = np.empty((S, G, G))
-    same = src[:, None] == src[None, :]
+    src = np.array([x for x, _ in chain.meta["pairs"]])
+    x, u = src[gg], src[dd]
     # x != u: product of the two standing rates; x = u: second factor at
     # one particle fewer on the shared source site
-    R[:] = c_here[:, :, None] * c_here[:, None, :]
-    R *= ~same[None, :, :]
-    R += (c_here[:, :, None] * c_less[:, None, :]) * same[None, :, :]
-    R /= L ** 2
-    return _coo_from_dense(R)
+    return (table[x, occ[ii, x]] * table[u, occ[ii, u] - (x == u)]
+            / int(chain.meta["L"]) ** 2)
 
 
-def _r_bernoulli_laplace(chain: FiniteChain) -> BochnerStructure:
-    pairs = [tuple(p) for p in chain.meta["pairs"]]
-    S, G = chain.n_states, chain.n_moves
-    distinct = np.zeros((G, G), dtype=bool)
-    for m1, (x, y) in enumerate(pairs):
-        for m2, (u, v) in enumerate(pairs):
-            distinct[m1, m2] = len({x, y, u, v}) == 4
-    cc = chain.rates[:, :, None] * chain.rates[:, None, :]
-    R = cc * distinct[None, :, :]
-    return _coo_from_dense(R)
+def _disjoint(chain, gg, dd):
+    """Whether the site pairs of moves gamma and delta share no site."""
+    pairs = np.asarray(chain.meta["pairs"], dtype=np.intp)
+    (x, y), (u, v) = pairs[gg].T, pairs[dd].T
+    return (x != u) & (x != v) & (y != u) & (y != v)
 
 
-def _r_random_transposition(chain: FiniteChain) -> BochnerStructure:
-    pairs = [tuple(p) for p in chain.meta["pairs"]]
+def _r_bernoulli_laplace(chain, ii, gg, dd, cc):
+    return cc * _disjoint(chain, gg, dd)
+
+
+def _r_random_transposition(chain, ii, gg, dd, cc):
     n = int(chain.meta["n"])
-    S, G = chain.n_states, chain.n_moves
-    disjoint = np.zeros((G, G), dtype=bool)
-    for m1, (i, j) in enumerate(pairs):
-        for m2, (k, ell) in enumerate(pairs):
-            disjoint[m1, m2] = len({i, j, k, ell}) == 4
-    R = np.broadcast_to(disjoint[None, :, :],
-                        (S, G, G)) * (4.0 / (n ** 2 * (n - 1) ** 2))
-    return _coo_from_dense(np.ascontiguousarray(R))
+    return _disjoint(chain, gg, dd) * (4.0 / (n ** 2 * (n - 1) ** 2))
+
+
+_FAMILIES = {"birth_death": _r_birth_death,
+             "fokker_planck_fv": _r_birth_death,
+             "zero_range": _r_zero_range,
+             "bernoulli_laplace": _r_bernoulli_laplace,
+             "random_transposition": _r_random_transposition}
 
 
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
 
-def _symmetry_check(chain: FiniteChain, bs: BochnerStructure) -> CheckReport:
-    """(i) exact symmetry over stored triples.  Its two dense (S, G, G)
-    arrays are freed on return, before the adjointness trials draw."""
-    Rd = bs.r_dense(chain)
-    asym = np.abs(Rd - np.transpose(Rd, (0, 2, 1)))
-    worst = float(asym.max())
-    i, g, d = np.unravel_index(np.argmax(asym), asym.shape)
-    return CheckReport(
-        "symmetry", worst == 0.0, worst, 0.0,
-        witness=None if worst == 0.0 else
-        {"state": chain.keys[int(i)], "moves": (chain.move_names[int(g)],
-                                                chain.move_names[int(d)])})
+def _triple(chain: FiniteChain, i, g, d) -> dict:
+    return {"state": chain.keys[int(i)],
+            "moves": (chain.move_names[int(g)], chain.move_names[int(d)])}
 
 
 def verify_assumption(chain: FiniteChain, bs: BochnerStructure,
-                      trials: int = 100, seed: int = 0,
                       tol: float = 1e-10) -> VerificationReport:
-    """Check symmetry, adjointness, and commutation of R."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    """Check symmetry, adjointness and commutation of R, exactly and
+    pointwise on its support.
+
+    (i) Each triple is compared with its (eta, delta, gamma) partner.
+    (ii) Let w = pi R and T(eta, g, d) = (g eta, g^-1, d), an involution
+    wherever c(eta, g) > 0.  The adjointness identity holds for every
+    bounded psi exactly when w(x) = w(Tx) on the support; the residual
+    is max |w(x) - w(Tx)| / sum |w|.
+    (iii) g d eta = d g eta on the support, on state indices.
+
+    The witness of (i) and (ii) is the first worst triple, of (iii) the
+    first failing one.
+    """
+    G = chain.n_moves
+    ii, gg, dd = bs.eta, bs.gamma, bs.delta
     report = VerificationReport()
-    S, G = chain.n_states, chain.n_moves
-    report.add(_symmetry_check(chain, bs))
 
-    # (ii) adjointness on random bounded psi, one (S, G, G) psi per row
-    # (flattened); a block of c rows is the same stream as c single draws
-    rng = np.random.default_rng(seed)
-    ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
+    def add(name, gap, scale, tolerance):
+        worst = float(gap.max(initial=0.0))
+        passed = worst <= tolerance * scale
+        k = 0 if passed else int(np.argmax(gap))
+        report.add(CheckReport(name, passed, worst / scale, tolerance,
+                               witness=None if passed else
+                               _triple(chain, ii[k], gg[k], dd[k])))
+
+    add("symmetry", np.abs(bs.value - bs.at(chain, (ii * G + dd) * G + gg)),
+        1.0, 0.0)
     tg = chain.targets[gg, ii]          # gamma eta
-    here = (ii * G + gg) * G + dd                       # psi(eta, g, d)
-    moved = (tg * G + chain.inverse[gg]) * G + dd       # psi(g eta, g^-1, d)
-    w = chain.pi[ii] * vv
-    scale = max(float(np.sum(chain.pi[ii] * np.abs(vv))), 1e-300)
-    worst_gap = 0.0
-    worst_psi = None
-    for rows in row_chunks(trials, S * G * G):
-        psi = rng.uniform(-1.0, 1.0, size=(rows.stop - rows.start, S * G * G))
-        lhs = np.add.reduce(w * np.take(psi, here, axis=-1), axis=-1)
-        rhs = np.add.reduce(w * np.take(psi, moved, axis=-1), axis=-1)
-        gap = np.abs(lhs - rhs)
-        k = int(np.argmax(gap))         # the first trial of the worst gap
-        if gap[k] > worst_gap:
-            worst_gap = float(gap[k])
-            worst_psi = psi[k]
-    passed_ii = worst_gap <= tol * scale
-    witness = None
-    if not passed_ii and worst_psi is not None:
-        # locate the triple with the largest one-sided imbalance
-        contrib = np.abs(w * (worst_psi[here] - worst_psi[moved]))
-        k = int(np.argmax(contrib))
-        witness = {"state": chain.keys[int(ii[k])],
-                   "moves": (chain.move_names[int(gg[k])],
-                             chain.move_names[int(dd[k])])}
-    report.add(CheckReport("adjointness", passed_ii, worst_gap / scale, tol,
-                           witness=witness))
-
-    # (iii) commutation on the support, exact on state indices
-    gd = chain.targets[gg, chain.targets[dd, ii]]
-    dg = chain.targets[dd, chain.targets[gg, ii]]
-    bad = np.flatnonzero(gd != dg)
+    w = chain.pi[ii] * bs.value
+    w_moved = chain.pi[tg] * bs.at(chain, (tg * G + chain.inverse[gg]) * G
+                                   + dd)
+    add("adjointness", np.abs(w - w_moved),
+        max(float(np.sum(np.abs(w))), 1e-300), tol)
+    bad = np.flatnonzero(chain.targets[gg, chain.targets[dd, ii]]
+                         != chain.targets[dd, tg])
     report.add(CheckReport(
         "commutation", len(bad) == 0, float(len(bad)), 0.0,
         witness=None if len(bad) == 0 else
-        {"state": chain.keys[int(ii[bad[0]])],
-         "moves": (chain.move_names[int(gg[bad[0]])],
-                   chain.move_names[int(dd[bad[0]])])}))
+        _triple(chain, ii[bad[0]], gg[bad[0]], dd[bad[0]])))
     return report
 
 
@@ -372,6 +371,8 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
     float for one density (a ``Density`` or 1-D row), a (K,) array for a
     (K, S) stack, whose row k samples its triples with seed ``seed + k``.
     """
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     stack = np.atleast_2d(r)
     if bs.nnz == 0:
@@ -418,6 +419,20 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
 # the key inequality and its per-density ratio
 # ---------------------------------------------------------------------------
 
+def entropy_second_derivative(chain: FiniteChain, e: ConvexEntropy, rho):
+    """pi[L phi'(rho) L rho + phi''(rho)(L rho)^2], which is d2/dt2 Ent
+    along the flow and the left side of the curvature inequality.
+
+    One density (a ``Density`` or a 1-D row) gives a float, a (K, S)
+    stack a (K,) array, each row with the bits of its one-density call.
+    """
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    Lr = chain.apply_generator(r)
+    Lf = chain.apply_generator(e.d1(r))
+    out = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)
+    return out if out.ndim else float(out)
+
+
 def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
                       e: ConvexEntropy, rho):
     """(lhs, rhs) of the curvature inequality
@@ -430,11 +445,8 @@ def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
     stack two (K,) arrays, each row with the bits of its one-density call.
     """
     r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    lhs = entropy_second_derivative(chain, e, r)
     f = e.d1(r)
-    Lr = chain.apply_generator(r)
-    Lf = chain.apply_generator(f)
-    lhs = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)
-
     ii, gg, dd, gam = bs.gamma_coo(chain)
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
@@ -444,7 +456,7 @@ def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
     grad_g_f = np.take(f, g_eta, axis=-1) - np.take(f, ii, axis=-1)
     term = grad_g_f * grad_d_r + e.d2(r_here) * grad_g_r * grad_d_r
     rhs = np.add.reduce(chain.pi[ii] * gam * term, axis=-1)
-    return (lhs, rhs) if lhs.ndim else (float(lhs), float(rhs))
+    return (lhs, rhs) if rhs.ndim else (lhs, float(rhs))
 
 
 def entropy_production(chain: FiniteChain, e: ConvexEntropy, rho):

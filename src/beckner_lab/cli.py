@@ -313,8 +313,7 @@ def _cmd_verify_bochner(cfg: ExperimentConfig) -> int:
     chain = models.build_model(spec)
     bs = bochner.r_function(spec, chain)
     tol = cfg.tol or 1e-10
-    report = bochner.verify_assumption(chain, bs, trials=100, seed=cfg.seed,
-                                       tol=tol)
+    report = bochner.verify_assumption(chain, bs, tol=tol)
     # 20 densities, each with its chi and psi, drawn in this order
     rng = np.random.default_rng(cfg.seed + 1)
     draws = [(random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3]).values,

@@ -1,5 +1,7 @@
 """Auxiliary-function structure, its identities, and the key inequality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,70 @@ def double_sum_oracle(chain, bs, chi, psi, beta):
                     - (psi[gi] - psi[i])
                 rhs += 0.25 * w * (F_moved - F_here) * gdpsi
     return lhs, rhs
+
+
+def dense_r(chain):
+    """R as an (S, G, G) array, built per family from dense products."""
+    kind = chain.meta["model"]
+    S, G = chain.n_states, chain.n_moves
+    cc = chain.rates[:, :, None] * chain.rates[:, None, :]
+    if kind in ("birth_death", "fokker_planck_fv"):
+        a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
+        R = np.zeros((S, 2, 2))
+        R[:, 0, 0] = a * np.append(a[1:], 0.0)
+        R[:, 1, 1] = b * np.concatenate([[0.0], b[:-1]])
+        R[:, 0, 1] = R[:, 1, 0] = a * b
+        return R
+    pairs = [tuple(p) for p in chain.meta["pairs"]]
+    if kind == "zero_range":
+        occ = np.asarray(chain.meta["occupancy"])
+        table = np.asarray(chain.meta["rate_table"])
+        c_here, c_less = np.empty((S, G)), np.empty((S, G))
+        for m, (x, _) in enumerate(pairs):
+            nx = occ[:, x]
+            c_here[:, m] = table[x, nx]
+            c_less[:, m] = np.where(nx >= 1, table[x, np.maximum(nx - 1, 0)],
+                                    0.0)
+        src = np.array([x for (x, _) in pairs])
+        same = src[:, None] == src[None, :]
+        R = c_here[:, :, None] * c_here[:, None, :]
+        R *= ~same[None, :, :]
+        R += (c_here[:, :, None] * c_less[:, None, :]) * same[None, :, :]
+        return R / int(chain.meta["L"]) ** 2
+    disjoint = np.array([[len({*p, *q}) == 4 for q in pairs] for p in pairs])
+    if kind == "bernoulli_laplace":
+        return cc * disjoint[None, :, :]
+    n = int(chain.meta["n"])
+    return np.ascontiguousarray(np.broadcast_to(
+        disjoint[None, :, :], (S, G, G)) * (4.0 / (n ** 2 * (n - 1) ** 2)))
+
+
+def dense_coo(chain):
+    """(eta, gamma, delta, R) and (eta, gamma, delta, Gamma) read off the
+    dense arrays in state-major, move-lexicographic order."""
+    R = dense_r(chain)
+    cc = chain.rates[:, :, None] * chain.rates[:, None, :]
+    ii, gg, dd = np.nonzero(R)
+    gi, gg2, gd = np.nonzero(cc > 0.0)
+    return ((ii, gg, dd, R[ii, gg, dd]),
+            (gi, gg2, gd, (cc - R)[gi, gg2, gd]))
+
+
+def adjointness_oracle(chain, bs, trials=100, seed=0, tol=1e-10):
+    """Verdict of the identity on random bounded psi."""
+    S, G = chain.n_states, chain.n_moves
+    rng = np.random.default_rng(seed)
+    ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
+    tg = chain.targets[gg, ii]
+    ginv = chain.inverse[gg]
+    worst = 0.0
+    for _ in range(trials):
+        psi = rng.uniform(-1.0, 1.0, size=(S, G, G))
+        lhs = float(np.sum(chain.pi[ii] * vv * psi[ii, gg, dd]))
+        rhs = float(np.sum(chain.pi[ii] * vv * psi[tg, ginv, dd]))
+        worst = max(worst, abs(lhs - rhs))
+    scale = max(float(np.sum(chain.pi[ii] * np.abs(vv))), 1e-300)
+    return worst <= tol * scale
 
 
 class TestRFunction:
@@ -81,7 +147,7 @@ class TestAssumption:
     def test_all_models_pass(self, chains, structures):
         for name in chains:
             rep = bl.verify_assumption(chains[name], structures[name],
-                                       trials=100, seed=0, tol=1e-10)
+                                       tol=1e-10)
             assert rep.passed, name
 
     def test_perturbed_r_fails_adjointness(self, chains, structures):
@@ -97,7 +163,7 @@ class TestAssumption:
                                   & (bs.delta == g))[0]
             val[mate] *= 1.25
         broken = bl.BochnerStructure(bs.eta, bs.gamma, bs.delta, val)
-        rep = bl.verify_assumption(chain, broken, trials=100, seed=0)
+        rep = bl.verify_assumption(chain, broken)
         names = {c.name: c for c in rep.checks}
         assert names["symmetry"].passed
         assert not names["adjointness"].passed
@@ -105,7 +171,7 @@ class TestAssumption:
 
     def test_empty_support_vacuous(self, rt3):
         bs = bl.r_function(bl.ModelSpec("random_transposition", {"n": 3}), rt3)
-        rep = bl.verify_assumption(rt3, bs, trials=10, seed=0)
+        rep = bl.verify_assumption(rt3, bs)
         assert rep.passed
 
 
@@ -397,61 +463,161 @@ class TestStackedChecks:
         assert bochner.row_chunks(4, 0) == [slice(0, 4)]
 
 
-def _adjointness_reference(chain, bs, trials, seed):
-    """Residual and witness of the one-psi-per-trial adjointness loop."""
-    S, G = chain.n_states, chain.n_moves
-    rng = np.random.default_rng(seed)
-    ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
-    tg = chain.targets[gg, ii]
-    ginv = chain.inverse[gg]
-    worst, worst_psi = 0.0, None
-    for _ in range(trials):
-        psi = rng.uniform(-1.0, 1.0, size=(S, G, G))
-        lhs = float(np.sum(chain.pi[ii] * vv * psi[ii, gg, dd]))
-        rhs = float(np.sum(chain.pi[ii] * vv * psi[tg, ginv, dd]))
-        if abs(lhs - rhs) > worst:
-            worst, worst_psi = abs(lhs - rhs), psi
-    scale = max(float(np.sum(chain.pi[ii] * np.abs(vv))), 1e-300)
-    k = None
-    if worst_psi is not None:
-        k = int(np.argmax(np.abs(chain.pi[ii] * vv * (
-            worst_psi[ii, gg, dd] - worst_psi[tg, ginv, dd]))))
-    return worst / scale, k
+# ---------------------------------------------------------------------------
+# the sparse R build and the pointwise structure checks against dense oracles
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def zr58():
+    spec = bl.ModelSpec("zero_range", {"L": 5, "N": 8,
+                                       "c_x": bl.linear_rate_table(5, 8)})
+    chain = bl.build_model(spec)
+    return chain, bl.r_function(spec, chain)
 
 
-class TestChunkedAdjointness:
-    def test_block_draws_are_the_single_draw_stream(self):
-        a, b = np.random.default_rng(11), np.random.default_rng(11)
-        blocks = [a.uniform(-1.0, 1.0, size=(c, 37)) for c in (7, 1, 5)]
-        singles = [b.uniform(-1.0, 1.0, size=(37,)) for _ in range(13)]
-        assert np.array_equal(np.vstack(blocks), np.array(singles))
+def _without(bs, drop):
+    keep = np.ones(bs.nnz, dtype=bool)
+    keep[drop] = False
+    return bl.BochnerStructure(bs.eta[keep], bs.gamma[keep], bs.delta[keep],
+                               bs.value[keep])
 
-    @pytest.mark.parametrize("rows", [1, 7, 100])
-    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, acceptance,
-                                                chains, structures, rows):
-        from beckner_lab import bochner
-        bs = structures["zero_range"]
-        val = np.array(bs.value)
-        val[0] *= 1.25              # as in test_perturbed_r_fails_adjointness
-        mate = np.flatnonzero((bs.eta == bs.eta[0]) & (bs.gamma == bs.delta[0])
-                              & (bs.delta == bs.gamma[0]))[0]
-        if mate != 0:
-            val[mate] *= 1.25
-        broken = (chains["zero_range"],
-                  bl.BochnerStructure(bs.eta, bs.gamma, bs.delta, val))
-        for chain, bs in acceptance + [broken]:
-            width = chain.n_states * chain.n_moves ** 2
-            monkeypatch.setattr(bochner, "STACK_ELEMENTS", rows * width)
-            rep = bl.verify_assumption(chain, bs, trials=100, seed=3)
-            monkeypatch.setattr(bochner, "STACK_ELEMENTS", 100 * width)
-            assert rep.to_dict() == bl.verify_assumption(
-                chain, bs, trials=100, seed=3).to_dict()
-            adj = {c.name: c for c in rep.checks}["adjointness"]
-            residual, k = _adjointness_reference(chain, bs, 100, 3)
-            assert adj.max_residual == residual
-            if bs is broken[1]:
-                assert not adj.passed
-                assert adj.witness == {
-                    "state": chain.keys[int(bs.eta[k])],
-                    "moves": (chain.move_names[int(bs.gamma[k])],
-                              chain.move_names[int(bs.delta[k])])}
+
+def _mate(bs, k):
+    """Index of the (eta, delta, gamma) partner of triple k."""
+    return np.flatnonzero((bs.eta == bs.eta[k]) & (bs.gamma == bs.delta[k])
+                          & (bs.delta == bs.gamma[k]))[0]
+
+
+def _perturbed(chains, structures):
+    """(label, chain, structure) with one structural property broken."""
+    zr, bs = chains["zero_range"], structures["zero_range"]
+    k = int(np.flatnonzero(bs.gamma != bs.delta)[0])
+    lopsided = np.array(bs.value)
+    lopsided[k] *= 1.25                 # its mate keeps the old value
+    scaled = np.array(bs.value)
+    scaled[[0, _mate(bs, 0)]] *= 1.25   # symmetric, so only (ii) fails
+    rt4, bs4 = chains["random_transposition_4"], \
+        structures["random_transposition_4"]
+    return [
+        ("asymmetric", zr, bl.BochnerStructure(bs.eta, bs.gamma, bs.delta,
+                                               lopsided)),
+        ("scaled 1.25", zr, bl.BochnerStructure(bs.eta, bs.gamma, bs.delta,
+                                                scaled)),
+        # drop a triple and its mate: symmetric, but their T-partners
+        # lose theirs
+        ("missing T-partner", rt4, _without(bs4, [0, _mate(bs4, 0)])),
+    ]
+
+
+class TestSparseBuild:
+    def test_triples_equal_the_dense_build(self, acceptance, zr58):
+        for chain, bs in acceptance + [zr58]:
+            (ii, gg, dd, vv), gam = dense_coo(chain)
+            for got, want in zip((bs.eta, bs.gamma, bs.delta, bs.value),
+                                 (ii, gg, dd, vv)):
+                assert np.array_equal(got, want), chain.meta["model"]
+            for got, want in zip(bs.gamma_coo(chain), gam):
+                assert np.array_equal(got, want), chain.meta["model"]
+
+    def test_at_reads_stored_values_and_zero_elsewhere(self, chains,
+                                                       structures):
+        chain, bs = chains["zero_range"], structures["zero_range"]
+        G = chain.n_moves
+        R = bs.r_dense(chain)
+        keys = np.arange(chain.n_states * G * G)
+        assert np.array_equal(bs.at(chain, keys), R.ravel())
+
+    @pytest.mark.parametrize("breakage", ["reversed", "duplicate",
+                                          "move out of range"])
+    def test_unsorted_structures_are_rejected(self, chains, structures,
+                                              breakage):
+        chain = chains["bernoulli_laplace"]
+        bs = structures["bernoulli_laplace"]
+        arrays = [np.array(a) for a in (bs.eta, bs.gamma, bs.delta,
+                                        bs.value)]
+        if breakage == "reversed":
+            arrays = [a[::-1] for a in arrays]
+        elif breakage == "duplicate":
+            arrays = [np.insert(a, 3, a[3]) for a in arrays]
+        else:
+            arrays[1][-1] = chain.n_moves
+        broken = bl.BochnerStructure(*arrays)
+        rho = bl.random_density(chain, np.random.default_rng(0), 1.0)
+        with pytest.raises(bl.DomainError):
+            bl.verify_assumption(chain, broken)
+        with pytest.raises(bl.DomainError):
+            bl.proposition_sides(chain, broken, bl.power_entropy(1.5), rho)
+
+    def test_structure_checks_stay_below_one_dense_array(self):
+        spec = bl.ModelSpec("bernoulli_laplace",
+                            {"L": 10, "N": 5, "lambda_x": 1.0})
+        chain = bl.build_model(spec)
+        dense = chain.n_states * chain.n_moves ** 2 * 8
+        tracemalloc.start()
+        try:
+            bs = bl.r_function(spec, chain)
+            bs.gamma_coo(chain)
+            rep = bl.verify_assumption(chain, bs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < dense, (peak, dense)
+
+
+class TestPointwiseStructure:
+    def test_agrees_with_dense_and_random_psi_oracles(self, acceptance, zr58,
+                                                      chains, structures):
+        cases = [(chain.meta["model"], chain, bs)
+                 for chain, bs in acceptance + [zr58]]
+        cases += _perturbed(chains, structures)
+        for label, chain, bs in cases:
+            checks = {c.name: c for c in bl.verify_assumption(chain,
+                                                              bs).checks}
+            # (i) against R - R^T, first worst entry in C order
+            R = bs.r_dense(chain)
+            asym = np.abs(R - np.transpose(R, (0, 2, 1)))
+            sym = checks["symmetry"]
+            assert sym.max_residual == asym.max(), label
+            if asym.max() > 0.0:
+                i, g, d = np.unravel_index(np.argmax(asym), asym.shape)
+                assert sym.witness == {
+                    "state": chain.keys[i],
+                    "moves": (chain.move_names[g], chain.move_names[d])}
+            # (ii) w(x) against w(Tx) on the dense c c > 0 support, and
+            # the verdict of random bounded psi
+            W = chain.pi[:, None, None] * R
+            W_T = W[chain.targets.T[:, :, None], chain.inverse[None, :, None],
+                    np.arange(chain.n_moves)[None, None, :]]
+            cc = chain.rates[:, :, None] * chain.rates[:, None, :]
+            exact = np.max(np.abs(W - W_T), where=cc > 0.0, initial=0.0) \
+                / max(np.sum(np.abs(W)), 1e-300)
+            adj = checks["adjointness"]
+            assert adj.max_residual == pytest.approx(exact, rel=1e-12,
+                                                     abs=0.0), label
+            assert adj.passed == adjointness_oracle(chain, bs), label
+            assert (adj.witness is None) == adj.passed, label
+            assert checks["commutation"].passed, label
+
+    def test_perturbations_fail_the_intended_checks(self, chains, structures):
+        verdicts = {label: {c.name: c.passed for c in
+                            bl.verify_assumption(chain, bs).checks}
+                    for label, chain, bs in _perturbed(chains, structures)}
+        assert verdicts == {
+            "asymmetric": {"symmetry": False, "adjointness": False,
+                           "commutation": True},
+            "scaled 1.25": {"symmetry": True, "adjointness": False,
+                            "commutation": True},
+            "missing T-partner": {"symmetry": True, "adjointness": False,
+                                  "commutation": True}}
+
+
+class TestSecondGradientSamples:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_is_rejected(self, chains, structures,
+                                               samples):
+        chain = chains["zero_range"]
+        rho = bl.random_density(chain, np.random.default_rng(1), 1.0)
+        with pytest.raises(bl.DomainError):
+            bl.identity_3id_check(chain, structures["zero_range"], rho,
+                                  bl.power_entropy(1.5), samples=samples)

@@ -129,21 +129,47 @@ class TestEntropy:
             bl.entropy(bd8, e, rho), rel=1e-12)
 
 
+def randomized_identity(chain, trials=100, seed=0, tol=1e-10):
+    """Verdict of pi[sum_g c F(eta,g)] = pi[sum_g c F(g eta, g^-1)] on
+    random bounded F."""
+    rng = np.random.default_rng(seed)
+    flow = chain.pi[:, None] * chain.rates
+    worst = 0.0
+    for _ in range(trials):
+        F = rng.uniform(-1.0, 1.0, size=(chain.n_states, chain.n_moves))
+        rhs = sum(float(np.sum(flow[:, g] * F[chain.targets[g],
+                                              chain.inverse[g]]))
+                  for g in range(chain.n_moves))
+        worst = max(worst, abs(float(np.sum(flow * F)) - rhs))
+    return worst <= tol * max(float(np.sum(flow)), 1e-300)
+
+
 class TestReversibility:
     def test_builtin_models_pass(self, chains):
         for name, chain in chains.items():
-            rep = bl.check_reversibility(chain, trials=30, seed=0)
+            rep = bl.check_reversibility(chain)
             assert rep.passed, name
+            assert [c.name for c in rep.checks] == ["pointwise_flow_balance"]
 
     def test_perturbed_rate_detected(self, bd8):
         rates = np.array(bd8.rates)
         rates[3, 0] *= 1.1
         broken = bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
                                 bd8.inverse, rates, bd8.pi)
-        rep = bl.check_reversibility(broken, trials=30, seed=0)
+        rep = bl.check_reversibility(broken)
         assert not rep.passed
         witness = rep.failures()[0].witness
         assert witness["state"] in (3, 4)
+
+    def test_pointwise_balance_agrees_with_random_f(self, chains, bd8):
+        rates = np.array(bd8.rates)
+        rates[3, 0] *= 1.1
+        broken = bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
+                                bd8.inverse, rates, bd8.pi)
+        for chain in [*chains.values(), broken]:
+            assert bl.check_reversibility(chain).passed == \
+                randomized_identity(chain)
+        assert not randomized_identity(broken)
 
     def test_stationarity_on_indicators(self, chains):
         for chain in chains.values():
@@ -205,4 +231,4 @@ class TestJsonRoundTrip:
 
     def test_imported_chain_works(self, zr33):
         back = bl.chain_from_json(bl.chain_to_json(zr33))
-        assert bl.check_reversibility(back, trials=10, seed=0).passed
+        assert bl.check_reversibility(back).passed

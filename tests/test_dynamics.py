@@ -126,6 +126,35 @@ class TestDerivativeIdentities:
         # and E(phi'(rho), rho) = 2 E(rho, rho) since phi' = 2 rho - 2
         assert traj.dirichlet_values[k] == pytest.approx(2.0 * prod, rel=1e-10)
 
+    def test_stacked_second_derivative_equals_the_sample_loop(self, rt3,
+                                                              rt4, bd8):
+        cases = [
+            (rt4, bl.power_entropy(1.5), 5, np.arange(0.0, 0.5 + 5e-4, 1e-3)),
+            (rt3, bl.log_entropy(), None, np.linspace(0, 1, 11)),
+            (bd8, bl.quadratic_entropy(), 6, np.linspace(0.0, 0.2, 201)),
+        ]
+        for chain, e, seed, times in cases:
+            rho0 = bl.normalize_density(chain, np.ones(chain.n_states)) \
+                if seed is None else \
+                bl.random_density(chain, np.random.default_rng(seed), 1.0)
+            traj = bl.evolve(chain, e, rho0, times)
+            loop = []
+            for r in traj.densities[1:-1]:
+                Lr = chain.apply_generator(r)
+                Lf = chain.apply_generator(e.d1(np.maximum(r, 1e-300)))
+                loop.append(float(np.sum(chain.pi * (
+                    Lf * Lr + e.d2(np.maximum(r, 1e-300)) * Lr * Lr))))
+            stacked = bl.bochner.entropy_second_derivative(
+                chain, e, np.maximum(traj.densities[1:-1], 1e-300))
+            assert stacked.tolist() == loop
+            dt = times[1] - times[0]
+            ent = traj.entropy_values
+            fd = (ent[2:] - 2.0 * ent[1:-1] + ent[:-2]) / dt ** 2
+            want = float(np.max(np.abs(fd - np.array(loop)))) \
+                / float(np.max(np.abs(loop)) + 1.0)
+            rep = bl.derivative_identity_check(chain, e, traj)
+            assert rep.checks[1].max_residual == want
+
     def test_too_few_points(self, rt3):
         rho0 = bl.normalize_density(rt3, np.ones(rt3.n_states))
         traj = bl.evolve(rt3, bl.log_entropy(), rho0, [0.0, 1.0])
