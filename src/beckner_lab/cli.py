@@ -228,19 +228,22 @@ def _parse_grid(g) -> tuple[float, float, float]:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+# rows per formatted block of a CSV file: a block's text is a few hundred
+# kB, so no output is ever held whole as one string
+_CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``rows`` (an array or a list of equal-length rows) under
+    ``header``; every cell is ``%.17g`` of a float, so a bool prints as
+    1 or 0 and a small int as itself."""
+    table = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for k in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[k:k + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, payload) -> None:
@@ -370,11 +373,12 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
         tag = f"{a:.6g}".replace(".", "_")
         _write_csv(os.path.join(cfg.out, f"trajectory_alpha{tag}.csv"),
                    "t,entropy,dirichlet,inst_rate",
-                   zip(traj.times, traj.entropy_values,
-                       traj.dirichlet_values, traj.instantaneous_rate()))
+                   np.column_stack((traj.times, traj.entropy_values,
+                                    traj.dirichlet_values,
+                                    traj.instantaneous_rate())))
         if cfg.dump_densities:
             _write_json(os.path.join(cfg.out, f"densities_alpha{tag}.json"),
-                        {_fmt(t): [float(v) for v in traj.densities[k]]
+                        {"%.17g" % t: [float(v) for v in traj.densities[k]]
                          for k, t in enumerate(traj.times)})
         verdict = "PASS" if report.certified else "FAIL"
         print(f"alpha={a}: rate >= {const.value:.6g}: {verdict} "

@@ -284,9 +284,9 @@ def _series_power_g(x, am1):
 # the joint infimum functional Theta(A, B)
 # ---------------------------------------------------------------------------
 
-# rows per ray-scan block; its temporaries are (rows, 2401) floats, about
-# 300 kB at 16 rows (one pass of the acceptance CLI jobs peaked at 60.6 MB
-# with 16 rows and 70.8 MB with 256, at no gain in time)
+# rows per ray-scan block, evaluated into one reused (rows, 2401) float
+# buffer, about 300 kB at 16 rows (the acceptance CLI benchmark peaked at
+# 42.0-42.2 MB RSS with 16 rows and 45.9 MB with 256, which ran slower)
 _SCAN_ROWS = 16
 
 
@@ -365,20 +365,29 @@ def _ray_infimum(a, A, B, max_iter):
     boundary limit (a-1)(A+B) if its edge value lies within 1e-9 relative
     of it, and raises otherwise.  A flat row returns its scan minimum; the
     others are refined by :func:`_golden`.  The scan runs ``_SCAN_ROWS``
-    rows at a time on factors computed once per span.
+    rows at a time on factors computed once per span, in place in one
+    buffer.
     """
     n = A.size
     out, lo, hi = np.empty(n), np.empty(n), np.empty(n)
     refine = np.zeros(n, dtype=bool)
+    buf = np.empty((_SCAN_ROWS, 2401))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         todo, span = np.arange(n), 60.0
         while todo.size:
             ws = np.linspace(-span, span, 2401)
-            factors = _ray_factors(a, ws)
+            P, E, D, zero = _ray_factors(a, ws)
+            zero = np.flatnonzero(zero)
             wider = []
             for k in range(0, todo.size, _SCAN_ROWS):
                 rows = todo[k:k + _SCAN_ROWS]
-                vals = _ray_value(factors, A[rows, None], B[rows, None])
+                # P (A E + B) / D in the order _ray_value takes, in place
+                vals = buf[:rows.size]
+                np.multiply(A[rows, None], E, out=vals)
+                np.add(vals, B[rows, None], out=vals)
+                np.multiply(P, vals, out=vals)
+                np.divide(vals, D, out=vals)
+                vals[:, zero] = (A[rows] + B[rows])[:, None]
                 i = np.argmin(vals, axis=1)
                 vi = vals[np.arange(rows.size), i]
                 vmax = vals.max(axis=1)
@@ -414,31 +423,36 @@ def _golden(a, A, B, lo, hi, max_iter):
 
     A row stays active while hi - lo >= 1e-12, for at most ``max_iter``
     steps, and ends with the least of the midpoint value and its last two
-    probes (the first of them on a tie).
+    probes (the first of them on a tie).  The loop holds the active rows
+    only; a row's final bracket and probe values are stored when it
+    retires.
     """
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc = _ray_value(_ray_factors(a, c), A, B)
     fd = _ray_value(_ray_factors(a, d), A, B)
-    act = np.arange(lo.size)
+    final = np.empty((4, lo.size))          # lo, hi, fc, fd at retirement
+    act, wa, wb = np.arange(lo.size), A, B
     for _ in range(max_iter):
-        act = act[hi[act] - lo[act] >= 1e-12]
-        if not act.size:
-            break
-        left = fc[act] < fd[act]
-        L, R = act[left], act[~left]
-        hi[L], d[L], fd[L] = d[L], c[L], fc[L]
-        c[L] = hi[L] - _GOLDEN * (hi[L] - lo[L])
-        lo[R], c[R], fc[R] = c[R], d[R], fd[R]
-        d[R] = lo[R] + _GOLDEN * (hi[R] - lo[R])
-        f = _ray_value(_ray_factors(a, np.where(left, c[act], d[act])),
-                       A[act], B[act])
-        fc[L], fd[R] = f[left], f[~left]
+        keep = hi - lo >= 1e-12
+        if not keep.all():
+            final[:, act[~keep]] = lo[~keep], hi[~keep], fc[~keep], fd[~keep]
+            act, wa, wb, lo, hi, c, d, fc, fd = (
+                x[keep] for x in (act, wa, wb, lo, hi, c, d, fc, fd))
+            if not act.size:
+                break
+        left = fc < fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        new = np.where(left, hi - _GOLDEN * (hi - lo),
+                       lo + _GOLDEN * (hi - lo))
+        f = _ray_value(_ray_factors(a, new), wa, wb)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     else:
-        if act.size:
-            raise NumericalError(
-                f"golden-section refinement exceeded {max_iter} iterations; "
-                f"best bracket [{lo[act[0]]:.17g}, {hi[act[0]]:.17g}]")
+        raise NumericalError(
+            f"golden-section refinement exceeded {max_iter} iterations; "
+            f"best bracket [{lo[0]:.17g}, {hi[0]:.17g}]")
+    lo, hi, fc, fd = final
     best = _ray_value(_ray_factors(a, 0.5 * (lo + hi)), A, B)
     best = np.where(fc < best, fc, best)
     return np.where(fd < best, fd, best)

@@ -24,12 +24,12 @@ families admit:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .chain import FiniteChain
 from .entropy import big_theta, power_entropy
@@ -289,6 +289,17 @@ def build_random_transposition(n: int) -> FiniteChain:
 # finite-volume drift-diffusion chain
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre(npts: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed
+    once per order (numpy.polynomial is imported on first use only)."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def fv_cell_averages(V, n_cells: int, order: int = 16,
                      rtol: float = 1e-12) -> np.ndarray:
     """Cell averages of exp(-V) over the uniform partition of [0, 1].
@@ -302,7 +313,7 @@ def fv_cell_averages(V, n_cells: int, order: int = 16,
     edges = np.linspace(0.0, 1.0, n_cells + 1)
 
     def averages(npts):
-        xg, wg = leggauss(npts)
+        xg, wg = _gauss_legendre(npts)
         lo = edges[:-1][:, None]
         hi = edges[1:][:, None]
         xs = 0.5 * (hi - lo) * xg[None, :] + 0.5 * (hi + lo)

@@ -1,16 +1,19 @@
 """Config validation, command drivers, determinism, exit-status contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from beckner_lab import (ConfigError, OptimizerOptions, beckner_constant,
                          build_random_transposition, lsi_constant,
                          mlsi_constant, potential_from_config)
-from beckner_lab.cli import main, parse_model_block, validate_config
+from beckner_lab.cli import (_CSV_BLOCK_ROWS, _write_csv, main,
+                             parse_model_block, validate_config)
 
 
 def _fv_report_text(n_cells, alpha):
@@ -245,6 +248,19 @@ class TestCommands:
             text=True, check=True)
         assert done.stdout.splitlines()[-1] == "0 False"
 
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the Gauss-Legendre rule of the finite-volume model imports
+        # numpy.polynomial on first use, not on import of the CLI
+        import beckner_lab
+        src = os.path.dirname(os.path.dirname(beckner_lab.__file__))
+        code = ("import sys, beckner_lab.cli; "
+                "print(any(m == 'numpy.polynomial' or "
+                "m.startswith('numpy.polynomial.') for m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_fokker_planck_refinement(self, tmp_path):
         status = main(["fokker-planck", "--model", "fokker_planck_fv",
                        "--coeff", "2.0", "--cells", "8", "16",
@@ -468,3 +484,58 @@ class TestCommands:
         assert status == 0
         doc = json.loads((tmp_path / "densities_alpha1_5.json").read_text())
         assert len(next(iter(doc.values()))) == 6
+
+
+def _fmt(x) -> str:
+    """One CSV cell as a per-value writer formats it: bools as 1/0, ints
+    by str, everything else as 17 significant digits of a float."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+class TestWriteCsv:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               1.7976931348623157e308, 0.1, 1.0, -2.5, 1e-300, 123456789.0]
+
+    def _reference(self, header, rows):
+        return (header + "\n" + "".join(
+            ",".join(_fmt(v) for v in row) + "\n" for row in rows)).encode()
+
+    def test_bytes_match_the_per_value_reference(self, tmp_path):
+        # a float column with every special value, a bool column (Python
+        # and numpy), small ints (Python and numpy) and random floats,
+        # over more rows than two write blocks
+        rng = np.random.default_rng(4)
+        n = 2 * _CSV_BLOCK_ROWS + 7
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        floats[:len(self.SPECIAL)] = self.SPECIAL
+        rows = [(float(f), bool(k % 3), np.bool_(k % 5 == 0),
+                 k % 97 - 48, np.int64(k % 1000), float(np.float64(g)))
+                for k, (f, g) in enumerate(zip(floats, rng.random(n)))]
+        header = "f,b,nb,i,ni,g"
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, rows)
+        assert path.read_bytes() == self._reference(header, rows)
+        table = np.array([[float(v) for v in row] for row in rows])
+        _write_csv(str(path), header, table)
+        assert path.read_bytes() == self._reference(
+            header, [list(map(float, row)) for row in table])
+        _write_csv(str(path), header, table[:0])
+        assert path.read_bytes() == b"f,b,nb,i,ni,g\n"
+
+    def test_memory_stays_below_the_formatted_file(self, tmp_path):
+        import tracemalloc
+        table = np.random.default_rng(5).standard_normal((200000, 5))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(str(path), "a,b,c,d,e", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 15_000_000
+        assert peak < size / 8, (peak, size)

@@ -8,6 +8,7 @@ import pytest
 
 import beckner_lab as bl
 from beckner_lab import DomainError, NumericalError
+from beckner_lab.entropy import _golden
 
 
 def brute_force_big_theta(alpha, A, B, n=1500):
@@ -56,12 +57,18 @@ def reference_ray_infimum(a, A, B, max_iter=200):
         span *= 2.0
         if span > 600.0:
             raise NumericalError("ray scan did not bracket the minimizer")
-    lo, hi = ws[i - 1], ws[i + 1]
+    return reference_golden(a, A, B, ws[i - 1], ws[i + 1], max_iter)[0]
+
+
+def reference_golden(a, A, B, lo, hi, max_iter=200):
+    """Scalar golden section of one pair on [lo, hi]: its value and the
+    number of steps it took.  On running out of steps it raises the
+    lockstep refinement's message with this pair's last bracket."""
     f = lambda w: float(reference_ray_value(a, A, B, np.float64(w)))
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for step in range(max_iter):
         if hi - lo < 1e-12:
             break
         if fc < fd:
@@ -73,8 +80,10 @@ def reference_ray_infimum(a, A, B, max_iter=200):
             d = lo + _GOLDEN * (hi - lo)
             fd = f(d)
     else:
-        raise NumericalError("golden-section refinement did not converge")
-    return min(f(0.5 * (lo + hi)), fc, fd)
+        raise NumericalError(
+            f"golden-section refinement exceeded {max_iter} iterations; "
+            f"best bracket [{lo:.17g}, {hi:.17g}]")
+    return min(f(0.5 * (lo + hi)), fc, fd), step
 
 
 def reference_big_theta(entropy, A, B):
@@ -405,6 +414,62 @@ class TestLockstepBigTheta:
             for k in range(A.size):
                 alone = bl.big_theta(e, float(A[k]), float(B[k]))
                 assert type(alone) is float and alone == full[k], k
+
+    @pytest.mark.parametrize("a", [1.0, 1.05, 1.5])
+    def test_golden_rows_retire_at_their_own_step(self, a):
+        # bracket widths from below the 1e-12 stop up to 8 retire at
+        # steps 0 to 60; the compacted lockstep refinement gives each row
+        # the bits of its scalar run
+        rng = np.random.default_rng(11)
+        A, B = np.exp(rng.uniform(-8.0, 8.0, size=(2, 120)))
+        width = rng.choice([5e-13, 3e-12, 1e-6, 0.1, 0.2, 0.4, 0.8, 8.0],
+                           size=120)
+        lo = rng.uniform(-5.0, 5.0, size=120)
+        hi = lo + width
+        got = _golden(a, A, B, lo, hi, 200)
+        ref, steps = zip(*(reference_golden(a, *row)
+                           for row in zip(A, B, lo, hi)))
+        assert np.array_equal(got, ref)
+        assert len(set(steps)) >= 6 and min(steps) == 0
+
+    def test_scan_and_golden_with_rescanned_rows(self):
+        # rows bracketed at spans 60, 120, 240 and 480 reach the golden
+        # section with brackets of four widths, so they retire at
+        # different steps; a boundary-limit row is mixed in
+        e = bl.power_entropy(1.05)
+        rng = np.random.default_rng(12)
+        A = np.concatenate(([1.0, 1e-60, 1.0, 1.0, 2.0],
+                            np.exp(rng.uniform(-20.0, 20.0, size=60))))
+        B = np.concatenate(([1e-30, 1.0, 1e-110, 1e-300, 2.0],
+                            np.exp(rng.uniform(-20.0, 20.0, size=60))))
+        out = bl.big_theta(e, A, B)
+        keep = np.ones(A.size, dtype=bool)
+        keep[3] = False
+        assert np.array_equal(out[keep], reference_big_theta(e, A[keep],
+                                                              B[keep]))
+        assert out[3] == bl.big_theta_lower_bound(1.05, 1.0, 1e-300)
+
+    def test_step_limit_names_the_first_active_bracket(self):
+        # rows 0 and 1 converge within the limit; row 2 is the first
+        # still active, and the message carries its last bracket
+        A, B = np.array([1.0, 2.0, 3.0, 0.5]), np.array([2.0, 1.0, 0.7, 4.0])
+        lo = np.array([0.1, -0.3, 0.2, -1.0])
+        hi = lo + np.array([5e-13, 3e-12, 0.8, 0.1])
+        with pytest.raises(NumericalError) as expected:
+            reference_golden(1.5, A[2], B[2], lo[2], hi[2], 20)
+        with pytest.raises(NumericalError) as got:
+            _golden(1.5, A, B, lo, hi, 20)
+        assert str(got.value) == str(expected.value)
+        assert "exceeded 20 iterations; best bracket [" in str(got.value)
+        # through big_theta: pair 0 returns the boundary limit without
+        # refinement, so pair 1 is the first active row
+        e = bl.power_entropy(1.5)
+        A, B = np.array([1e-300, 2.0, 0.5]), np.array([1.0, 7.0, 3.0])
+        with pytest.raises(NumericalError) as expected:
+            reference_ray_infimum(1.5, A[1], B[1], max_iter=12)
+        with pytest.raises(NumericalError) as got:
+            bl.big_theta(e, A, B, max_iter=12)
+        assert str(got.value) == str(expected.value)
 
 
 class TestThetaSurface:

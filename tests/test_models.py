@@ -170,6 +170,49 @@ class TestFokkerPlanckChain:
         oracle = bl.models.fv_cell_averages(V, 16, order=96)
         assert np.max(np.abs(cells - oracle) / oracle) <= 1e-13
 
+    @staticmethod
+    def _uncached_averages(V, n_cells, order=16, rtol=1e-12):
+        """The doubling cell quadrature on a fresh leggauss rule per
+        order; returns the averages and the last order used."""
+        from numpy.polynomial.legendre import leggauss
+        h = 1.0 / n_cells
+        edges = np.linspace(0.0, 1.0, n_cells + 1)
+        lo, hi = edges[:-1][:, None], edges[1:][:, None]
+
+        def averages(npts):
+            xg, wg = leggauss(npts)
+            xs = 0.5 * (hi - lo) * xg[None, :] + 0.5 * (hi + lo)
+            vals = np.exp(-np.asarray(V(xs), dtype=float))
+            return (0.5 * (hi - lo) * (wg[None, :] * vals)).sum(axis=1) / h
+
+        cur = averages(order)
+        while True:
+            order *= 2
+            nxt = averages(order)
+            if np.max(np.abs(nxt - cur) / np.abs(nxt)) <= rtol:
+                return nxt, order
+            cur = nxt
+
+    @pytest.mark.parametrize("coeff,n_cells,last_order", [
+        (2.0, 8, 32), (2.0, 128, 32), (200.0, 4, 64), (1000.0, 3, 256)])
+    def test_cached_rule_equals_a_fresh_leggauss(self, coeff, n_cells,
+                                                  last_order):
+        V = lambda x: coeff * np.asarray(x) ** 2
+        ref, order = self._uncached_averages(V, n_cells)
+        assert order == last_order
+        assert np.array_equal(bl.models.fv_cell_averages(V, n_cells), ref)
+
+    def test_cached_rule_is_read_only(self):
+        from numpy.polynomial.legendre import leggauss
+        for npts in (16, 32, 256):
+            x, w = bl.models._gauss_legendre(npts)
+            fresh = leggauss(npts)
+            assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+            assert bl.models._gauss_legendre(npts)[0] is x
+            for arr in (x, w):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
     def test_detailed_balance_exact(self):
         chain = bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2,
                                           32, 4.0)
