@@ -15,18 +15,20 @@ log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
 the spectral-gap eigenvector and random log-Gaussian fields.  The starts
 advance in lockstep as the rows of one array (a constants report puts
-all of its estimates in one array, a block of rows each), and each row
-gets the bits it would get if its start ran alone.  Estimates are upper brackets of
-the sharp constants; linearization rays rho = 1 + eps f_gap are always
-folded in, which pins lambda_B(2) = 2 lambda_P exactly and keeps every
-estimate at or below 2 lambda_P.
+all of its estimates in one array, a block of rows each, ordered by
+quotient kind).  Each lockstep round makes one evaluation of value,
+density and gradient for all running rows, and the array keeps only the
+rows still running; each row gets the bits it would get if its start
+ran alone.  Estimates are upper brackets of the sharp constants;
+linearization rays rho = 1 + eps f_gap are always folded in, which pins
+lambda_B(2) = 2 lambda_P exactly and keeps every estimate at or below
+2 lambda_P.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +72,7 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]       # one product per row
 
 
-class _Point(NamedTuple):
-    """Evaluation points stacked by row: quotient value, denominator,
-    density, the terms the gradient reuses, and each row's id in the
-    descent stack."""
-    val: np.ndarray
-    den: np.ndarray
-    rho: np.ndarray
-    terms: tuple
-    ids: np.ndarray
+_KINDS = ("beckner", "mlsi", "lsi")     # the order of a descent's blocks
 
 
 class _Quotient:
@@ -87,8 +81,12 @@ class _Quotient:
     ``_Quotient(chain, kind, alpha)`` evaluates one quotient on every row.
     ``_Quotient(chain, specs=[(kind, alpha), ...], block=n)`` evaluates a
     stack of blocks: the row with id r in the descent stack evaluates
-    ``specs[r // n]``; without ``block`` all rows form one block.  Each kind keeps one formula, run on all of its rows
-    at once; the beckner formula takes alpha as a per-row column.
+    ``specs[r // n]``; without ``block`` all rows form one block.  Each
+    kind keeps one formula, run on every run of consecutive rows of that
+    kind as slice views; the beckner formula takes alpha as a per-row
+    column.  Terms the kinds share (log rho, rho - 1, the product with Q,
+    the log-kind entropy and its derivative, the projection) are computed
+    once for all rows.
 
     Every row gets the bits it would get in a stack of its own: products
     with Q run as one matrix-vector product per row (a single matrix
@@ -104,100 +102,80 @@ class _Quotient:
                  block: int | None = None):
         self.specs = list(specs) or [(kind, alpha)]
         for k, _ in self.specs:
-            if k not in ("beckner", "mlsi", "lsi"):
+            if k not in _KINDS:
                 raise DomainError(f"unknown quotient kind {k!r}")
-        self.kinds = np.array([k for k, _ in self.specs])
+        self.codes = np.array([_KINDS.index(k) for k, _ in self.specs])
         self.alphas = np.array([math.nan if a is None else a
                                 for _, a in self.specs])
+        # numerator coefficient a/(a-1) of the beckner kind, 1 of the others
+        self.coef = np.where(self.codes == 0,
+                             self.alphas / (self.alphas - 1.0), 1.0)
         self.block = block
         self.Q = chain.dense_generator()
         self.pi = chain.pi
 
-    def _groups(self, ids):
-        """(kind, row mask, alpha column) for each kind among the rows
-        with stack ids ``ids``."""
-        spec = ids // self.block if self.block else np.zeros_like(ids)
-        for kind in ("beckner", "mlsi", "lsi"):
-            sel = self.kinds[spec] == kind
-            if sel.any():
-                yield kind, sel, self.alphas[spec[sel], None]
+    def _runs(self, spec):
+        """(kind, slice, alpha column of a beckner run) for each run of
+        consecutive rows of one kind among the rows of specs ``spec``."""
+        code = self.codes[spec]
+        cut = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(),
+               len(code)]
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            kind = _KINDS[code[lo]]
+            yield kind, slice(lo, hi), (self.alphas[spec[lo:hi], None]
+                                        if kind == "beckner" else None)
 
-    def parts(self, rho, ids=None):
-        """Numerator and denominator per row, and the terms that
-        :meth:`derivatives` reuses.  ``ids`` are the rows' stack ids
-        (by default the first rows of the stack)."""
+    def parts(self, rho, ids=None, grad=False):
+        """Numerator and denominator per row of ``rho``, the rows with
+        stack ids ``ids`` (by default the first rows of the stack), and
+        with ``grad`` the gradient in u of the quotient at
+        rho = exp(u)/pi[exp(u)], projected on pi-mean-one directions."""
         ids = np.arange(len(rho)) if ids is None else ids
-        num, den = np.empty(len(rho)), np.empty(len(rho))
-        terms = np.empty_like(rho), np.empty_like(rho)
-        for kind, sel, a in self._groups(ids):
-            num[sel], den[sel], (terms[0][sel], terms[1][sel]) = \
-                self._parts(kind, a, rho[sel])
-        return num, den, terms
+        spec = ids // self.block if self.block else np.zeros_like(ids)
+        pi, c, runs = self.pi, self.coef[spec], list(self._runs(spec))
+        lg = np.log(rho)
+        rho_c = np.expm1(lg)                    # rho - 1
+        X, F = rho_c.copy(), lg.copy()          # num = -c pi[F Q X]
+        E = rho * lg - rho_c                    # den = pi[E]
+        for kind, r, a in runs:
+            if kind == "beckner":
+                F[r] = np.expm1((a - 1.0) * lg[r])      # rho^{a-1} - 1
+                E[r] = (np.expm1(a * lg[r]) - rho_c[r]) / (a - 1.0) - rho_c[r]
+            elif kind == "lsi":
+                F[r] = X[r] = np.expm1(0.5 * lg[r])     # sqrt(rho) - 1
+        QX = _matvec(self.Q, X)
+        num, den = -(c * _rowsum(pi * F * QX)), _rowsum(pi * E)
+        if not grad:
+            return num, den
+        QF, dnum, dden = _matvec(self.Q, F), np.empty_like(rho), pi * lg
+        for kind, r, a in runs:
+            if kind == "beckner":
+                dnum[r] = -c[r, None] * pi * (
+                    (a - 1.0) * rho[r] ** (a - 2.0) * QX[r] + QF[r])
+                dden[r] = pi * a * F[r] / (a - 1.0)
+            elif kind == "mlsi":
+                dnum[r] = -pi * (QX[r] / rho[r] + QF[r])
+            else:
+                dnum[r] = -pi * QX[r] / np.sqrt(rho[r])
+        G = rho * ((dnum - (num / den)[:, None] * dden) / den[:, None])
+        return num, den, G - pi * rho * _rowsum(G)[:, None]
 
-    def _parts(self, kind, a, rho):
-        pi, lg = self.pi, np.log(rho)
-        if kind == "beckner":
-            rho_c = np.expm1(lg)                    # rho - 1
-            pw_c = np.expm1((a - 1.0) * lg)         # rho^{a-1} - 1
-            Lr = _matvec(self.Q, rho_c)
-            num = -(a / (a - 1.0)) * _rowsum(pi * pw_c * Lr)[:, None]
-            phi_el = (np.expm1(a * lg) - rho_c) / (a - 1.0) - rho_c
-            return num[:, 0], _rowsum(pi * phi_el), (pw_c, Lr)
-        if kind == "mlsi":
-            rho_c = np.expm1(lg)
-            Lr = _matvec(self.Q, rho_c)
-            num = -_rowsum(pi * lg * Lr)
-            return num, _rowsum(pi * (rho * lg - rho_c)), (lg, Lr)
-        sq_c = np.expm1(0.5 * lg)                   # sqrt(rho) - 1
-        Lsq = _matvec(self.Q, sq_c)
-        num = -_rowsum(pi * sq_c * Lsq)
-        return (num, _rowsum(pi * (rho * lg - np.expm1(lg))),
-                (lg, Lsq))
-
-    def derivatives(self, rho, terms, ids):
-        """Gradients of numerator and denominator with respect to rho."""
-        dnum, dden = np.empty_like(rho), np.empty_like(rho)
-        for kind, sel, a in self._groups(ids):
-            dnum[sel], dden[sel] = self._derivatives(
-                kind, a, rho[sel], [t[sel] for t in terms])
-        return dnum, dden
-
-    def _derivatives(self, kind, a, rho, terms):
-        pi = self.pi
-        if kind == "beckner":
-            pw_c, Lr = terms
-            dnum = -(a / (a - 1.0)) * pi * (
-                (a - 1.0) * rho ** (a - 2.0) * Lr + _matvec(self.Q, pw_c))
-            return dnum, pi * a * pw_c / (a - 1.0)
-        if kind == "mlsi":
-            lg, Lr = terms
-            return -pi * (Lr / rho + _matvec(self.Q, lg)), pi * lg
-        lg, Lsq = terms
-        return -pi * Lsq / np.sqrt(rho), pi * lg
-
-    def at(self, U, ids=None) -> _Point:
-        """Quotient at rho = exp(u)/pi[exp(u)] for each row u of U, the
-        rows with stack ids ``ids`` (by default the first rows)."""
-        ids = np.arange(len(U)) if ids is None else ids
+    def evaluate(self, U, ids=None):
+        """Quotient value, density and projected gradient in u at
+        rho = exp(u)/pi[exp(u)] for each row u of U, the rows with stack
+        ids ``ids`` (by default the first rows)."""
         V = np.exp(U - U.max(axis=-1, keepdims=True))
         rho = V / _rowsum(self.pi * V)[:, None]
-        num, den, terms = self.parts(rho, ids)
-        return _Point(num / den, den, rho, terms, ids)
-
-    def gradient(self, p: _Point, rows=slice(None)):
-        """Projected gradient in u at the given rows of ``p``."""
-        val, den, rho = p.val[rows], p.den[rows], p.rho[rows]
-        dnum, dden = self.derivatives(rho, [t[rows] for t in p.terms],
-                                      p.ids[rows])
-        G = rho * ((dnum - val[:, None] * dden) / den[:, None])
-        return G - self.pi * rho * _rowsum(G)[:, None]
+        num, den, G = self.parts(rho, ids, grad=True)
+        return num / den, rho, G
 
 
 def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
                    rho: Density) -> float:
     """Direct evaluation of the named quotient at a density."""
-    (num,), (den,), _ = _Quotient(chain, kind, alpha).parts(
-        rho.values[None, :])
+    if kind == "beckner":
+        _check_alpha(alpha)
+    (num,), (den,) = _Quotient(chain, kind, alpha).parts(rho.values[None, :])
     if den <= 0.0:
         raise DomainError("entropy vanished at the evaluation point")
     return float(num / den)
@@ -217,6 +195,10 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.starts < 1:
             raise DomainError(f"starts must be >= 1, got {self.starts}")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
 
 
 # start statuses; every status but "maxiter" counts as converged
@@ -257,6 +239,12 @@ def _rowdot(A, B):
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
+def _where(mask):
+    """The rows where ``mask`` holds: every row as a slice (so indexing
+    gives views), or their indices."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 class _Pairs:
     """Each row's last ``_MEMORY`` curvature pairs (s, y) for the compact
     form of the L-BFGS matrix (Byrd, Nocedal & Schnabel 1994):
@@ -266,6 +254,7 @@ class _Pairs:
     of the newest pair.  Pairs sit in a ring of slots; R^{-1}, Y Y^T and D
     are kept in slot order and bordered as a pair arrives, and dropping
     the oldest pair clears its slot, so no round refactors a matrix.
+    ``rows`` below select rows by index or by slice.
     """
 
     def __init__(self, K: int, n: int):
@@ -275,30 +264,39 @@ class _Pairs:
         self.sy = np.zeros((K, m))          # D
         self.count = np.zeros(K, dtype=int)
 
+    def compact(self, keep):
+        """Keep the rows where ``keep`` holds."""
+        self.W, self.Ri, self.YY, self.sy, self.count = (
+            x[keep] for x in (self.W, self.Ri, self.YY, self.sy, self.count))
+
     def add(self, rows, s, y, sy):
-        """Store pair (s[j], y[j]), s.y = sy[j], in row rows[j]."""
+        """Store pair (s[j], y[j]), s.y = sy[j], in the j-th row of
+        ``rows``."""
         m, W, Ri, YY = _MEMORY, self.W, self.Ri, self.YY
-        o = self.count[rows] % m            # the oldest slot, or a free one
-        W[rows, o] = W[rows, m + o] = Ri[rows, o] = Ri[rows, :, o] = 0.0
-        YY[rows, o] = YY[rows, :, o] = 0.0
+        if not len(y):
+            return
+        r = np.arange(len(W))[rows]
+        o = self.count[r] % m               # the oldest slot, or a free one
+        W[r, o] = W[r, m + o] = Ri[r, o] = Ri[r, :, o] = 0.0
         b = _matvec(W[rows], y)             # S y over Y y
-        Ri[rows, :, o] = -_matvec(Ri[rows], b[:, :m]) / sy[:, None]
-        Ri[rows, o, o] = 1.0 / sy
-        YY[rows, o] = YY[rows, :, o] = b[:, m:]
-        YY[rows, o, o], self.sy[rows, o] = _rowdot(y, y), sy
-        W[rows, o], W[rows, m + o] = s, y
-        self.count[rows] += 1
+        Ri[r, :, o] = -_matvec(Ri[rows], b[:, :m]) / sy[:, None]
+        Ri[r, o, o] = 1.0 / sy
+        YY[r, o] = YY[r, :, o] = b[:, m:]   # row and column o of Y Y^T
+        YY[r, o, o], self.sy[r, o] = _rowdot(y, y), sy
+        W[r, o], W[r, m + o] = s, y
+        self.count[r] += 1
 
     def directions(self, rows, G):
-        """-H g for the rows ``rows`` (each holding a pair), g in G."""
-        m, W, Ri, sy = _MEMORY, self.W[rows], self.Ri[rows], self.sy[rows]
-        new = (self.count[rows] - 1) % m
-        gamma = (sy[np.arange(len(rows)), new]
-                 / self.YY[rows, new, new])[:, None]
+        """-H g for the rows ``rows``, g in G (nan for a row without
+        pairs)."""
+        m, W, Ri = _MEMORY, self.W[rows], self.Ri[rows]
+        YY, sy = self.YY[rows], self.sy[rows]
+        k, new = np.arange(len(G)), (self.count[rows] - 1) % m
+        gamma = (sy[k, new] / YY[k, new, new])[:, None]
         q = _matvec(W, G)                   # S g over Y g
         t = _matvec(Ri, q[:, :m])
         w = _matvec(Ri.transpose(0, 2, 1), sy * t + gamma * _matvec(
-            self.YY[rows], t) - gamma * q[:, m:])
+            YY, t) - gamma * q[:, m:])
         return -(gamma * G + _matvec(W.transpose(0, 2, 1),
                                      np.concatenate((w, -gamma * t), axis=1)))
 
@@ -309,14 +307,18 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
     Each row has its own pairs (kept when s.y > 1e-12 |s| |y|),
     direction, step, iteration count, stall anchor and status, so it
     follows exactly the path it follows alone.  A round tries one step
-    per running row.  A trial with a finite gradient that meets the
-    Armijo test (c1 = 1e-4) starts the row's next iteration; otherwise
-    the step shrinks to the minimizer of the interpolating quadratic,
-    clamped to [0.1, 0.5] of the step.  Without pairs a row steps along
-    -g, first scaled by 1/max(1, |g|_inf); a quasi-Newton direction
-    starts at unit step and gives way to -g if it does not descend.  The
-    evaluator sees each trial stack with its rows' ids, so a stacked
-    quotient evaluates every row with its own kind and alpha.
+    per running row with one evaluation of value, density and gradient
+    for all of them.  A trial with a finite gradient that meets the
+    Armijo test (c1 = 1e-4) is accepted, and the row's next iteration
+    starts at once: its stopping tests run and it gets a new direction;
+    otherwise the step shrinks to the minimizer of the interpolating
+    quadratic, clamped to [0.1, 0.5] of the step.  Without pairs a row
+    steps along -g, first scaled by 1/max(1, |g|_inf); a quasi-Newton
+    direction starts at unit step and gives way to -g if it does not
+    descend.  The evaluator sees each trial stack with its rows' ids, so
+    a stacked quotient evaluates every row with its own kind and alpha.
+    The state arrays hold the running rows only: a row's results are
+    written out when it stops, and its state is dropped.
 
     Statuses: "gradient" (gradient test met), "stalled" (the predicted
     decrease of the line search, an accepted step's gain or 25
@@ -326,69 +328,74 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
     """
     U = np.array(U0, dtype=float)
     K, n = U.shape
+    value, rho_out, gnorm = np.empty(K), np.empty((K, n)), np.empty(K)
+    status, trials = np.empty(K, dtype=int), np.empty(K, dtype=int)
+    live = np.arange(K)                     # stack ids of the running rows
     with np.errstate(all="ignore"):         # inf/nan iterates are rejected
-        p = quot.at(U, np.arange(K))
-        val, rho, G = p.val, p.rho, quot.gradient(p)
-        trials = np.zeros(K, dtype=int)
+        val, rho, G = quot.evaluate(U, live)
         pairs = _Pairs(K, n)
-        D, gd, step = np.zeros((K, n)), np.zeros(K), np.zeros(K)  # d, g.d
+        D, gd, step = np.empty((K, n)), np.empty(K), np.empty(K)  # d, g.d
         its, anchor = np.zeros(K, dtype=int), val.copy()
-        status = np.full(K, "maxiter", dtype=object)
-        running = np.ones(K, dtype=bool)
-        flat = np.zeros(K, dtype=bool)      # last step gained nothing
-        top = np.arange(K)                  # rows starting an iteration
+        # the rows starting an iteration, and whether their step gained
+        # nothing; every row at first
+        top, flat, rounds = slice(None), False, 0
         while True:
-            if top.size:
-                v, g = val[top], G[top]
-                scale = np.fmax(1.0, np.abs(v))     # max(1, |val|)
-                done = np.max(np.abs(g), axis=1) <= gtol * scale
-                check = its[top] % 25 == 24
-                stall = ~done & (flat[top] | (
-                    check & (anchor[top] - v <= 1e-13 * scale)))
-                anchor[top[check]] = v[check]
-                status[top[done]], status[top[stall]] = "gradient", "stalled"
-                end = done | stall | (its[top] >= max_iter)  # or "maxiter"
-                running[top[end]] = False
-                top, g = top[~end], g[~end]
-                d, qn = -g, pairs.count[top] > 0
-                d[qn] = pairs.directions(top[qn], g[qn])
-                dg = _rowdot(g, d)
-                bad = ~(dg < 0.0)
+            v, g, it = val[top], G[top], its[top]
+            gmax = np.abs(g).max(axis=1)
+            scale = np.fmax(1.0, np.abs(v))         # max(1, |val|)
+            check = it % 25 == 24
+            done = gmax <= gtol * scale
+            stall = flat | (check & (anchor[top] - v <= 1e-13 * scale))
+            anchor[top] = np.where(check, v, anchor[top])
+            qn = pairs.count[top] > 0
+            d = np.where(qn[:, None], pairs.directions(top, g), -g)
+            dg = _rowdot(g, d)
+            bad = ~(dg < 0.0)
+            if bad.any():
                 d[bad], dg[bad] = -g[bad], -_rowdot(g[bad], g[bad])
-                D[top], gd[top] = d, dg
-                step[top] = np.where(
-                    qn, 1.0, 1.0 / np.fmax(1.0, np.max(np.abs(g), axis=1)))
+            D[top], gd[top] = d, dg
+            step[top] = np.where(qn, 1.0, 1.0 / np.fmax(1.0, gmax))
             # a predicted decrease below float resolution ends the row
-            tiny = running & ~(step * np.abs(gd)
-                               >= 1e-15 * np.fmax(1.0, np.abs(val)))
-            status[tiny], running[tiny] = "stalled", False
-            rows = np.flatnonzero(running)
-            if rows.size == 0:
-                break
-            s = step[rows]
-            U_try = U[rows] + s[:, None] * D[rows]
-            p = quot.at(U_try, rows)
-            trials[rows] += 1
-            ok = np.isfinite(p.val) & (p.val <= val[rows] + 1e-4 * s * gd[rows])
-            G_new = quot.gradient(p, ok)
-            finite = np.isfinite(G_new).all(axis=1)
-            ok[ok], G_new = finite, G_new[finite]
-            top = rows[ok]
-            ds, dy = U_try[ok] - U[top], G_new - G[top]
+            stop = ~(step * np.abs(gd) >= 1e-15 * np.fmax(1.0, np.abs(val)))
+            maxed = it >= max_iter
+            stop[top] |= done | stall | maxed
+            if stop.any():
+                code = np.ones(len(live), dtype=int)    # index in STATUSES
+                code[top] = np.select((done, stall, maxed), (0, 1, 2), 1)
+                out = live[stop]
+                value[out], rho_out[out], status[out] = (val[stop], rho[stop],
+                                                         code[stop])
+                gnorm[out] = np.abs(G[stop]).max(axis=1)
+                trials[out] = rounds
+                keep = ~stop
+                live, U, val, rho, G, D, gd, step, its, anchor = (
+                    x[keep] for x in (live, U, val, rho, G, D, gd, step, its,
+                                      anchor))
+                pairs.compact(keep)
+                if live.size == 0:
+                    break
+            U_try = U + step[:, None] * D
+            v, rho_try, G_try = quot.evaluate(U_try, live)
+            rounds += 1
+            ok = (np.isfinite(v) & (v <= val + 1e-4 * step * gd)
+                  & np.isfinite(G_try).all(axis=1))
+            ds, dy = U_try - U, G_try - G
             sy = _rowdot(ds, dy)
-            keep = sy > 1e-12 * np.sqrt(_rowdot(ds, ds) * _rowdot(dy, dy))
-            pairs.add(top[keep], ds[keep], dy[keep], sy[keep])
-            v = p.val[ok]
-            flat[top] = val[top] - v <= 1e-16 * np.fmax(1.0, np.abs(val[top]))
-            U[top], val[top], rho[top], G[top] = U_try[ok], v, p.rho[ok], G_new
+            new = _where(ok & (sy > 1e-12 * np.sqrt(_rowdot(ds, ds)
+                                                    * _rowdot(dy, dy))))
+            pairs.add(new, ds[new], dy[new], sy[new])
+            flat = val - v <= 1e-16 * np.fmax(1.0, np.abs(val))
+            # a rejected row: minimizer of the quadratic through val, gd
+            # and the trial
+            quad = -gd * step * step / (2.0 * (v - val - step * gd))
+            step = np.fmin(np.fmax(quad, 0.1 * step), 0.5 * step)
+            top = _where(ok)
+            U[top], val[top], rho[top], G[top] = (U_try[top], v[top],
+                                                  rho_try[top], G_try[top])
             its[top] += 1
-            rej, s = rows[~ok], s[~ok]
-            # minimizer of the quadratic through val, gd and the trial
-            quad = -gd[rej] * s * s / (2.0 * (p.val[~ok] - val[rej]
-                                              - s * gd[rej]))
-            step[rej] = np.fmin(np.fmax(quad, 0.1 * s), 0.5 * s)
-        gnorm = np.max(np.abs(G), axis=1)
-    return _Descent(val, rho, gnorm, list(status), trials)
+            flat = flat[top]
+    return _Descent(value, rho_out, gnorm, [STATUSES[c] for c in status],
+                    trials)
 
 
 def _gap_rays(chain, f_gap):
@@ -431,10 +438,11 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
     With ``continuity_check`` every mlsi spec is followed by a power-entropy
     block at alpha = 1 + 1e-4, whose candidates add the mlsi minimizer and
     whose value and relative gap go to the mlsi convergence record (the
-    power family tends to the log case as alpha -> 1).  The blocks are
-    then finished in order: rays and ``extra_candidates`` join the
-    candidates, the best is rechecked, and the first block with no
-    converged start raises.
+    power family tends to the log case as alpha -> 1).  The stack orders
+    the blocks by kind (beckner, mlsi, lsi), so a round evaluates each
+    kind on one run of rows.  The blocks are then finished in spec order:
+    rays and ``extra_candidates`` join the candidates, the best is
+    rechecked, and the first block with no converged start raises.
     """
     stack, checks = [], set()      # checks: the continuity blocks
     for spec in specs:
@@ -445,13 +453,14 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
     f_gap = poincare_eigenvector(chain)
     starts = _start_fields(chain, f_gap, opts)
     K = len(starts)
-    quot = _Quotient(chain, specs=stack, block=K)
+    order = sorted(range(len(stack)), key=lambda i: _KINDS.index(stack[i][0]))
+    quot = _Quotient(chain, specs=[stack[i] for i in order], block=K)
     run = _descend(quot, np.tile(starts, (len(stack), 1)), opts.max_iter,
                    opts.tol)
     ests = []
     for i, (kind, alpha) in enumerate(stack):
-        near = i in checks
-        est = _finish(chain, quot, i * K, run.block(slice(i * K, (i + 1) * K)),
+        near, j = i in checks, order.index(i)   # j: the block in the stack
+        est = _finish(chain, quot, j * K, run.block(slice(j * K, (j + 1) * K)),
                       kind, alpha, f_gap, (ests[-1].minimizer.values,)
                       if near else extra_candidates)
         if near:
@@ -480,7 +489,7 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
     spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
               if v.size else math.nan)
     rays = np.vstack([_gap_rays(chain, f_gap), *extra_candidates])
-    nums, dens, _ = quot.parts(rays, np.full(len(rays), first))
+    nums, dens = quot.parts(rays, np.full(len(rays), first))
     for num, den, rho in zip(nums, dens, rays):
         if den > 0.0 and math.isfinite(num):
             candidates.append((float(num / den), rho))
@@ -509,7 +518,7 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
 
 
 def _check_alpha(alpha):
-    if not 1.0 < alpha <= 2.0:
+    if alpha is None or not 1.0 < alpha <= 2.0:
         raise DomainError("alpha must lie in (1, 2]")
 
 
@@ -598,7 +607,7 @@ def constants_report(chain: FiniteChain, alphas,
     pool = np.array([e.minimizer.values for e in ests])
     folds = [("mlsi", None), ("lsi", None)] + [("beckner", a)
                                                for a in distinct]
-    num, den, _ = _Quotient(chain, specs=folds, block=len(pool)).parts(
+    num, den = _Quotient(chain, specs=folds, block=len(pool)).parts(
         np.tile(pool, (len(folds), 1)))
     if np.any(den <= 0.0):
         raise DomainError("entropy vanished at the evaluation point")

@@ -129,9 +129,24 @@ class TestBecknerConstant:
             with pytest.raises(bl.DomainError, match="starts must be >= 1"):
                 OptimizerOptions(starts=starts)
 
+    def test_bad_iteration_limit_or_tolerance_rejected(self):
+        for max_iter in (0, -5):
+            with pytest.raises(bl.DomainError, match="max_iter must be >= 1"):
+                OptimizerOptions(max_iter=max_iter)
+        for tol in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(bl.DomainError, match="tol must be finite"):
+                OptimizerOptions(tol=tol)
+
     def test_range_check(self, rt3):
         with pytest.raises(bl.DomainError):
             bl.beckner_constant(rt3, 2.5)
+
+    def test_quotient_value_checks_alpha(self, zr33):
+        rho = bl.normalize_density(zr33, 1.0 + 0.1 * poincare_eigenvector(
+            zr33))
+        for alpha in (None, np.nan, 1.0, 3.0):
+            with pytest.raises(bl.DomainError, match="alpha must lie"):
+                quotient_value(zr33, "beckner", alpha, rho)
 
 
 class TestLogCaseConstants:
@@ -193,6 +208,21 @@ class TestConstantsReport:
             assert est.convergence == one.convergence, est.name
         assert "alpha_to_one_value" in table.estimates[3].convergence
 
+    def test_alpha_order_keeps_estimate_bytes(self, zr33):
+        opts = OptimizerOptions(starts=8)
+        one = bl.constants_report(zr33, [1.1, 1.5, 2.0], opts=opts)
+        other = bl.constants_report(zr33, [2.0, 1.1, 1.5], opts=opts)
+        by_alpha = {(e.name, e.alpha): e for e in other.estimates}
+        assert len(by_alpha) == len(one.estimates) == 5
+        for est in one.estimates:
+            alt = by_alpha[est.name, est.alpha]
+            assert est.value == alt.value, est.alpha
+            assert est.minimizer.values.tobytes() == \
+                alt.minimizer.values.tobytes()
+            assert est.convergence == alt.convergence, est.alpha
+            # each block is finished with its own quotient
+            assert est.convergence["value_recheck_gap"] == 0.0
+
     def test_homogeneous_exclusion_references(self, bl52, specs):
         table = bl.constants_report(bl52, [1.5],
                                     spec=specs["bernoulli_laplace"])
@@ -208,8 +238,8 @@ def reference_descend(quot, u0, max_iter=400, gtol=1e-8, memory=10):
     bordered as each pair arrives.  Returns (value, rho, gnorm, status)."""
 
     def value_grad(u):
-        p = quot.at(u[None, :])
-        return float(p.val[0]), quot.gradient(p)[0], p.rho[0]
+        val, rho, G = quot.evaluate(u[None, :])
+        return float(val[0]), G[0], rho[0]
 
     m, n = memory, len(u0)
     W = np.zeros((2 * m, n))
@@ -342,16 +372,15 @@ class TestLockstepDescent:
             quot = _Quotient(chain, kind, alpha)
             U = rng.standard_normal((32, chain.n_states)) * \
                 np.repeat([0.1, 1.0, 3.0, 10.0], 8)[:, None]
-            p = quot.at(U)
-            G = quot.gradient(p)
+            val, rho, G = quot.evaluate(U)
             mask = np.arange(32) % 3 == 0
-            assert np.array_equal(quot.gradient(p, mask), G[mask])
+            assert np.array_equal(quot.evaluate(U[mask])[2], G[mask])
             for k in range(32):
-                one = quot.at(U[k:k + 1])
-                assert one.val[0] == p.val[k]
-                assert np.array_equal(quot.gradient(one)[0], G[k])
-                rho = bl.Density(p.rho[k])
-                assert quotient_value(chain, kind, alpha, rho) == p.val[k]
+                one = quot.evaluate(U[k:k + 1])
+                assert one[0][0] == val[k]
+                assert np.array_equal(one[2][0], G[k])
+                assert quotient_value(chain, kind, alpha,
+                                      bl.Density(rho[k])) == val[k]
 
     def test_mixed_stack_rows_equal_one_row(self, zr33, rt4):
         # every kind, and beckner at four alphas, in one stack of blocks
@@ -360,23 +389,66 @@ class TestLockstepDescent:
             quot = _Quotient(chain, specs=MIXED_SPECS, block=8)
             U = rng.standard_normal((48, chain.n_states)) * \
                 np.tile(np.repeat([0.1, 1.0, 3.0, 10.0], 2), 6)[:, None]
-            p = quot.at(U)
-            G = quot.gradient(p)
+            val, rho, G = quot.evaluate(U)
             mask = np.arange(48) % 3 == 0
-            assert np.array_equal(quot.gradient(p, mask), G[mask])
             # a trial stack of scattered rows keeps each row's spec
             rows = np.flatnonzero(mask)
-            sub = quot.at(U[rows], rows)
-            assert np.array_equal(sub.val, p.val[rows])
-            assert np.array_equal(quot.gradient(sub), G[rows])
+            sub = quot.evaluate(U[rows], rows)
+            assert np.array_equal(sub[0], val[rows])
+            assert np.array_equal(sub[2], G[mask])
             for k in range(48):
                 kind, alpha = MIXED_SPECS[k // 8]
                 one_quot = _Quotient(chain, kind, alpha)
-                one = one_quot.at(U[k:k + 1])
-                assert one.val[0] == p.val[k], k
-                assert np.array_equal(one_quot.gradient(one)[0], G[k]), k
-                rho = bl.Density(p.rho[k])
-                assert quotient_value(chain, kind, alpha, rho) == p.val[k]
+                one = one_quot.evaluate(U[k:k + 1])
+                assert one[0][0] == val[k], k
+                assert np.array_equal(one[2][0], G[k]), k
+                assert quotient_value(chain, kind, alpha,
+                                      bl.Density(rho[k])) == val[k]
+
+    def test_shuffled_mixed_rows_equal_one_row(self, zr33, rt4):
+        # ids in any order, kinds interleaved, and trial rows whose
+        # density, value or gradient is not finite
+        rng = np.random.default_rng(5)
+        for chain in (zr33, rt4):
+            quot = _Quotient(chain, specs=MIXED_SPECS, block=8)
+            ids = rng.permutation(48)[:40]
+            U = rng.standard_normal((40, chain.n_states)) * \
+                rng.choice([0.1, 1.0, 3.0, 10.0], 40)[:, None]
+            U[::7, 0] = np.nan
+            U[3::7, 1] = np.inf
+            U[5::7, 2] = -1e300
+            with np.errstate(all="ignore"):
+                val, rho, G = quot.evaluate(U, ids)
+                num, den = quot.parts(rho, ids)
+            assert not np.isfinite(val).all()
+            assert np.array_equal(num / den, val, equal_nan=True)
+            for j, k in enumerate(ids):
+                kind, alpha = MIXED_SPECS[k // 8]
+                one_quot = _Quotient(chain, kind, alpha)
+                with np.errstate(all="ignore"):
+                    one = one_quot.evaluate(U[j:j + 1])
+                    parts = one_quot.parts(rho[j:j + 1])
+                assert np.array_equal(one[0], val[j:j + 1], equal_nan=True)
+                assert np.array_equal(one[1][0], rho[j], equal_nan=True)
+                assert np.array_equal(one[2][0], G[j], equal_nan=True), k
+                assert np.array_equal(parts, (num[j:j + 1], den[j:j + 1]),
+                                      equal_nan=True)
+
+    def test_evaluated_rows_add_up_to_evaluations(self, zr33):
+        quot = _Quotient(zr33, specs=MIXED_SPECS, block=8)
+        starts = _start_fields(zr33, poincare_eigenvector(zr33),
+                               OptimizerOptions(starts=8))
+        seen, evaluate = [], quot.evaluate
+
+        def counted(U, ids):
+            seen.append(len(ids))
+            return evaluate(U, ids)
+
+        quot.evaluate = counted
+        run = _descend(quot, np.tile(starts, (6, 1)), 400, 1e-8)
+        assert seen[0] == 48
+        assert sum(seen) == run.evaluations
+        assert len(seen) == run.rounds + 1
 
     def test_lsi_gradient_finite_at_tiny_density(self, zr33):
         # sqrt(rho) - 1 rounds to -1 below rho ~ 1e-32, so the gradient
@@ -384,7 +456,7 @@ class TestLockstepDescent:
         quot = _Quotient(zr33, "lsi", None)
         U = np.zeros((1, zr33.n_states))
         U[0, 0] = np.log(1e-34)
-        p = quot.at(U)
-        assert 1e-35 < p.rho.min() < 1e-33
-        assert np.isfinite(p.val[0])
-        assert np.all(np.isfinite(quot.gradient(p)))
+        val, rho, G = quot.evaluate(U)
+        assert 1e-35 < rho.min() < 1e-33
+        assert np.isfinite(val[0])
+        assert np.all(np.isfinite(G))
