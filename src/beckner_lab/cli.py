@@ -10,10 +10,12 @@ constants       variational constants and their ordering relations
 fokker-planck   finite-volume experiment and mesh-refinement study
 export-chain    dump a chain as JSON
 
-Every run writes its effective configuration next to its outputs.  CSV
-floats carry 17 significant digits; identical config and seed reproduce
-byte-identical files.  Exit status: 0 all checks passed, 1 some check
-failed, 2 configuration error.
+Flags are translated into the JSON document a ``--config`` file holds,
+and one validator checks it.  Every run writes that document next to its
+outputs as ``effective_config.json``, a config file that reproduces the
+run.  CSV floats carry 17 significant digits; identical config and seed
+reproduce byte-identical files.  Exit status: 0 all checks passed, 1 some
+check failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .errors import BecknerLabError, ConfigError
 from .models import ModelSpec
 from .reporting import CheckReport
 
-_COMMANDS = ("theta-surface", "verify-lemmas", "verify-bochner", "decay",
-             "constants", "fokker-planck", "export-chain")
 # theta-surface evaluates every node of its square grid in one batch, with
 # a few arrays of one float per node; the cap bounds that memory
 GRID_MAX_NODES = 10 ** 6
@@ -156,7 +156,11 @@ def parse_model_block(d: dict) -> ModelSpec:
     raise ConfigError(f"unknown model {kind!r}")
 
 
-@_strict_types("config")
+# the top-level keys of a config document
+_KEYS = {"command", "model", "alpha", "seed", "out", "tol", "grid", "samples",
+         "cells", "n_points", "t_end", "starts", "dump_densities"}
+
+
 def validate_config(raw: str) -> ExperimentConfig:
     """Strict parse of a JSON experiment document."""
     raw = raw.strip()
@@ -166,22 +170,27 @@ def validate_config(raw: str) -> ExperimentConfig:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    return _config_from_doc(doc)
+
+
+@_strict_types("config")
+def _config_from_doc(doc) -> ExperimentConfig:
+    """Check a decoded config document and build its configuration; the
+    document is kept as the run's echo."""
     if not isinstance(doc, dict) or "command" not in doc:
         raise ConfigError("missing command")
     command = doc["command"]
-    if command not in _COMMANDS:
+    if command not in _DRIVERS:
         raise ConfigError(f"unknown command {command!r}")
-    _require_keys(doc, {"command", "model", "alpha", "seed", "out", "tol",
-                        "grid", "samples", "cells", "n_points", "t_end",
-                        "starts"}, "config")
-    cfg = ExperimentConfig(command=command)
+    _require_keys(doc, _KEYS, "config")
+    cfg = ExperimentConfig(command=command, echo=doc)
     if "model" in doc:
         cfg.model = parse_model_block(doc["model"])
     if "alpha" in doc:
         a = doc["alpha"]
         cfg.alphas = [_check_alpha(x) for x in (a if isinstance(a, list) else [a])]
     if "seed" in doc:
-        cfg.seed = int(doc["seed"])
+        cfg.seed = _check_count("seed", doc["seed"], 0)
     if "out" in doc:
         cfg.out = str(doc["out"])
     if "tol" in doc:
@@ -193,12 +202,15 @@ def validate_config(raw: str) -> ExperimentConfig:
     if "cells" in doc:
         cfg.cells = [int(c) for c in doc["cells"]]
     if "n_points" in doc:
+        # the rate fit needs three samples
         cfg.n_points = _check_count("n_points", doc["n_points"], 3)
     if "t_end" in doc:
         cfg.t_end = float(doc["t_end"])
     if "starts" in doc:
         cfg.starts = _check_count("starts", doc["starts"])
-    cfg.echo = doc
+    cfg.dump_densities = doc.get("dump_densities", False)
+    if not isinstance(cfg.dump_densities, bool):
+        raise ConfigError("dump_densities must be true or false")
     return cfg
 
 
@@ -532,40 +544,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _model_from_flags(ns) -> ModelSpec | None:
-    if getattr(ns, "model", None) is None:
-        return None
+def _model_block(ns) -> dict:
+    """The config model block that the model flags describe."""
     kind = ns.model
+    if kind in ("zero_range", "bernoulli_laplace") and (
+            ns.L is None or ns.N is None):
+        raise ConfigError(f"{kind} needs --L and --N")
     if kind == "zero_range":
-        if ns.L is None or ns.N is None:
-            raise ConfigError("zero_range needs --L and --N")
-        return ModelSpec("zero_range", {
-            "L": ns.L, "N": ns.N,
-            "c_x": models.linear_rate_table(ns.L, ns.N, ns.c)})
+        return {"model": kind, "L": ns.L, "N": ns.N,
+                "rates": {"kind": "linear", "c": ns.c}}
     if kind == "bernoulli_laplace":
-        if ns.L is None or ns.N is None:
-            raise ConfigError("bernoulli_laplace needs --L and --N")
-        return ModelSpec("bernoulli_laplace",
-                         {"L": ns.L, "N": ns.N, "lambda_x": ns.lambda_x})
+        return {"model": kind, "L": ns.L, "N": ns.N, "lambda": ns.lambda_x}
     if kind == "random_transposition":
         if ns.n is None:
             raise ConfigError("random_transposition needs --n")
-        return ModelSpec("random_transposition", {"n": ns.n})
+        return {"model": kind, "n": ns.n}
     if kind == "birth_death":
         if ns.K is None:
             raise ConfigError("birth_death needs --K (trap family)")
-        a, b = models.mm_infinity_rates(ns.K)
-        return ModelSpec("birth_death", {"a": a, "b": b})
+        return {"model": kind, "rates": {"kind": "mm_infinity", "K": ns.K}}
     if kind == "fokker_planck_fv":
         lam = ns.lambda_conv if ns.lambda_conv is not None else 2.0 * ns.coeff
-        return ModelSpec("fokker_planck_fv", {
-            "potential": {"kind": "quadratic", "coeff": ns.coeff},
-            "n_cells": ns.n_cells, "lambda_conv": lam})
-    raise ConfigError(f"unknown model {kind!r}")
+        return {"model": kind,
+                "potential": {"kind": "quadratic", "coeff": ns.coeff},
+                "n_cells": ns.n_cells, "lambda": lam}
+    return {"model": kind}          # parse_model_block names the kind
 
 
 def _config_from_namespace(ns) -> ExperimentConfig:
-    if getattr(ns, "config", None):
+    """The configuration of a command line: the ``--config`` document, on
+    which only ``--out`` and ``--dump-densities`` apply, or else the
+    document that the flags describe."""
+    if ns.config:
         with open(ns.config, "r", encoding="utf-8") as fh:
             cfg = validate_config(fh.read())
         if cfg.command != ns.command:
@@ -573,36 +583,14 @@ def _config_from_namespace(ns) -> ExperimentConfig:
                 f"config command {cfg.command!r} does not match "
                 f"CLI command {ns.command!r}")
         cfg.out = ns.out if ns.out != "." else cfg.out
+        if getattr(ns, "dump_densities", False):
+            cfg.dump_densities = cfg.echo["dump_densities"] = True
         return cfg
-    cfg = ExperimentConfig(command=ns.command)
-    cfg.out = ns.out
-    cfg.seed = ns.seed
-    cfg.tol = None if ns.tol is None else _check_tol(ns.tol)
-    if hasattr(ns, "alpha"):
-        cfg.alphas = [_check_alpha(a) for a in ns.alpha]
-    if hasattr(ns, "grid"):
-        cfg.grid = _parse_grid(ns.grid)
-    if hasattr(ns, "samples"):
-        cfg.samples = _check_count("samples", ns.samples)
-    if hasattr(ns, "cells"):
-        cfg.cells = list(ns.cells)
-    if hasattr(ns, "n_points"):
-        # the rate fit needs three samples
-        cfg.n_points = _check_count("n_points", ns.n_points, 3)
-    if hasattr(ns, "t_end"):
-        cfg.t_end = ns.t_end
-    if hasattr(ns, "starts"):
-        cfg.starts = _check_count("starts", ns.starts)
-    if getattr(ns, "dump_densities", False):
-        cfg.dump_densities = True
-    cfg.model = _model_from_flags(ns)
-    cfg.echo = {"command": cfg.command, "alpha": cfg.alphas,
-                "seed": cfg.seed, "out": cfg.out}
-    if cfg.model is not None:
-        cfg.echo["model"] = {"model": cfg.model.kind,
-                             **{k: v for k, v in cfg.model.params.items()
-                                if isinstance(v, (int, float, str, dict))}}
-    return cfg
+    doc = {k: v for k, v in vars(ns).items()
+           if k in _KEYS and k != "model" and v is not None}
+    if getattr(ns, "model", None) is not None:
+        doc["model"] = _model_block(ns)
+    return _config_from_doc(doc)
 
 
 def main(argv=None) -> int:

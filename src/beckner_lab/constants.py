@@ -28,6 +28,7 @@ lambda_B(2) = 2 lambda_P exactly and keeps every estimate at or below
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,14 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("starts", "max_iter"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got "
+                                  f"{getattr(self, name)!r}") from None
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
             raise DomainError(f"starts must be >= 1, got {self.starts}")
         if self.max_iter < 1:

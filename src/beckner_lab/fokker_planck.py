@@ -230,11 +230,10 @@ def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None
                            float(gap[k]), 1e-9,
                            witness=None if disc_ok else {"t": float(times[k])}))
 
-    for c in fv_condition_check(chain, alpha).checks:
-        checks.add(c)
-
     # production decay is certified only at the per-cell rate
     dir_check = dirichlet_decay_check(chain, e, traj, alpha * lh)
+    for c in fv_condition_check(chain, alpha).checks + dir_check.checks:
+        checks.add(c)
     decay = DecayReport(traj, fit, rate, ent_check, dir_check,
                         rate_ok and ent_check.passed)
     return FVExperiment(p.get("potential"), n_cells, h, lam, alpha, chain,

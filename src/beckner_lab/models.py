@@ -354,8 +354,8 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
     """
     if lambda_conv <= 0.0:
         raise HypothesisError("convexity bound lambda must be positive")
+    cells = fv_cell_averages(V, n_cells)        # checks n_cells first
     h = 1.0 / n_cells
-    cells = fv_cell_averages(V, n_cells)
     a, b = fv_rates(cells, h)
     chain = build_birth_death(a, b, n_cells - 1)
     meta = dict(chain.meta)

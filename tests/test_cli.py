@@ -360,6 +360,7 @@ class TestCommands:
          "model": {"model": "fokker_planck_fv", "n_cells": 8, "lambda": 4.0,
                    "potential": {"kind": "quadratic"}}},
         {"command": "decay", "seed": "x"},
+        {"command": "decay", "dump_densities": "yes"},
     ])
     def test_missing_or_ill_typed_value_exit_code(self, tmp_path, capsys,
                                                   doc):
@@ -369,6 +370,28 @@ class TestCommands:
                        "--out", str(tmp_path)])
         assert status == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        argv = ["decay", "--model", "random_transposition", "--n", "3"]
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay",
+            "model": {"model": "random_transposition", "n": 3}, "seed": -1}))
+        assert main(["decay", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--model", "fokker_planck_fv", "--n-cells", "0"],
+        ["fokker-planck", "--model", "fokker_planck_fv", "--n-cells", "0",
+         "--cells", "8", "16"],
+        ["fokker-planck", "--model", "fokker_planck_fv", "--cells", "0", "8"],
+    ])
+    def test_too_few_cells_exit_code(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: need at least 3 cells\n"
 
     def test_negative_tol_flag_exit_code(self, tmp_path, capsys):
         status = main(["decay", "--model", "random_transposition", "--n", "3",
@@ -484,6 +507,54 @@ class TestCommands:
         assert status == 0
         doc = json.loads((tmp_path / "densities_alpha1_5.json").read_text())
         assert len(next(iter(doc.values()))) == 6
+
+    def test_density_dump_option_on_a_config_run(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay",
+            "model": {"model": "random_transposition", "n": 3},
+            "alpha": [1.5]}))
+        out = tmp_path / "out"
+        status = main(["decay", "--config", str(cfg), "--dump-densities",
+                       "--out", str(out)])
+        assert status == 0
+        doc = json.loads((out / "densities_alpha1_5.json").read_text())
+        assert len(next(iter(doc.values()))) == 6
+        echo = json.loads((out / "effective_config.json").read_text())
+        assert echo["dump_densities"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-surface", "--alpha", "1.3", "--grid", "0:2:0.5"],
+        ["verify-lemmas", "--alpha", "1.5", "--samples", "300", "--seed",
+         "3", "--tol", "1e-8"],
+        ["verify-bochner", "--model", "zero_range", "--L", "3", "--N", "2",
+         "--c", "2.0", "--alpha", "1.5", "2.0"],
+        ["decay", "--model", "random_transposition", "--n", "3",
+         "--n-points", "11", "--t-end", "2.5", "--dump-densities",
+         "--seed", "4"],
+        ["decay", "--model", "fokker_planck_fv", "--coeff", "1.0",
+         "--n-cells", "8"],
+        ["constants", "--model", "bernoulli_laplace", "--L", "4", "--N",
+         "2", "--lambda-x", "1.5", "--starts", "4", "--alpha", "2.0"],
+        ["fokker-planck", "--model", "fokker_planck_fv", "--coeff", "2.0",
+         "--lambda-conv", "3.5", "--n-cells", "12", "--cells", "8", "16",
+         "--alpha", "2.0"],
+        ["export-chain", "--model", "birth_death", "--K", "4"],
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_effective_config_reproduces_a_flag_run(self, tmp_path, capsys,
+                                                    argv):
+        flags, again = tmp_path / "flags", tmp_path / "again"
+        status = main(argv + ["--out", str(flags)])
+        out = capsys.readouterr().out.replace(str(flags), str(again))
+        assert main([argv[0], "--config",
+                     str(flags / "effective_config.json"),
+                     "--out", str(again)]) == status
+        assert capsys.readouterr().out == out
+        names = sorted(p.name for p in flags.iterdir())
+        assert sorted(p.name for p in again.iterdir()) == names
+        for name in names:
+            assert (again / name).read_bytes() == \
+                (flags / name).read_bytes(), name
 
 
 def _fmt(x) -> str:

@@ -129,6 +129,14 @@ class TestBecknerConstant:
             with pytest.raises(bl.DomainError, match="starts must be >= 1"):
                 OptimizerOptions(starts=starts)
 
+    @pytest.mark.parametrize("options,match", [
+        ({"starts": 2.5}, "starts must be an integer"),
+        ({"max_iter": 2.5}, "max_iter must be an integer"),
+        ({"seed": -1}, "seed must be >= 0")])
+    def test_ill_typed_options_rejected(self, options, match):
+        with pytest.raises(bl.DomainError, match=match):
+            OptimizerOptions(**options)
+
     def test_bad_iteration_limit_or_tolerance_rejected(self):
         for max_iter in (0, -5):
             with pytest.raises(bl.DomainError, match="max_iter must be >= 1"):
@@ -449,6 +457,24 @@ class TestLockstepDescent:
         assert seen[0] == 48
         assert sum(seen) == run.evaluations
         assert len(seen) == run.rounds + 1
+
+    @pytest.mark.parametrize("g_next,status", [(1e-9, "gradient"),
+                                               (1e-7, "stalled")])
+    def test_gradient_test_ranks_before_a_stall(self, g_next, status):
+        # value 0.5 and gradient (1e-7, 0): the first step gains one ulp,
+        # which meets Armijo (g.d = -1e-14) but is below the flat
+        # threshold, so the second iteration starts stalled; a gradient
+        # of 1e-9 there also meets the gradient test, which wins
+        script = iter([(0.5, 1e-7), (np.nextafter(0.5, 0.0), g_next)])
+
+        class Scripted:
+            def evaluate(self, U, ids):
+                value, g = next(script)
+                return np.array([value]), np.exp(U), np.array([[g, 0.0]])
+
+        run = _descend(Scripted(), np.zeros((1, 2)), 400, 1e-8)
+        assert run.status == [status]
+        assert run.rounds == 1
 
     def test_lsi_gradient_finite_at_tiny_density(self, zr33):
         # sqrt(rho) - 1 rounds to -1 below rho ~ 1e-32, so the gradient

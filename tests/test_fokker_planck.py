@@ -59,6 +59,14 @@ class TestRunExperiment:
         assert exp.decay.fit.rate >= 2.0 * 1.5 * exp.lambda_h - 1e-6
         assert 0.0 < exp.lambda_h < 4.0
 
+    def test_report_holds_the_production_decay_check(self):
+        # production decay, certified at the per-cell rate alpha lambda_h
+        exp = bl.run_fv_experiment(fv_spec(16), 1.5, seed=3)
+        check, = [c for c in exp.checks.checks
+                  if c.name == "dirichlet_exponential_decay"]
+        assert check.passed
+        assert exp.decay.dirichlet_bound.checks == [check]
+
     def test_inequality_margin_across_meshes(self):
         # the inequality is far from tight at every sample time, also the
         # late ones where rho - 1 ~ 1e-7, so its residual keeps a margin

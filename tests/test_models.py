@@ -164,6 +164,13 @@ class TestFokkerPlanckChain:
         a = np.asarray(chain.meta["a"])
         assert np.allclose(a[:-1], 1.0 / h ** 2, rtol=1e-13)
 
+    @pytest.mark.parametrize("n_cells", [0, 2])
+    def test_too_few_cells_rejected(self, n_cells):
+        # checked before the mesh width 1 / n_cells is formed
+        with pytest.raises(bl.DomainError, match="need at least 3 cells"):
+            bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2,
+                                      n_cells, 4.0)
+
     def test_quadrature_against_refined_oracle(self):
         V = lambda x: 2.0 * np.asarray(x) ** 2
         cells = bl.models.fv_cell_averages(V, 16)
