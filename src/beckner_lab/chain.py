@@ -50,7 +50,6 @@ class FiniteChain:
         # renormalize only when needed so serialization round-trips bit-exact
         self.pi = pi if abs(total - 1.0) <= 1e-15 else pi / total
         self.meta = dict(meta or {})
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
         self._dense = None
         self._spectral = None
         self._validate()
@@ -207,15 +206,15 @@ def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
     return out if out.ndim else float(out)
 
 
-def check_reversibility(chain: FiniteChain,
-                        tol: float = 1e-10) -> VerificationReport:
+def check_reversibility(chain: FiniteChain) -> VerificationReport:
     """Verify pi[sum_g c F(eta,g)] = pi[sum_g c F(g eta, g^{-1})].
 
     The identity holds for every bounded F exactly when the flow
     balances pointwise, pi(eta) c(eta, g) = pi(g eta) c(g eta, g^{-1}),
-    so that is checked at every (state, move) pair; the worst pair is
-    the failure witness.
+    so that is checked at every (state, move) pair, to 1e-10 of the
+    largest flow; the worst pair is the failure witness.
     """
+    tol = 1e-10
     flow = chain.pi[:, None] * chain.rates          # pi(eta) c(eta, g)
     back = np.empty_like(flow)
     moved = np.empty_like(flow, dtype=bool)
@@ -238,9 +237,8 @@ def check_reversibility(chain: FiniteChain,
     return report
 
 
-def normalize_density(chain: FiniteChain, raw,
-                      floor: float = DENSITY_FLOOR) -> Density:
-    """Clamp below ``floor`` and rescale to pi-mean one."""
+def normalize_density(chain: FiniteChain, raw) -> Density:
+    """Clamp below ``DENSITY_FLOOR`` and rescale to pi-mean one."""
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (chain.n_states,):
         raise DomainError("raw vector must assign one value per state")
@@ -248,7 +246,7 @@ def normalize_density(chain: FiniteChain, raw,
         raise DomainError("raw vector must be finite and nonnegative")
     if np.all(raw == 0.0):
         raise DomainError("raw vector must not be identically zero")
-    clamped = np.maximum(raw, floor)
+    clamped = np.maximum(raw, DENSITY_FLOOR)
     mean = float(np.sum(chain.pi * clamped))
     return Density(clamped / mean)
 

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +44,45 @@ from .reporting import CheckReport
 GRID_MAX_NODES = 10 ** 6
 
 
+# The value flags every command takes (_COMMON) and those of each command,
+# with their defaults in config-document form.  The parser takes its
+# flags and defaults from here, and a config document that omits a key
+# gets the same default; a key neither given nor listed is None.
+_COMMON = {"out": ".", "seed": 0, "tol": None}
+_DEFAULTS = {
+    "theta-surface": {"alpha": [1.5], "grid": "0:10:0.5"},
+    "verify-lemmas": {"alpha": [1.1, 1.5, 1.9], "samples": 10000},
+    "verify-bochner": {"alpha": [1.5]},
+    "decay": {"alpha": [1.5], "n_points": 61, "t_end": None},
+    "constants": {"alpha": [1.5], "starts": 32},
+    "export-chain": {"alpha": [1.5]},
+    "fokker-planck": {"alpha": [1.5], "cells": [8, 16, 32, 64]},
+}
+# the type and nargs of each value flag
+_FLAGS = {"out": (str, None), "seed": (int, None), "tol": (float, None),
+          "alpha": (float, "+"), "grid": (str, None), "samples": (int, None),
+          "n_points": (int, None), "t_end": (float, None),
+          "starts": (int, None), "cells": (int, "+")}
+
+
 @dataclass
 class ExperimentConfig:
+    """A checked run configuration; ``echo`` is the document it came
+    from."""
     command: str
-    model: ModelSpec | None = None
-    alphas: list[float] = field(default_factory=lambda: [1.5])
-    seed: int = 0
-    out: str = "."
-    tol: float | None = None
-    grid: tuple[float, float, float] = (0.0, 10.0, 0.5)
-    samples: int = 10000
-    cells: list[int] = field(default_factory=lambda: [8, 16, 32, 64])
-    n_points: int = 61
-    t_end: float | None = None
-    starts: int = 32
-    dump_densities: bool = False
-    echo: dict = field(default_factory=dict)
+    model: ModelSpec | None
+    alphas: list[float]
+    seed: int
+    out: str
+    tol: float | None
+    grid: tuple[float, float, float] | None
+    samples: int | None
+    cells: list[int] | None
+    n_points: int | None
+    t_end: float | None
+    starts: int | None
+    dump_densities: bool
+    echo: dict
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +119,13 @@ def _check_tol(t) -> float:
     t = float(t)
     if not t > 0.0:
         raise ConfigError("tol must be positive")
+    return t
+
+
+def _check_t_end(t) -> float:
+    t = float(t)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ConfigError("t_end must be finite and > 0")
     return t
 
 
@@ -157,8 +187,7 @@ def parse_model_block(d: dict) -> ModelSpec:
 
 
 # the top-level keys of a config document
-_KEYS = {"command", "model", "alpha", "seed", "out", "tol", "grid", "samples",
-         "cells", "n_points", "t_end", "starts", "dump_densities"}
+_KEYS = {"command", "model", "dump_densities", *_FLAGS}
 
 
 def validate_config(raw: str) -> ExperimentConfig:
@@ -183,32 +212,28 @@ def _config_from_doc(doc) -> ExperimentConfig:
     if command not in _DRIVERS:
         raise ConfigError(f"unknown command {command!r}")
     _require_keys(doc, _KEYS, "config")
-    cfg = ExperimentConfig(command=command, echo=doc)
-    if "model" in doc:
-        cfg.model = parse_model_block(doc["model"])
-    if "alpha" in doc:
-        a = doc["alpha"]
-        cfg.alphas = [_check_alpha(x) for x in (a if isinstance(a, list) else [a])]
-    if "seed" in doc:
-        cfg.seed = _check_count("seed", doc["seed"], 0)
-    if "out" in doc:
-        cfg.out = str(doc["out"])
-    if "tol" in doc:
-        cfg.tol = _check_tol(doc["tol"])
-    if "grid" in doc:
-        cfg.grid = _parse_grid(doc["grid"])
-    if "samples" in doc:
-        cfg.samples = _check_count("samples", doc["samples"])
-    if "cells" in doc:
-        cfg.cells = [int(c) for c in doc["cells"]]
-    if "n_points" in doc:
+    values = {**_COMMON, **_DEFAULTS[command], **doc}
+
+    def get(key, check):
+        value = values.get(key)
+        return None if value is None and key not in doc else check(value)
+
+    cfg = ExperimentConfig(
+        command=command,
+        model=parse_model_block(doc["model"]) if "model" in doc else None,
+        alphas=get("alpha", lambda a: [
+            _check_alpha(x) for x in (a if isinstance(a, list) else [a])]),
+        seed=get("seed", lambda n: _check_count("seed", n, 0)),
+        out=get("out", str),
+        tol=get("tol", _check_tol),
+        grid=get("grid", _parse_grid),
+        samples=get("samples", lambda n: _check_count("samples", n)),
+        cells=get("cells", lambda c: [int(x) for x in c]),
         # the rate fit needs three samples
-        cfg.n_points = _check_count("n_points", doc["n_points"], 3)
-    if "t_end" in doc:
-        cfg.t_end = float(doc["t_end"])
-    if "starts" in doc:
-        cfg.starts = _check_count("starts", doc["starts"])
-    cfg.dump_densities = doc.get("dump_densities", False)
+        n_points=get("n_points", lambda n: _check_count("n_points", n, 3)),
+        t_end=get("t_end", _check_t_end),
+        starts=get("starts", lambda n: _check_count("starts", n)),
+        dump_densities=doc.get("dump_densities", False), echo=doc)
     if not isinstance(cfg.dump_densities, bool):
         raise ConfigError("dump_densities must be true or false")
     return cfg
@@ -266,9 +291,7 @@ def _write_json(path: str, payload) -> None:
 
 def _echo_config(cfg: ExperimentConfig) -> None:
     os.makedirs(cfg.out, exist_ok=True)
-    payload = dict(cfg.echo) if cfg.echo else {
-        "command": cfg.command, "alpha": cfg.alphas, "seed": cfg.seed}
-    _write_json(os.path.join(cfg.out, "effective_config.json"), payload)
+    _write_json(os.path.join(cfg.out, "effective_config.json"), cfg.echo)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +467,7 @@ def _cmd_fokker_planck(cfg: ExperimentConfig) -> int:
                     for r in study.rows])
         exp = study.experiments.get(spec.params["n_cells"])
         if exp is None:
-            exp = fokker_planck.run_fv_experiment(
-                ModelSpec("fokker_planck_fv", dict(spec.params)), a,
-                seed=cfg.seed)
+            exp = fokker_planck.run_fv_experiment(spec, a, seed=cfg.seed)
         _write_json(os.path.join(cfg.out, f"fv_report_alpha{tag}.json"),
                     exp.checks.to_dict())
         ok = (study.lambda_h_increasing and study.ratio_ok
@@ -496,51 +517,30 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="beckner-lab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=".")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+    def value_flags(p, defaults):
+        for key, default in defaults.items():
+            kind, nargs = _FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           nargs=nargs, default=default)
 
-    def model_flags(p):
-        p.add_argument("--model", type=str, default=None)
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--c", type=float, default=1.0)
-        p.add_argument("--lambda-x", type=float, default=1.0)
-        p.add_argument("--coeff", type=float, default=2.0)
-        p.add_argument("--lambda-conv", type=float, default=None)
-        p.add_argument("--n-cells", type=int, default=32)
-
-    p = sub.add_parser("theta-surface")
-    common(p)
-    p.add_argument("--alpha", type=float, nargs="+", default=[1.5])
-    p.add_argument("--grid", type=str, default="0:10:0.5")
-
-    p = sub.add_parser("verify-lemmas")
-    common(p)
-    p.add_argument("--alpha", type=float, nargs="+", default=[1.1, 1.5, 1.9])
-    p.add_argument("--samples", type=int, default=10000)
-
-    for name in ("verify-bochner", "decay", "constants", "export-chain"):
+    for name, defaults in _DEFAULTS.items():
         p = sub.add_parser(name)
-        common(p)
-        model_flags(p)
-        p.add_argument("--alpha", type=float, nargs="+", default=[1.5])
+        p.add_argument("--config", type=str, default=None)
+        value_flags(p, _COMMON)
+        if name not in ("theta-surface", "verify-lemmas"):
+            p.add_argument("--model", type=str, default=None)
+            p.add_argument("--L", type=int, default=None)
+            p.add_argument("--N", type=int, default=None)
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--K", type=int, default=None)
+            p.add_argument("--c", type=float, default=1.0)
+            p.add_argument("--lambda-x", type=float, default=1.0)
+            p.add_argument("--coeff", type=float, default=2.0)
+            p.add_argument("--lambda-conv", type=float, default=None)
+            p.add_argument("--n-cells", type=int, default=32)
+        value_flags(p, defaults)
         if name == "decay":
-            p.add_argument("--n-points", type=int, default=61)
-            p.add_argument("--t-end", type=float, default=None)
             p.add_argument("--dump-densities", action="store_true")
-        if name == "constants":
-            p.add_argument("--starts", type=int, default=32)
-
-    p = sub.add_parser("fokker-planck")
-    common(p)
-    model_flags(p)
-    p.add_argument("--alpha", type=float, nargs="+", default=[1.5])
-    p.add_argument("--cells", type=int, nargs="+", default=[8, 16, 32, 64])
     return ap
 
 
@@ -576,8 +576,12 @@ def _config_from_namespace(ns) -> ExperimentConfig:
     which only ``--out`` and ``--dump-densities`` apply, or else the
     document that the flags describe."""
     if ns.config:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            cfg = validate_config(fh.read())
+        try:
+            with open(ns.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {ns.config!r}: {exc}") from exc
+        cfg = validate_config(text)
         if cfg.command != ns.command:
             raise ConfigError(
                 f"config command {cfg.command!r} does not match "

@@ -1,7 +1,7 @@
 """Variational and spectral estimation of sharp inequality constants.
 
-Four constants are bracketed from above by quotient minimization over
-positive pi-mean-one densities:
+Four constants are estimated, the last three by quotient minimization
+over positive pi-mean-one densities:
 
 * Poincare / spectral gap  lambda_P: smallest nonzero eigenvalue of -L
   in L^2(pi) (computed spectrally, not variationally);
@@ -19,10 +19,16 @@ all of its estimates in one array, a block of rows each, ordered by
 quotient kind).  Each lockstep round makes one evaluation of value,
 density and gradient for all running rows, and the array keeps only the
 rows still running; each row gets the bits it would get if its start
-ran alone.  Estimates are upper brackets of the sharp constants;
-linearization rays rho = 1 + eps f_gap are always folded in, which pins
-lambda_B(2) = 2 lambda_P exactly and keeps every estimate at or below
+ran alone.  Linearization rays rho = 1 + eps f_gap are always folded in,
+which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or below
 2 lambda_P.
+
+The estimates bracket the sharp constants from above only away from the
+flat density: near it the O((rho - 1)^2) denominator is formed from
+O(rho - 1) parts, and the descent can walk into that noise below the
+sharp value.  On ``build_birth_death([1, 0], [0, 1])`` (sharp value 4,
+1 for lsi) lambda_B(1.1), lambda_M and lambda_L read 3.93855, 3.99983
+and 0.9999983.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Density, FiniteChain
-from .entropy import ConvexEntropy, log_entropy, power_entropy
+from .entropy import check_alpha
 from .errors import DegeneracyError, DomainError, NumericalError
 from .models import ModelSpec, paper_lambda
 
@@ -172,14 +178,21 @@ class _Quotient:
 
 
 def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
-                   rho: Density) -> float:
-    """Direct evaluation of the named quotient at a density."""
+                   rho):
+    """Direct evaluation of the named quotient at a density.
+
+    One ``Density`` gives a float; a (K, S) stack of strictly positive
+    pi-mean-one rows gives a (K,) array, each row with the bits of its
+    one-density call.
+    """
     if kind == "beckner":
-        _check_alpha(alpha)
-    (num,), (den,) = _Quotient(chain, kind, alpha).parts(rho.values[None, :])
-    if den <= 0.0:
+        check_alpha(alpha)
+    one = isinstance(rho, Density)
+    num, den = _Quotient(chain, kind, alpha).parts(
+        rho.values[None, :] if one else np.asarray(rho, dtype=float))
+    if not np.all(den > 0.0):       # a row off (0, inf) gives a nan
         raise DomainError("entropy vanished at the evaluation point")
-    return float(num / den)
+    return float(num[0] / den[0]) if one else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +539,6 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
                      "evaluations": run.evaluations, "rounds": run.rounds})
 
 
-def _check_alpha(alpha):
-    if alpha is None or not 1.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (1, 2]")
-
-
 def beckner_constant(chain: FiniteChain, alpha: float,
                      opts: OptimizerOptions | None = None,
                      extra_candidates=()) -> ConstantEstimate:
@@ -539,7 +547,7 @@ def beckner_constant(chain: FiniteChain, alpha: float,
     Contract: at most 2 lambda_P (up to optimizer tolerance), exactly
     2 lambda_P at alpha = 2, and never below a valid explicit bound.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return _estimate(chain, [("beckner", alpha)], opts or OptimizerOptions(),
                      extra_candidates)[0]
 
@@ -592,21 +600,22 @@ class ConstantsTable:
 
 def constants_report(chain: FiniteChain, alphas,
                      spec: ModelSpec | None = None,
-                     opts: OptimizerOptions | None = None,
-                     tol: float = 1e-6) -> ConstantsTable:
+                     opts: OptimizerOptions | None = None) -> ConstantsTable:
     """One row per alpha plus the log-case constants and their orderings.
 
     Every estimate (each alpha, mlsi with its continuity check, lsi) runs
     in one stacked descent.  All quotient kinds are cross-evaluated on the
     union of minimizers, so the pointwise relations (the log-production
     dominates four times the square-root production, every quotient
-    linearizes to 2 lambda_P) transfer to the reported estimates.
+    linearizes to 2 lambda_P) transfer to the reported estimates.  The
+    orderings allow a slack of 1e-6.
     """
+    tol = 1e-6
     opts = opts or OptimizerOptions()
     lam_p = spectral_gap(chain)
     distinct = list(dict.fromkeys(alphas))
     for a in distinct:
-        _check_alpha(a)
+        check_alpha(a)
     ests = _estimate(chain, [("beckner", a) for a in distinct]
                      + [("mlsi", None), ("lsi", None)], opts,
                      continuity_check=True)

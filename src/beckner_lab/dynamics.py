@@ -15,7 +15,7 @@ fitted infimum can only err by floating-point noise, never by grid bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,15 +110,15 @@ def evolve_rk4(chain: FiniteChain, rho0: Density, t_end: float,
 
 
 def derivative_identity_check(chain: FiniteChain, e: ConvexEntropy,
-                              traj: Trajectory,
-                              tol_factor: float = 50.0) -> VerificationReport:
+                              traj: Trajectory) -> VerificationReport:
     """Differentiate the entropy trajectory and match the two identities
 
         d/dt  Ent = -E(phi'(rho_t), rho_t),
         d2/dt2 Ent = pi[L phi'(rho_t) L rho_t + phi''(rho_t)(L rho_t)^2],
 
     against central finite differences on the (uniform) sample grid.
-    Residuals shrink at second order in the grid step.
+    Residuals shrink at second order in the grid step and are held to
+    50 dt^2.
     """
     if len(traj) < 3:
         raise DomainError("need at least 3 time points")
@@ -139,7 +139,7 @@ def derivative_identity_check(chain: FiniteChain, e: ConvexEntropy,
     scale2 = float(np.max(np.abs(exact_second)) + 1.0)
     res1 = float(np.max(np.abs(first_fd - exact_first))) / scale1
     res2 = float(np.max(np.abs(second_fd - exact_second))) / scale2
-    tol1 = tol_factor * dt ** 2
+    tol1 = 50.0 * dt ** 2
     report = VerificationReport()
     report.add(CheckReport("entropy_first_derivative", res1 <= tol1, res1,
                            tol1, witness={"dt": dt}))
@@ -196,30 +196,27 @@ def fit_decay_rate(traj: Trajectory, window: tuple | None = None) -> DecayFit:
 
 
 def dirichlet_decay_check(chain: FiniteChain, e: ConvexEntropy,
-                          traj: Trajectory, lambda_paper: float,
-                          tol: float = 1e-9) -> VerificationReport:
+                          traj: Trajectory,
+                          lambda_paper: float) -> VerificationReport:
     """Pairwise production decay along the trajectory:
 
         E(phi'(rho_t), rho_t) <= exp(-lambda (t - s)) E(phi'(rho_s), rho_s)
 
-    for every sampled s < t, with slack tol x scale.  All pairs are
+    for every sampled s < t, with slack 1e-9 x scale.  All pairs are
     evaluated as one masked (T, T) array, in blocks of whole rows s when
     T^2 exceeds ``_PAIR_BLOCK``; the witness is the first worst pair in
     (s, t) order.
     """
+    tol = 1e-9
     dval = traj.dirichlet_values
     t = traj.times
     scale = float(np.max(np.abs(dval)) + 1e-300)
-    if scale < 1e-30:
-        report = VerificationReport()
-        report.add(CheckReport("dirichlet_exponential_decay", True, 0.0, tol,
-                               witness=None))
-        return report
     T = len(t)
     rows = max(1, _PAIR_BLOCK // T)
-    worst = 0.0
-    witness = None
-    for s0 in range(0, T, rows):
+    worst, witness = 0.0, None
+    # a production below 1e-30 throughout passes without a comparison
+    blocks = range(0, T, rows) if scale >= 1e-30 else ()
+    for s0 in blocks:
         s = np.arange(s0, min(s0 + rows, T))[:, None]
         later = s < np.arange(T)
         # t - s is clamped at 0 on the masked pairs, so exp cannot overflow

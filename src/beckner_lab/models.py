@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import FiniteChain
-from .entropy import big_theta, power_entropy
+from .entropy import big_theta, check_alpha, power_entropy
 from .errors import (ConfigError, DomainError, HypothesisError, SizeError)
 
 STATE_CAP = 20000
@@ -71,8 +71,9 @@ class PaperConstant:
 # birth-death
 # ---------------------------------------------------------------------------
 
-def build_birth_death(a, b, n_max: int | None = None) -> FiniteChain:
-    """Birth-death chain on {0, ..., n_max} from rate sequences.
+def build_birth_death(a, b) -> FiniteChain:
+    """Birth-death chain on {0, ..., n_max}, n_max = len(a) - 1, from
+    rate sequences.
 
     Requires b(0) = 0 and a(n_max) = 0 (truncation closure).  The
     invariant law follows the detailed-balance recursion
@@ -80,9 +81,8 @@ def build_birth_death(a, b, n_max: int | None = None) -> FiniteChain:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if n_max is None:
-        n_max = len(a) - 1
-    if len(a) != n_max + 1 or len(b) != n_max + 1:
+    n_max = len(a) - 1
+    if len(b) != len(a):
         raise DomainError("rate sequences must cover 0..n_max")
     if np.any(a < 0.0) or np.any(b < 0.0):
         raise DomainError("rates must be nonnegative")
@@ -300,12 +300,11 @@ def _gauss_legendre(npts: int):
     return x, w
 
 
-def fv_cell_averages(V, n_cells: int, order: int = 16,
-                     rtol: float = 1e-12) -> np.ndarray:
+def fv_cell_averages(V, n_cells: int, order: int = 16) -> np.ndarray:
     """Cell averages of exp(-V) over the uniform partition of [0, 1].
 
     Gauss-Legendre quadrature per cell; the order doubles until the
-    averages are stable to ``rtol`` in relative terms.
+    averages are stable to 1e-12 in relative terms.
     """
     if n_cells < 3:
         raise DomainError("need at least 3 cells")
@@ -326,7 +325,7 @@ def fv_cell_averages(V, n_cells: int, order: int = 16,
     for _ in range(6):
         order *= 2
         nxt = averages(order)
-        if np.max(np.abs(nxt - cur) / np.abs(nxt)) <= rtol:
+        if np.max(np.abs(nxt - cur) / np.abs(nxt)) <= 1e-12:
             return nxt
         cur = nxt
     raise DomainError("cell quadrature failed to stabilize; V too rough")
@@ -357,7 +356,7 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
     cells = fv_cell_averages(V, n_cells)        # checks n_cells first
     h = 1.0 / n_cells
     a, b = fv_rates(cells, h)
-    chain = build_birth_death(a, b, n_cells - 1)
+    chain = build_birth_death(a, b)
     meta = dict(chain.meta)
     meta.update({"model": "fokker_planck_fv", "n_cells": int(n_cells),
                  "h": h, "lambda_conv": float(lambda_conv),
@@ -407,8 +406,7 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
     Raises :class:`HypothesisError` naming the violated condition when
     the instance falls outside the respective theorem's assumptions.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (1, 2]")
+    check_alpha(alpha)
     p = spec.params
 
     if spec.kind == "birth_death":
@@ -542,11 +540,7 @@ def linear_rate_table(L: int, N: int, c: float = 1.0) -> np.ndarray:
     return np.tile(c * np.arange(N + 1, dtype=float), (L, 1))
 
 
-def mm_infinity_rates(K: int, n_max: int | None = None):
-    """The trap family a(n) = max(K - n, 0), b(n) = n on {0..n_max}."""
-    if n_max is None:
-        n_max = K
-    if n_max < K:
-        raise ConfigError("n_max must be at least K")
-    n = np.arange(n_max + 1, dtype=float)
-    return np.maximum(K - n, 0.0), n
+def mm_infinity_rates(K: int):
+    """The trap family a(n) = K - n, b(n) = n on {0..K}."""
+    n = np.arange(K + 1, dtype=float)
+    return K - n, n

@@ -431,6 +431,67 @@ class TestCommands:
         assert status == 2
         assert "n_points must be >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.json", "dir", "latin1.json"])
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys, name):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"command": "d\xe9cay"}')
+        out = tmp_path / "out"
+        status = main(["decay", "--config", str(tmp_path / name),
+                       "--out", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_t_end_exit_code(self, tmp_path, capsys,
+                                                     t_end):
+        out = tmp_path / "out"
+        argv = ["decay", "--model", "random_transposition", "--n", "3"]
+        assert main(argv + ["--t-end", str(t_end), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: t_end must be finite and > 0\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({      # NaN and Infinity as JSON spells them
+            "command": "decay",
+            "model": {"model": "random_transposition", "n": 3},
+            "t_end": t_end}))
+        assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: t_end must be finite and > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-surface"],
+        ["verify-lemmas", "--samples", "300"],
+        ["verify-bochner", "--model", "random_transposition", "--n", "3"],
+        ["decay", "--model", "random_transposition", "--n", "3"],
+        ["constants", "--model", "random_transposition", "--n", "3"],
+        ["export-chain", "--model", "random_transposition", "--n", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_config_file_defaults_match_the_flags(self, tmp_path, capsys,
+                                                  argv):
+        # a document holding only what the flags give runs the flags'
+        # defaults for everything else
+        flags, doc = tmp_path / "flags", tmp_path / "doc"
+        status = main(argv + ["--out", str(flags)])
+        out = capsys.readouterr().out.replace(str(flags), str(doc))
+        given = {"command": argv[0]}
+        if "--samples" in argv:
+            given["samples"] = 300
+        if "--model" in argv:
+            given["model"] = {"model": "random_transposition", "n": 3}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(given))
+        assert main([argv[0], "--config", str(cfg),
+                     "--out", str(doc)]) == status
+        assert capsys.readouterr().out == out
+        names = sorted(p.name for p in flags.iterdir())
+        assert sorted(p.name for p in doc.iterdir()) == names
+        for name in names:
+            if name != "effective_config.json":
+                assert (doc / name).read_bytes() == \
+                    (flags / name).read_bytes(), name
+
     def test_table_potential_without_scipy_names_the_extra(
             self, tmp_path, capsys, monkeypatch):
         # a None entry in sys.modules makes the import raise ImportError

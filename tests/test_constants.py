@@ -5,6 +5,7 @@ import pytest
 
 import beckner_lab as bl
 from beckner_lab import DegeneracyError
+from beckner_lab.chain import DENSITY_FLOOR
 from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
                                    _Quotient, _start_fields,
                                    poincare_eigenvector, quotient_value)
@@ -26,15 +27,13 @@ def complete_graph_chain(m, r):
 
 
 def scan_two_state_quotient(chain, kind, n=200001):
-    """1-D brute-force scan over rho = (1 + x, 1 - x)/mean."""
+    """1-D brute-force scan over rho = (1 + x, 1 - x)/mean, as one stack
+    (normalized per row as ``normalize_density`` does)."""
     xs = np.linspace(-0.999, 0.999, n)
     xs = xs[np.abs(xs) > 1e-6]
-    best = np.inf
-    for x in xs:
-        raw = np.array([1.0 + x, 1.0 - x])
-        rho = bl.normalize_density(chain, raw)
-        best = min(best, quotient_value(chain, kind, None, rho))
-    return best
+    raw = np.column_stack((1.0 + xs, 1.0 - xs))
+    rho = raw / np.add.reduce(chain.pi * raw, axis=-1)[:, None]
+    return float(quotient_value(chain, kind, None, rho).min())
 
 
 class TestSpectralGap:
@@ -80,11 +79,14 @@ class TestBecknerConstant:
     def test_bracketed_by_random_search(self, rt3):
         est = bl.beckner_constant(rt3, 1.5)
         assert 8.0 / 6.0 - 1e-9 <= est.value <= 2.0 * bl.spectral_gap(rt3) + 1e-6
+        # the densities random_density draws for k = 0, 1, ... with
+        # amplitude (0.1, 1.0, 3.0)[k % 3], as one stack
         rng = np.random.default_rng(0)
-        search = min(
-            quotient_value(rt3, "beckner", 1.5,
-                           bl.random_density(rt3, rng, (0.1, 1.0, 3.0)[k % 3]))
-            for k in range(200000))
+        amp = np.resize([0.1, 1.0, 3.0], 200000)[:, None]
+        raw = np.maximum(np.exp(amp * rng.standard_normal(
+            (200000, rt3.n_states))), DENSITY_FLOOR)
+        rho = raw / np.add.reduce(rt3.pi * raw, axis=-1)[:, None]
+        search = quotient_value(rt3, "beckner", 1.5, rho).min()
         assert est.value <= search + 1e-9
 
     def test_linearization_limit(self, bd8):
@@ -155,6 +157,32 @@ class TestBecknerConstant:
         for alpha in (None, np.nan, 1.0, 3.0):
             with pytest.raises(bl.DomainError, match="alpha must lie"):
                 quotient_value(zr33, "beckner", alpha, rho)
+
+
+    @pytest.mark.parametrize("kind,alpha", [("beckner", 1.5), ("beckner", 2.0),
+                                            ("mlsi", None), ("lsi", None)])
+    def test_quotient_value_stack_matches_one_density_calls(self, rt4, kind,
+                                                            alpha):
+        rng = np.random.default_rng(3)
+        rows = [bl.random_density(rt4, rng, (0.1, 1.0, 3.0)[k % 3])
+                for k in range(30)]
+        stacked = quotient_value(rt4, kind, alpha,
+                                 np.array([r.values for r in rows]))
+        assert stacked.shape == (30,)
+        assert stacked.tolist() == [quotient_value(rt4, kind, alpha, r)
+                                    for r in rows]
+
+    @pytest.mark.parametrize("entry", [0.0, -0.5, np.nan])
+    def test_quotient_value_rejects_a_row_off_the_positive_axis(self, rt4,
+                                                                 entry):
+        rng = np.random.default_rng(3)
+        rows = np.array([bl.random_density(rt4, rng, 1.0).values
+                         for _ in range(3)])
+        assert np.all(quotient_value(rt4, "mlsi", None, rows) > 0.0)
+        rows[1, 0] = entry
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(bl.DomainError, match="entropy vanished"):
+            quotient_value(rt4, "mlsi", None, rows)
 
 
 class TestLogCaseConstants:
