@@ -58,6 +58,8 @@ _DEFAULTS = {
     "export-chain": {"alpha": [1.5]},
     "fokker-planck": {"alpha": [1.5], "cells": [8, 16, 32, 64]},
 }
+# the commands that take no model block; every other one needs one
+_MODEL_FREE = ("theta-surface", "verify-lemmas")
 # the type and nargs of each value flag
 _FLAGS = {"out": (str, None), "seed": (int, None), "tol": (float, None),
           "alpha": (float, "+"), "grid": (str, None), "samples": (int, None),
@@ -236,6 +238,13 @@ def _config_from_doc(doc) -> ExperimentConfig:
         dump_densities=doc.get("dump_densities", False), echo=doc)
     if not isinstance(cfg.dump_densities, bool):
         raise ConfigError("dump_densities must be true or false")
+    if cfg.model is None and command not in _MODEL_FREE:
+        raise ConfigError(f"command {command!r} requires a model block")
+    if command == "fokker-planck" and cfg.model.kind != "fokker_planck_fv":
+        raise ConfigError("fokker-planck command needs a fokker_planck_fv model")
+    # the mean-function identities hold for alpha < 2 only
+    if command == "verify-lemmas" and any(a >= 2.0 for a in cfg.alphas):
+        raise ConfigError("verify-lemmas needs alpha in (1,2)")
     return cfg
 
 
@@ -340,14 +349,8 @@ def _cmd_verify_lemmas(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _need_model(cfg: ExperimentConfig) -> ModelSpec:
-    if cfg.model is None:
-        raise ConfigError(f"command {cfg.command!r} requires a model block")
-    return cfg.model
-
-
 def _cmd_verify_bochner(cfg: ExperimentConfig) -> int:
-    spec = _need_model(cfg)
+    spec = cfg.model
     chain = models.build_model(spec)
     bs = bochner.r_function(spec, chain)
     tol = cfg.tol or 1e-10
@@ -394,7 +397,7 @@ def _cmd_verify_bochner(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_decay(cfg: ExperimentConfig) -> int:
-    spec = _need_model(cfg)
+    spec = cfg.model
     chain = models.build_model(spec)
     status = 0
     for a in cfg.alphas:
@@ -423,7 +426,7 @@ def _cmd_decay(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_constants(cfg: ExperimentConfig) -> int:
-    spec = _need_model(cfg)
+    spec = cfg.model
     chain = models.build_model(spec)
     opts = consts.OptimizerOptions(starts=cfg.starts, seed=cfg.seed,
                                    tol=cfg.tol or 1e-8)
@@ -451,9 +454,7 @@ def _cmd_constants(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_fokker_planck(cfg: ExperimentConfig) -> int:
-    spec = _need_model(cfg)
-    if spec.kind != "fokker_planck_fv":
-        raise ConfigError("fokker-planck command needs a fokker_planck_fv model")
+    spec = cfg.model
     pot = spec.params["potential"]
     lam = spec.params["lambda_conv"]
     status = 0
@@ -480,7 +481,7 @@ def _cmd_fokker_planck(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_export_chain(cfg: ExperimentConfig) -> int:
-    spec = _need_model(cfg)
+    spec = cfg.model
     chain = models.build_model(spec)
     path = os.path.join(cfg.out, "chain.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -527,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         value_flags(p, _COMMON)
-        if name not in ("theta-surface", "verify-lemmas"):
+        if name not in _MODEL_FREE:
             p.add_argument("--model", type=str, default=None)
             p.add_argument("--L", type=int, default=None)
             p.add_argument("--N", type=int, default=None)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Density, FiniteChain
-from .entropy import check_alpha
+from .entropy import check_alpha, dphi_kernel, phi_kernel
 from .errors import DegeneracyError, DomainError, NumericalError
 from .models import ModelSpec, paper_lambda
 
@@ -99,9 +99,9 @@ class _Quotient:
     with Q run as one matrix-vector product per row (a single matrix
     product over the stack rounds differently), sums are per-row
     reductions, and scalar factors keep the order of the one-row formulas.
-    Evaluation is centered: rho - 1, rho^{a-1} - 1 and phi(rho) are built
-    from expm1 of log rho so near-flat densities keep full relative
-    accuracy.
+    rho - 1 and rho^{a-1} - 1 are built from expm1 of log rho, and phi
+    and phi' by the kernels of :mod:`entropy`, so the denominator is
+    ``entropy(chain, e, rho)`` bit for bit.
     """
 
     def __init__(self, chain: FiniteChain, kind: str | None = None,
@@ -143,23 +143,24 @@ class _Quotient:
         lg = np.log(rho)
         rho_c = np.expm1(lg)                    # rho - 1
         X, F = rho_c.copy(), lg.copy()          # num = -c pi[F Q X]
-        E = rho * lg - rho_c                    # den = pi[E]
+        E = phi_kernel(rho, lg, rho_c, 1.0)     # den = pi[E]
         for kind, r, a in runs:
             if kind == "beckner":
                 F[r] = np.expm1((a - 1.0) * lg[r])      # rho^{a-1} - 1
-                E[r] = (np.expm1(a * lg[r]) - rho_c[r]) / (a - 1.0) - rho_c[r]
+                E[r] = phi_kernel(rho[r], lg[r], rho_c[r], a)
             elif kind == "lsi":
                 F[r] = X[r] = np.expm1(0.5 * lg[r])     # sqrt(rho) - 1
         QX = _matvec(self.Q, X)
         num, den = -(c * _rowsum(pi * F * QX)), _rowsum(pi * E)
         if not grad:
             return num, den
-        QF, dnum, dden = _matvec(self.Q, F), np.empty_like(rho), pi * lg
+        QF, dnum = _matvec(self.Q, F), np.empty_like(rho)
+        dden = dphi_kernel(lg, 1.0, pi)         # pi phi'(rho)
         for kind, r, a in runs:
             if kind == "beckner":
                 dnum[r] = -c[r, None] * pi * (
                     (a - 1.0) * rho[r] ** (a - 2.0) * QX[r] + QF[r])
-                dden[r] = pi * a * F[r] / (a - 1.0)
+                dden[r] = dphi_kernel(F[r], a, pi)
             elif kind == "mlsi":
                 dnum[r] = -pi * (QX[r] / rho[r] + QF[r])
             else:

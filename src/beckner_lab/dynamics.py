@@ -195,8 +195,7 @@ def fit_decay_rate(traj: Trajectory, window: tuple | None = None) -> DecayFit:
                      "argmin_time": float(tt[k + 1])})
 
 
-def dirichlet_decay_check(chain: FiniteChain, e: ConvexEntropy,
-                          traj: Trajectory,
+def dirichlet_decay_check(traj: Trajectory,
                           lambda_paper: float) -> VerificationReport:
     """Pairwise production decay along the trajectory:
 
@@ -280,7 +279,7 @@ def run_decay(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
     traj = evolve(chain, e, rho0, times)
     fit = fit_decay_rate(traj)
     ent_check = entropy_bound_check(traj, lambda_paper)
-    dir_check = dirichlet_decay_check(chain, e, traj, lambda_paper)
+    dir_check = dirichlet_decay_check(traj, lambda_paper)
     certified = (fit.rate >= lambda_paper - tol and ent_check.passed
                  and dir_check.passed)
     return DecayReport(traj, fit, lambda_paper, ent_check, dir_check,

@@ -1,20 +1,22 @@
 """Convex entropy generators and the two-point mean-function calculus.
 
-Three entropy kinds are built in, all normalized so phi(1) = 0:
+Two entropy kinds are built in, both normalized so phi(1) = 0:
 
-* ``log``        phi(s) = s(log s - 1) + 1        (relative entropy)
-* ``quadratic``  phi(s) = (s - 1)^2               (variance)
-* ``power``      phi(s) = (s^a - s)/(a - 1) - s + 1,  1 < a <= 2,
+* ``log``    phi(s) = s(log s - 1) + 1                 (relative entropy)
+* ``power``  phi(s) = (s^a - s)/(a - 1) - s + 1,  1 < a <= 2,
 
 where the power family interpolates pointwise between the logarithmic
-entropy (a -> 1) and the quadratic one (a = 2).
+entropy (a -> 1) and the variance (s - 1)^2 at a = 2, which is
+``quadratic_entropy()``.  phi and phi' are written once, as the kernels
+:func:`phi_kernel` and :func:`dphi_kernel` of the order a (1 for log),
+which ``ConvexEntropy`` and the constants quotient both call.
 
 The central object is the mean function
 
     theta(s, t) = (s - t) / (phi'(s) - phi'(t)),   theta(s, s) = 1/phi''(s),
 
 the discrete surrogate of 1/phi'' (logarithmic mean for ``log``, power
-mean for ``power``, constant 1/2 for ``quadratic``).  Its closed-form
+mean for ``power``, constant 1/2 at a = 2).  Its closed-form
 partial derivatives, a joint infimum functional over scaled second
 derivatives, and sampled verifiers for the mean function's structural
 identities (Euler-type homogeneity relation, concavity, tangent bound)
@@ -42,6 +44,28 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # entropy kinds
 # ---------------------------------------------------------------------------
 
+def phi_kernel(rho, L, D, a):
+    """phi(rho) of order a, elementwise, from rho, L = log rho and
+    D = rho - 1 = expm1(L): rho L - D for the log entropy (a = 1), and
+    (expm1(a L) - D)/(a - 1) - D for a float or per-row column a in
+    (1, 2].  Each term is O(D), so the O(D^2) value keeps its accuracy
+    only down to about eps/((a - 1)|D|) relative."""
+    if isinstance(a, float) and a == 1.0:
+        return rho * L - D
+    return (np.expm1(a * L) - D) / (a - 1.0) - D
+
+
+def dphi_kernel(G, a, w=1.0):
+    """w phi'(rho) of order a, elementwise: w G for the log entropy
+    (a = 1, G = log rho), and w a G/(a - 1) for a float or per-row
+    column a in (1, 2], with G = rho^{a-1} - 1 = expm1((a - 1) log rho),
+    the term the quotient's numerator shares.  The weight multiplies
+    first, so w = 1 gives phi' and w = pi the quotient gradient's row."""
+    if isinstance(a, float) and a == 1.0:
+        return w * G
+    return w * a * G / (a - 1.0)
+
+
 @dataclass(frozen=True)
 class ConvexEntropy:
     """A smooth convex function phi with phi(1) = 0 and its derivatives.
@@ -52,11 +76,11 @@ class ConvexEntropy:
     where defined.
     """
 
-    kind: str                 # "log" | "quadratic" | "power"
+    kind: str                 # "log" | "power"
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("log", "quadratic", "power"):
+        if self.kind not in ("log", "power"):
             raise DomainError(f"unknown entropy kind {self.kind!r}")
         if self.kind == "power":
             check_alpha(self.alpha)
@@ -64,37 +88,21 @@ class ConvexEntropy:
     # -- basic derivatives ---------------------------------------------------
 
     def eval(self, s):
-        """phi(s) in centered form, accurate in relative terms near s = 1.
-
-        With L = log s, phi is s L - expm1(L) (log) or
-        (expm1(a L) - a expm1(L))/(a - 1) (power).  Both terms share L,
-        so its rounding cancels to first order and no O(s - 1) terms
-        are subtracted to leave the O((s - 1)^2) value.
-        """
+        """phi(s), by :func:`phi_kernel` at L = log s."""
         s = _check_positive(s)
-        if self.kind == "quadratic":
-            return (s - 1.0) ** 2
         L = np.log(s)
-        if self.kind == "log":
-            return s * L - np.expm1(L)
-        a = self.alpha
-        return (np.expm1(a * L) - a * np.expm1(L)) / (a - 1.0)
+        return phi_kernel(s, L, np.expm1(L), _order(self))
 
     def d1(self, s):
-        s = _check_positive(s)
+        L = np.log(_check_positive(s))
         if self.kind == "log":
-            return np.log(s)
-        if self.kind == "quadratic":
-            return 2.0 * s - 2.0
-        a = self.alpha
-        return a * np.expm1((a - 1.0) * np.log(s)) / (a - 1.0)
+            return dphi_kernel(L, 1.0)
+        return dphi_kernel(np.expm1((self.alpha - 1.0) * L), self.alpha)
 
     def d2(self, s):
         s = _check_positive(s)
         if self.kind == "log":
             return 1.0 / s
-        if self.kind == "quadratic":
-            return 2.0 * np.ones_like(np.asarray(s, dtype=float))
         a = self.alpha
         return a * s ** (a - 2.0)
 
@@ -102,8 +110,6 @@ class ConvexEntropy:
         s = _check_positive(s)
         if self.kind == "log":
             return -1.0 / s ** 2
-        if self.kind == "quadratic":
-            return np.zeros_like(np.asarray(s, dtype=float))
         a = self.alpha
         return a * (a - 2.0) * s ** (a - 3.0)
 
@@ -113,8 +119,6 @@ class ConvexEntropy:
         """phi'(s) - phi'(t), accurate in relative terms even for s ~ t."""
         s = _check_positive(s)
         t = _check_positive(t)
-        if self.kind == "quadratic":
-            return 2.0 * (s - t)
         L = np.log1p((s - t) / t)          # log(s/t)
         if self.kind == "log":
             return L
@@ -126,11 +130,6 @@ class ConvexEntropy:
         y = np.asarray(y, dtype=float)
         if self.kind == "log":
             return np.exp(y)
-        if self.kind == "quadratic":
-            x = (y + 2.0) / 2.0
-            if np.any(x <= 0.0):
-                raise DomainError("value outside the range of phi' on (0, inf)")
-            return x
         a = self.alpha
         base = 1.0 + (a - 1.0) * y / a
         if np.any(base <= 0.0):
@@ -143,7 +142,8 @@ def log_entropy() -> ConvexEntropy:
 
 
 def quadratic_entropy() -> ConvexEntropy:
-    return ConvexEntropy("quadratic")
+    """The variance (s - 1)^2: the power entropy of order 2."""
+    return power_entropy(2.0)
 
 
 def power_entropy(alpha: float) -> ConvexEntropy:
@@ -157,9 +157,9 @@ def check_alpha(alpha) -> None:
 
 
 def _order(entropy: ConvexEntropy) -> float:
-    """The power-family order a of phi: alpha, 1 for log (the a -> 1
-    limit) and 2 for quadratic (equal to the power entropy at a = 2)."""
-    return {"log": 1.0, "quadratic": 2.0}.get(entropy.kind, entropy.alpha)
+    """The power-family order a of phi: alpha, and 1 for log (the a -> 1
+    limit)."""
+    return 1.0 if entropy.kind == "log" else entropy.alpha
 
 
 def _check_positive(s):
@@ -221,10 +221,6 @@ def _theta_partial1(e: ConvexEntropy, s, t):
     s = np.asarray(_check_positive(s), dtype=float)
     t = np.asarray(_check_positive(t), dtype=float)
     s_b, t_b = np.broadcast_arrays(s, t)
-    if e.kind == "quadratic":
-        out = np.zeros(s_b.shape)
-        return out if out.ndim else 0.0
-
     L = np.log1p((t_b - s_b) / s_b)        # log(t/s)
     small = np.abs(L) <= 1e-3
     out = np.empty(s_b.shape, dtype=float)
@@ -319,8 +315,8 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
     objective is jointly 0-homogeneous for every kind, so the search
     reduces to the ray ratio r = s/t.  If A or B vanishes the infimum
     equals the boundary limit (a-1)(A+B), a the order of the entropy
-    (alpha; 1 for log, 2 for quadratic), and is returned analytically (it
-    is not attained); at a = 2 the objective is the constant A + B.
+    (alpha; 1 for log), and is returned analytically (it is not
+    attained); at a = 2 the objective is the constant A + B.
 
     The other pairs run as one lockstep stack (:func:`_ray_infimum`), and
     each gets the bits it gets alone: the stack shares only factors that
@@ -557,7 +553,7 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int,
     Checks (a) to (c) allow a slack of 1e-9.
 
     Y is the power mean of exponent a - 1 (a the order of the entropy:
-    alpha, 1 for log, 2 for quadratic), homogeneous of degree one, and
+    alpha, 1 for log), homogeneous of degree one, and
     with c = m(1-m)(2-a) Y^{3-2a}
 
         Y12 = c (st)^{a-2},  Y11 = -c s^{a-3} t^{a-1},  Y22 = -c s^{a-1} t^{a-3}.

@@ -10,11 +10,10 @@ check
       2 lambda_h sum_n p_n (rho_n^a - 1)
         <= sum_n sqrt(p_n p_{n+1}) h^{-2}
                (rho_{n+1}^{a-1} - rho_n^{a-1})(rho_{n+1} - rho_n),
-  whose left side is computed as 2 lambda_h (a - 1) sum_n p_n phi_a(rho_n)
-  with the power entropy phi_a(s) = (s^a - 1 - a(s - 1))/(a - 1).  The two
-  forms are equal because the density has mass one (sum_n h p_n rho_n = 1
-  = sum_n h p_n), and only the second keeps its accuracy near
-  equilibrium, where the written sum is all cancellation,
+  with both sides taken from the chain's power entropy and entropy
+  production (pi = h p): the left side is 2 lambda_h (a - 1) Ent/h, equal
+  to the written sum because the density has mass one, and the right
+  side (a - 1) P/(2 a h),
 * the per-cell certificate chain behind the rate: the log-concavity
   inequality sqrt(p_{n-1} p_{n+1}) <= (1 - Phi) p_n, the rate-difference
   bounds with constant lambda_h / 2, and the curvature condition with
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Density, FiniteChain, random_density
+from .bochner import entropy_production
+from .chain import Density, FiniteChain, entropy, random_density
 from .dynamics import (DecayReport, dirichlet_decay_check, entropy_bound_check,
                        evolve, fit_decay_rate)
 from .entropy import big_theta, check_alpha, power_entropy
@@ -65,13 +65,15 @@ def discrete_power_inequality(chain: FiniteChain, alpha: float, rho):
     density gives two floats, a stack two (T,) arrays, each row summed
     as on its own.
 
-    The left side 2 lambda_h sum_n p_n (rho_n^a - 1) is computed in the
-    centered form 2 lambda_h (a - 1) sum_n p_n phi_a(rho_n), with phi_a
-    the power entropy.  The two agree for a density of mass one
-    (sum_n p_n (rho_n - 1) = 0, since p h is the chain's pi), and the
-    centered one does not cancel: near the flat density its terms are
-    O((rho - 1)^2) like the sum, where the written terms are O(rho - 1).
-    A rho whose mass is off one by more than 1e-9 is therefore rejected.
+    The sides are 2 lambda_h (a - 1) Ent(rho)/h and
+    (a - 1) P(rho)/(2 a h), from the chain's power entropy Ent
+    (:func:`entropy`) and entropy production P
+    (:func:`entropy_production`), with pi = h p.  The left side equals
+    the written 2 lambda_h sum_n p_n (rho_n^a - 1) for a density of mass
+    one (sum_n p_n (rho_n - 1) = 0), and near the flat density it keeps
+    far more accuracy than the written sum, whose terms are O(rho - 1)
+    where the sum is O((rho - 1)^2).  A rho whose mass is off one by
+    more than 1e-9 is therefore rejected.
     """
     _require_fv(chain)
     rho = np.asarray(rho, dtype=float)
@@ -79,15 +81,11 @@ def discrete_power_inequality(chain: FiniteChain, alpha: float, rho):
     h = float(chain.meta["h"])
     if np.any(np.abs(h * np.add.reduce(p * rho, axis=-1) - 1.0) > 1e-9):
         raise DomainError("rho must have mass one (see normalize_density)")
-    lam = float(chain.meta["lambda_conv"])
-    lh = lambda_h(h, lam)
-    phi = power_entropy(alpha).eval(rho)
-    lhs = 2.0 * lh * (alpha - 1.0) * np.add.reduce(p * phi, axis=-1)
-    kappa = np.sqrt(p[:-1] * p[1:])
-    hi, lo = rho[..., 1:], rho[..., :-1]
-    dpw = hi ** (alpha - 1.0) - lo ** (alpha - 1.0)
-    rhs = np.add.reduce(kappa / h ** 2 * dpw * (hi - lo), axis=-1)
-    return (lhs, rhs) if lhs.ndim else (float(lhs), float(rhs))
+    lh = lambda_h(h, float(chain.meta["lambda_conv"]))
+    e = power_entropy(alpha)
+    lhs = 2.0 * lh * (alpha - 1.0) * entropy(chain, e, rho) / h
+    rhs = (alpha - 1.0) * entropy_production(chain, e, rho) / (2.0 * alpha * h)
+    return (lhs, rhs) if np.ndim(lhs) else (float(lhs), float(rhs))
 
 
 def fv_condition_check(chain: FiniteChain,
@@ -221,7 +219,7 @@ def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None
                            witness=None if disc_ok else {"t": float(times[k])}))
 
     # production decay is certified only at the per-cell rate
-    dir_check = dirichlet_decay_check(chain, e, traj, alpha * lh)
+    dir_check = dirichlet_decay_check(traj, alpha * lh)
     for c in fv_condition_check(chain, alpha).checks + dir_check.checks:
         checks.add(c)
     decay = DecayReport(traj, fit, rate, ent_check, dir_check,

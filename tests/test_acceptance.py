@@ -187,7 +187,7 @@ def test_criterion_06_decay_rates():
                 fit = bl.fit_decay_rate(traj)
                 worst_margin = min(worst_margin, fit.rate - bound)
                 ok = ok and fit.rate >= bound - 1e-6
-                rep = bl.dirichlet_decay_check(chain, e, traj, bound)
+                rep = bl.dirichlet_decay_check(traj, bound)
                 ok = ok and rep.passed
     elapsed = time.time() - t0
     _stamp(6, "entropy and production decay at the explicit rates", ok,
@@ -309,7 +309,7 @@ def test_criterion_10_negative_controls():
     traj = bl.evolve(rt4, e, rho0, np.linspace(0.0, 6.0, 41))
     inflated = 10.0 * 2.0 / 3.0
     fit = bl.fit_decay_rate(traj)
-    dir_rep = bl.dirichlet_decay_check(rt4, e, traj, inflated)
+    dir_rep = bl.dirichlet_decay_check(traj, inflated)
     ok = ok and fit.rate < inflated - 1e-6
     ok = ok and (not dir_rep.passed)
     ok = ok and dir_rep.failures()[0].witness is not None

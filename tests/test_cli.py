@@ -460,6 +460,40 @@ class TestCommands:
             "config error: t_end must be finite and > 0\n"
         assert not out.exists()
 
+    @staticmethod
+    def _config_error_writes_nothing(tmp_path, capsys, argv, doc, message):
+        """Exit 2 with ``message`` from the flags and from the config
+        document, with nothing written."""
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([argv[0], "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,doc,message", [
+        (["decay", "--alpha", "1.5"],
+         {"command": "decay", "alpha": [1.5]},
+         "command 'decay' requires a model block"),
+        (["fokker-planck", "--model", "random_transposition", "--n", "3"],
+         {"command": "fokker-planck",
+          "model": {"model": "random_transposition", "n": 3}},
+         "fokker-planck command needs a fokker_planck_fv model"),
+    ], ids=["no-model", "fokker-planck-kind"])
+    def test_model_requirement_exits_before_writing(self, tmp_path, capsys,
+                                                    argv, doc, message):
+        self._config_error_writes_nothing(tmp_path, capsys, argv, doc, message)
+
+    def test_verify_lemmas_alpha_two_exits_before_writing(self, tmp_path,
+                                                          capsys):
+        self._config_error_writes_nothing(
+            tmp_path, capsys,
+            ["verify-lemmas", "--alpha", "1.5", "2.0", "--samples", "300"],
+            {"command": "verify-lemmas", "alpha": [1.5, 2.0], "samples": 300},
+            "verify-lemmas needs alpha in (1,2)")
+
     @pytest.mark.parametrize("argv", [
         ["theta-surface"],
         ["verify-lemmas", "--samples", "300"],

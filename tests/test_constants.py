@@ -364,6 +364,22 @@ def lockstep(zr33, rt4):
     return get
 
 
+class TestOneEntropyPath:
+    """The quotient's denominator is the chain's entropy, bit for bit."""
+
+    @pytest.mark.parametrize("kind,alpha", [("mlsi", None), ("beckner", 1.1),
+                                            ("beckner", 1.5),
+                                            ("beckner", 2.0)])
+    def test_denominator_is_chain_entropy(self, rt4, bd8, kind, alpha):
+        e = bl.log_entropy() if kind == "mlsi" else bl.power_entropy(alpha)
+        rng = np.random.default_rng(6)
+        for chain in (rt4, bd8):
+            R = np.array([bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3])
+                          .values for k in range(12)])
+            den = _Quotient(chain, kind, alpha).parts(R)[1]
+            assert np.array_equal(den, bl.entropy(chain, e, R))
+
+
 class TestLockstepDescent:
     """Every start of a stacked descent gets the bits it gets alone."""
 

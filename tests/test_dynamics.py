@@ -223,21 +223,21 @@ class TestDirichletDecay:
         rho0 = bl.random_density(rt4, np.random.default_rng(8), 1.0)
         e = bl.power_entropy(1.5)
         traj = bl.evolve(rt4, e, rho0, np.linspace(0.0, 5.0, 41))
-        rep = bl.dirichlet_decay_check(rt4, e, traj, 2.0 / 3.0)
+        rep = bl.dirichlet_decay_check(traj, 2.0 / 3.0)
         assert rep.passed
 
     def test_inflated_rate_fails(self, rt4):
         rho0 = bl.random_density(rt4, np.random.default_rng(9), 1.0)
         e = bl.power_entropy(1.5)
         traj = bl.evolve(rt4, e, rho0, np.linspace(0.0, 5.0, 41))
-        rep = bl.dirichlet_decay_check(rt4, e, traj, 10.0 * 2.0 / 3.0)
+        rep = bl.dirichlet_decay_check(traj, 10.0 * 2.0 / 3.0)
         assert not rep.passed
         assert rep.failures()[0].witness is not None
 
     def test_stationary_trivial(self, rt3):
         rho0 = bl.normalize_density(rt3, np.ones(rt3.n_states))
         traj = bl.evolve(rt3, bl.log_entropy(), rho0, np.linspace(0, 1, 11))
-        assert bl.dirichlet_decay_check(rt3, bl.log_entropy(), traj, 1.0).passed
+        assert bl.dirichlet_decay_check(traj, 1.0).passed
 
 
 class TestRunDecay:
@@ -369,7 +369,7 @@ class TestDirichletDecayPairs:
         traj = bl.evolve(rt4, e, rho0, np.linspace(0.0, 5.0, 41))
         lam = factor * 2.0 / 3.0
         worst, witness = _decay_check_reference(traj, lam)
-        check, = bl.dirichlet_decay_check(rt4, e, traj, lam).checks
+        check, = bl.dirichlet_decay_check(traj, lam).checks
         scale = float(np.max(np.abs(traj.dirichlet_values)) + 1e-300)
         assert check.max_residual == worst / scale
         assert check.passed == (worst <= 1e-9 * scale)
@@ -377,14 +377,13 @@ class TestDirichletDecayPairs:
         if factor == 10.0:
             assert not check.passed
 
-    def test_first_of_tied_pairs_is_the_witness(self, two_state):
+    def test_first_of_tied_pairs_is_the_witness(self):
         # exp(-1000 (t - s)) underflows to 0, so a constant production
         # ties every pair s < t at a gap of 1
         times = np.arange(5.0)
         traj = bl.dynamics.Trajectory(times, np.ones((5, 2)), np.ones(5),
                                       np.ones(5), bl.log_entropy())
-        check, = bl.dirichlet_decay_check(two_state, bl.log_entropy(), traj,
-                                          1e3).checks
+        check, = bl.dirichlet_decay_check(traj, 1e3).checks
         assert check.max_residual == 1.0
         assert check.witness == {"s": 0.0, "t": 1.0} == \
             _decay_check_reference(traj, 1e3)[1]

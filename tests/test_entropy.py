@@ -107,6 +107,9 @@ class TestPhi:
             assert np.all(np.asarray(e.eval(s)) >= -1e-14)
             assert np.all(np.asarray(e.d2(s)) > 0.0)
 
+    def test_quadratic_is_power_two(self):
+        assert bl.quadratic_entropy() == bl.power_entropy(2.0)
+
     def test_power_tends_to_log(self):
         e = bl.power_entropy(1.0 + 1e-6)
         log = bl.log_entropy()
