@@ -281,8 +281,18 @@ def _series_power_g(x, am1):
 # the joint infimum functional Theta(A, B)
 # ---------------------------------------------------------------------------
 
-# rows per ray-scan block, evaluated into one reused (rows, 2401) float
-# buffer, about 300 kB at 16 rows (the acceptance CLI benchmark peaked at
+# coarse stride of the ray grid: 2400 = 16 * 150, so the coarse pass
+# holds both grid ends; 151 coarse points and a 33-point window
+_STRIDE = 16
+# a window end must exceed the window minimum by this relative margin,
+# about 1000 times the rounding of one grid value (1.2e-13 at |w| <= 480)
+_MARGIN = 1e-10
+# rows per coarse-and-window block: (128, 151) floats, half the full
+# scan's buffer, so the peak memory does not grow
+_COARSE_ROWS = 128
+# rows per block of the full scan, which only the rows the certificate
+# rejects take, evaluated into one reused (rows, 2401) float buffer,
+# about 300 kB at 16 rows (the acceptance CLI benchmark peaked at
 # 42.0-42.2 MB RSS with 16 rows and 45.9 MB with 256, which ran slower)
 _SCAN_ROWS = 16
 
@@ -322,9 +332,12 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
     each gets the bits it gets alone: the stack shares only factors that
     depend on the ray coordinate, and every row combines them in the
     one-pair order, with its own bracket and its own ``max_iter``
-    golden-section steps.  The scan takes 16 rows at a time
-    (``_SCAN_ROWS``): wider blocks run no faster and only raise the peak
-    memory, so the stack costs a few arrays of one float per pair.
+    golden-section steps.  The 2401-point grid that brackets each pair is
+    evaluated at 184 points, a coarse pass and a window; the ray objective
+    is log-convex, so a window whose ends exceed its minimum holds the
+    grid argmin, and pairs without that certificate take the full scan.
+    Both passes run in row blocks, so the stack costs a few arrays of one
+    float per pair.
     """
     A, B = _weights(A, B)
     a = _order(entropy)
@@ -352,62 +365,116 @@ def _ray_value(factors, A, B):
     return np.where(zero, A + B, P * (A * E + B) / D)
 
 
+def _grid_values(factors, A, B, at, out):
+    """The ray objective of every row of weights at the grid points
+    ``at`` (a slice of the grid, or an index array with one row per
+    weight row), into ``out``: the operations of :func:`_ray_value` on
+    the factors of the whole grid, so each point gets the same bits
+    wherever it is evaluated."""
+    P, E, D, zero = (f[at] for f in factors)
+    np.multiply(A[:, None], E, out=out)
+    np.add(out, B[:, None], out=out)
+    np.multiply(P, out, out=out)
+    np.divide(out, D, out=out)
+    np.copyto(out, (A + B)[:, None], where=zero)
+    return out
+
+
+def _grid_minimum(a, ws, A, B):
+    """The first argmin on the grid ``ws`` of every row, its value, and
+    whether the row is flat (its maximum within 1e-12 relative of its
+    minimum), as a scan of the whole grid gives them; and which rows the
+    certificate below settled.
+
+    A coarse pass takes every ``_STRIDE``-th point and a second pass the
+    ``2 _STRIDE + 1`` points around the coarse minimum (moved inward at a
+    grid end).  Log-convexity makes the window's argmin the grid's when
+    (i) each window end that is not a grid end exceeds the window minimum
+    by ``_MARGIN`` relative, and (ii) the coarse maximum M has M - min >
+    1e-12 (M + 1), so the row is not flat.  Rows that fail either take the
+    full scan, and so does every row with an inf or nan coarse value,
+    which fails (ii).
+    """
+    # the log entropy's D is the scalar 1; a view gives it the grid's
+    # shape for slicing
+    factors = np.broadcast_arrays(*_ray_factors(a, ws))
+    n, size = A.size, ws.size
+    i, vi = np.empty(n, dtype=np.intp), np.empty(n)
+    flat, full = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    width = 2 * _STRIDE + 1
+    for k in range(0, n, _COARSE_ROWS):
+        s = slice(k, k + _COARSE_ROWS)
+        wa, wb = A[s], B[s]
+        coarse = _grid_values(factors, wa, wb, np.s_[::_STRIDE],
+                              np.empty((wa.size, (size - 1) // _STRIDE + 1)))
+        top = coarse.max(axis=1)
+        start = np.clip(_STRIDE * (np.argmin(coarse, axis=1) - 1), 0,
+                        size - width)
+        window = _grid_values(factors, wa, wb,
+                              start[:, None] + np.arange(width),
+                              np.empty((wa.size, width)))
+        j = np.argmin(window, axis=1)
+        low = window[np.arange(wa.size), j]
+        above = low * (1.0 + _MARGIN)
+        sure = ((top - low > 1e-12 * (top + 1.0))
+                & ((start == 0) | (window[:, 0] > above))
+                & ((start == size - width) | (window[:, -1] > above)))
+        i[s], vi[s], full[s] = start + j, low, ~sure
+    rows = np.flatnonzero(full)
+    buf = np.empty((_SCAN_ROWS, size))
+    for k in range(0, rows.size, _SCAN_ROWS):
+        r = rows[k:k + _SCAN_ROWS]
+        vals = _grid_values(factors, A[r], B[r], slice(None), buf[:r.size])
+        i[r] = np.argmin(vals, axis=1)
+        vi[r] = vals[np.arange(r.size), i[r]]
+        vmax = vals.max(axis=1)
+        flat[r] = vmax - vi[r] <= 1e-12 * (np.abs(vmax) + 1.0)
+    return i, vi, flat, ~full
+
+
 def _ray_infimum(a, A, B, max_iter):
     """The ray infimum for 1-D arrays of positive weights, order a < 2.
 
-    A 2401-point scan of w in [-60, 60] brackets each row's minimizer;
+    A 2401-point grid of w in [-60, 60] brackets each row's minimizer;
     rows whose minimum sits on the boundary are rescanned at twice the
     span, up to 480.  A row still on the boundary there returns the
     boundary limit (a-1)(A+B) if its edge value lies within 1e-9 relative
-    of it, and raises otherwise.  A flat row returns its scan minimum; the
-    others are refined by :func:`_golden`.  The scan runs ``_SCAN_ROWS``
-    rows at a time on factors computed once per span, in place in one
-    buffer.
+    of it, and raises otherwise.  A flat row returns its grid minimum; the
+    others are refined by :func:`_golden`.
+
+    :func:`_grid_minimum` finds each grid argmin from 184 points, because
+    the objective (a-1) expm1(w) (A e^{(a-2)w} + B) / expm1((a-1)w) is
+    log-convex in w for a in [1, 2): with c = a - 1, log of its first
+    factor has second derivative c^2/(4 sinh^2(cw/2)) - 1/(4 sinh^2(w/2))
+    >= 0 (sinh(x)/x grows), and its second is a log-sum-exp of affine terms.
     """
     n = A.size
     out, lo, hi = np.empty(n), np.empty(n), np.empty(n)
     refine = np.zeros(n, dtype=bool)
-    buf = np.empty((_SCAN_ROWS, 2401))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         todo, span = np.arange(n), 60.0
         while todo.size:
             ws = np.linspace(-span, span, 2401)
-            P, E, D, zero = _ray_factors(a, ws)
-            zero = np.flatnonzero(zero)
-            wider = []
-            for k in range(0, todo.size, _SCAN_ROWS):
-                rows = todo[k:k + _SCAN_ROWS]
-                # P (A E + B) / D in the order _ray_value takes, in place
-                vals = buf[:rows.size]
-                np.multiply(A[rows, None], E, out=vals)
-                np.add(vals, B[rows, None], out=vals)
-                np.multiply(P, vals, out=vals)
-                np.divide(vals, D, out=vals)
-                vals[:, zero] = (A[rows] + B[rows])[:, None]
-                i = np.argmin(vals, axis=1)
-                vi = vals[np.arange(rows.size), i]
-                vmax = vals.max(axis=1)
-                flat = vmax - vi <= 1e-12 * (np.abs(vmax) + 1.0)
-                edge = ~flat & ((i == 0) | (i == ws.size - 1))
-                inner = ~flat & ~edge
-                out[rows[flat]] = vi[flat]
-                refine[rows[inner]] = True
-                lo[rows[inner]] = ws[i[inner] - 1]
-                hi[rows[inner]] = ws[i[inner] + 1]
-                if span * 2.0 > 600.0:
-                    # an edge row of the last span approaches the limit
-                    # of the objective as |w| grows
-                    floor = (a - 1.0) * (A[rows] + B[rows])
-                    limit = edge & (np.abs(vi - floor) <= 1e-9 * floor)
-                    out[rows[limit]] = floor[limit]
-                    edge &= ~limit
-                    if edge.any():
-                        j = np.flatnonzero(edge)[0]
-                        raise NumericalError(
-                            f"ray scan did not bracket the minimizer; best "
-                            f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
-                wider.append(rows[edge])
-            todo, span = np.concatenate(wider), span * 2.0
+            i, vi, flat, _ = _grid_minimum(a, ws, A[todo], B[todo])
+            edge = ~flat & ((i == 0) | (i == ws.size - 1))
+            inner = ~flat & ~edge
+            out[todo[flat]] = vi[flat]
+            refine[todo[inner]] = True
+            lo[todo[inner]] = ws[i[inner] - 1]
+            hi[todo[inner]] = ws[i[inner] + 1]
+            if span * 2.0 > 600.0:
+                # an edge row of the last span approaches the limit of
+                # the objective as |w| grows
+                floor = (a - 1.0) * (A[todo] + B[todo])
+                limit = edge & (np.abs(vi - floor) <= 1e-9 * floor)
+                out[todo[limit]] = floor[limit]
+                edge &= ~limit
+                if edge.any():
+                    j = np.flatnonzero(edge)[0]
+                    raise NumericalError(
+                        f"ray scan did not bracket the minimizer; best "
+                        f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
+            todo, span = todo[edge], span * 2.0
         if refine.any():
             out[refine] = _golden(a, A[refine], B[refine], lo[refine],
                                   hi[refine], max_iter)

@@ -417,7 +417,9 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
         if np.any(np.diff(b) < -1e-12):
             raise HypothesisError("death rate sequence must be nondecreasing")
         live = np.flatnonzero(a[:-1] > 0.0)
-        A, B = a[live] - a[live + 1], b[live + 1] - b[live]
+        # a step the wrong way within the 1e-12 tolerance counts as flat
+        A = np.maximum(a[live] - a[live + 1], 0.0)
+        B = np.maximum(b[live + 1] - b[live], 0.0)
         best = math.inf
         best_n = None
         for n, val in zip(live, A + B + big_theta(power_entropy(alpha), A, B)):

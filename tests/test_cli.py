@@ -574,6 +574,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "explicit constant lambda = -0.707107 is not positive" in err
 
+    def test_birth_rates_within_the_monotonicity_tolerance(self, tmp_path,
+                                                           capsys):
+        # a(1) < a(2) by 5e-13 passes the nonincreasing check; the step
+        # counts as flat, so the explicit constant is 1.5
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay",
+            "model": {"model": "birth_death", "a": [3, 2, 2.0000000000005, 1, 0],
+                      "b": [0, 1, 2, 3, 4]},
+            "alpha": [1.5]}))
+        status = main(["decay", "--config", str(cfg), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert status == 0, captured.err
+        assert "rate >= 1.5: PASS" in captured.out
+
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -8,7 +8,7 @@ import pytest
 
 import beckner_lab as bl
 from beckner_lab import DomainError, NumericalError
-from beckner_lab.entropy import _golden
+from beckner_lab.entropy import _golden, _grid_minimum
 
 
 def brute_force_big_theta(alpha, A, B, n=1500):
@@ -403,6 +403,57 @@ class TestLockstepBigTheta:
             assert cells.sum() >= n - 2
             assert np.array_equal(bl.big_theta(e, A[cells], B[cells]),
                                   reference_big_theta(e, A[cells], B[cells]))
+
+    @pytest.mark.parametrize("alpha,A,B,span,settled", [
+        (1.9999, 1e-13, 1e-13, 60.0, False),    # flat
+        (1.9999, 1.0, 1e-6, 60.0, False),       # window ends within the margin
+        (1.9999, 1e6, 1.0, 60.0, False),
+        (1.9999, 2.0, 3.0, 60.0, True),
+        (1.05, 1e250, 1.0, 240.0, False),       # inf at a grid end
+        (1.05, 1.0, 1e250, 240.0, False),
+    ])
+    def test_certificate_verdict_keeps_the_reference_bits(self, alpha, A, B,
+                                                        span, settled):
+        # a row the coarse-to-fine certificate rejects at some span takes
+        # the full scan there, and still gets the reference's bits
+        with np.errstate(all="ignore"):
+            *_, sure = _grid_minimum(alpha, np.linspace(-span, span, 2401),
+                                     np.array([A]), np.array([B]))
+        assert bool(sure[0]) is settled
+        e = bl.power_entropy(alpha)
+        assert np.array_equal(bl.big_theta(e, [A, 2.0], [B, 3.0]),
+                              reference_big_theta(e, [A, 2.0], [B, 3.0]))
+
+    def test_certificate_settles_the_readme_grid_and_fv_cells(self):
+        # these rows never need the full scan; each row's coarse-to-fine
+        # argmin and value are those of the whole grid
+        ws = np.linspace(-60.0, 60.0, 2401)
+        g = np.arange(1, 41) * 0.25
+        grid = [(alpha, *np.meshgrid(g, g)) for alpha in (1.01, 1.8)]
+        for n in (8, 16, 32, 64, 128):
+            chain = bl.build_fokker_planck_fv(
+                lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
+            a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
+            A, B = a[:-1] - a[1:], b[1:] - b[:-1]
+            cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
+            grid.append((1.5, A[cells], B[cells]))
+        for alpha, A, B in grid:
+            A, B = A.ravel(), B.ravel()
+            with np.errstate(all="ignore"):
+                i, vi, flat, sure = _grid_minimum(alpha, ws, A, B)
+            assert sure.all() and not flat.any()
+            scan = np.array([reference_ray_value(alpha, x, y, ws)
+                             for x, y in zip(A, B)])
+            assert np.array_equal(i, np.argmin(scan, axis=1))
+            assert np.array_equal(vi, scan.min(axis=1))
+
+    @pytest.mark.parametrize("a", [1.0, 1.01, 1.5, 1.95, 1.9999])
+    def test_ray_objective_is_log_convex(self, a):
+        # the premise of the certificate, on the span-60 grid
+        ws = np.linspace(-60.0, 60.0, 2401)
+        for ratio in 10.0 ** np.arange(-8, 9, 2):
+            logf = np.log(reference_ray_value(a, ratio, 1.0, ws))
+            assert np.diff(logf, 2).min() >= -1e-12, ratio
 
     def test_row_alone_equals_row_in_batch(self):
         rng = np.random.default_rng(3)

@@ -341,6 +341,26 @@ class TestPaperLambda:
         with pytest.raises(HypothesisError):
             bl.paper_lambda(spec, 1.5)
 
+    def test_birth_death_step_within_the_tolerance_is_flat(self):
+        # a(1) < a(2) by 5e-13 passes the monotonicity check, and the
+        # step counts as 0, so the bound is that of a(2) = a(1)
+        a, b = [3.0, 2.0, 2.0000000000005, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]
+        const = bl.paper_lambda(bl.ModelSpec("birth_death",
+                                             {"a": a, "b": b}), 1.5)
+        exact = bl.paper_lambda(bl.ModelSpec(
+            "birth_death", {"a": [3.0, 2.0, 2.0, 1.0, 0.0], "b": b}), 1.5)
+        assert const.value == exact.value == 1.5
+        assert const.parameters["argmin_level"] == 1
+        a[2] = 2.0 + 1e-11
+        with pytest.raises(HypothesisError, match="nonincreasing"):
+            bl.paper_lambda(bl.ModelSpec("birth_death", {"a": a, "b": b}),
+                            1.5)
+        # and a death rate that falls by 5e-13
+        b[2] = 1.0 - 5e-13
+        const = bl.paper_lambda(bl.ModelSpec(
+            "birth_death", {"a": [3.0, 2.0, 1.5, 1.0, 0.0], "b": b}), 1.5)
+        assert const.value == 0.75
+
     def test_fv_constant(self):
         spec = bl.ModelSpec("fokker_planck_fv",
                             {"potential": {"kind": "quadratic", "coeff": 2.0},
