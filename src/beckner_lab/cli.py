@@ -321,8 +321,10 @@ def _cmd_theta_surface(cfg: ExperimentConfig) -> int:
         tag = f"{a:.6g}".replace(".", "_")
         _write_csv(os.path.join(cfg.out, f"theta_surface_alpha{tag}.csv"),
                    "A,B,theta,lower_bound,upper_bound", rows)
-        ok = bool(np.all(rows[:, 2] >= rows[:, 3] - 1e-9)
-                  and np.all(rows[:, 2] <= rows[:, 4] + 1e-9))
+        # the slack is relative to each node's bound, so the check means
+        # the same at every grid scale
+        ok = bool(np.all(rows[:, 2] >= rows[:, 3] * (1.0 - 1e-9))
+                  and np.all(rows[:, 2] <= rows[:, 4] * (1.0 + 1e-9)))
         pos = rows[:, 3] > 0
         excess = float(np.max(rows[pos, 2] / rows[pos, 3])) if pos.any() else 1.0
         print(f"alpha={a}: {len(rows)} nodes, bounds "

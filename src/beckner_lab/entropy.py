@@ -281,22 +281,6 @@ def _series_power_g(x, am1):
 # the joint infimum functional Theta(A, B)
 # ---------------------------------------------------------------------------
 
-# coarse stride of the ray grid: 2400 = 16 * 150, so the coarse pass
-# holds both grid ends; 151 coarse points and a 33-point window
-_STRIDE = 16
-# a window end must exceed the window minimum by this relative margin,
-# about 1000 times the rounding of one grid value (1.2e-13 at |w| <= 480)
-_MARGIN = 1e-10
-# rows per coarse-and-window block: (128, 151) floats, half the full
-# scan's buffer, so the peak memory does not grow
-_COARSE_ROWS = 128
-# rows per block of the full scan, which only the rows the certificate
-# rejects take, evaluated into one reused (rows, 2401) float buffer,
-# about 300 kB at 16 rows (the acceptance CLI benchmark peaked at
-# 42.0-42.2 MB RSS with 16 rows and 45.9 MB with 256, which ran slower)
-_SCAN_ROWS = 16
-
-
 def _weights(A, B):
     """A and B broadcast to float arrays of one shape, each entry finite
     and nonnegative."""
@@ -323,21 +307,16 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
     A and B are finite nonnegative floats or arrays, broadcast together;
     a float pair gives a float, arrays give an array of their shape.  The
     objective is jointly 0-homogeneous for every kind, so the search
-    reduces to the ray ratio r = s/t.  If A or B vanishes the infimum
+    reduces to the ray (s, t) = (e^w, 1).  If A or B vanishes the infimum
     equals the boundary limit (a-1)(A+B), a the order of the entropy
     (alpha; 1 for log), and is returned analytically (it is not
     attained); at a = 2 the objective is the constant A + B.
 
-    The other pairs run as one lockstep stack (:func:`_ray_infimum`), and
-    each gets the bits it gets alone: the stack shares only factors that
-    depend on the ray coordinate, and every row combines them in the
-    one-pair order, with its own bracket and its own ``max_iter``
-    golden-section steps.  The 2401-point grid that brackets each pair is
-    evaluated at 184 points, a coarse pass and a window; the ray objective
-    is log-convex, so a window whose ends exceed its minimum holds the
-    grid argmin, and pairs without that certificate take the full scan.
-    Both passes run in row blocks, so the stack costs a few arrays of one
-    float per pair.
+    The other pairs run as one lockstep golden section
+    (:func:`_ray_infimum`) on the closed-form bracket [0, log(M/m)/(2-a)],
+    M and m the larger and smaller weight, where the log-convex objective
+    changes slope; each row stops at its own step, so it gets the bits it
+    gets alone, and the result is M times a ratio, so it is 1-homogeneous.
     """
     A, B = _weights(A, B)
     a = _order(entropy)
@@ -349,166 +328,59 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
     return out if out.ndim else float(out)
 
 
-def _ray_factors(a, w):
-    """Factors of the ray objective P (A E + B) / D along (s, t) = (e^w, 1)
-    that depend on w alone: the power family's, and at a = 1 its a -> 1
-    limit, the log entropy's (D = 1, an exact division).  The last one
-    masks |w| < 1e-12, where the form is 0/0 and the value is A + B."""
+def _ray_value(a, w, w0):
+    """The ray objective over its larger weight M at w in (0, w0]:
+    c r(w) (1 + e^{(2-a)(w - w0)}), c = a - 1, with c r(w) = c expm1(-w) /
+    expm1(-c w), and -expm1(-w)/w at a = 1.  On the bracket c r lies in
+    [c, 1] and the exponential is at most 1, so nothing overflows."""
     if a == 1.0:
-        return np.expm1(w) / w, np.exp(-w), 1.0, np.abs(w) < 1e-12
-    return ((a - 1.0) * np.expm1(w), np.exp((a - 2.0) * w),
-            np.expm1((a - 1.0) * w), np.abs(w) < 1e-12)
+        cr = -np.expm1(-w) / w
+    else:
+        cr = (a - 1.0) * np.expm1(-w) / np.expm1((1.0 - a) * w)
+    return cr * (1.0 + np.exp((2.0 - a) * (w - w0)))
 
 
-def _ray_value(factors, A, B):
-    P, E, D, zero = factors
-    return np.where(zero, A + B, P * (A * E + B) / D)
-
-
-def _grid_values(factors, A, B, at, out):
-    """The ray objective of every row of weights at the grid points
-    ``at`` (a slice of the grid, or an index array with one row per
-    weight row), into ``out``: the operations of :func:`_ray_value` on
-    the factors of the whole grid, so each point gets the same bits
-    wherever it is evaluated."""
-    P, E, D, zero = (f[at] for f in factors)
-    np.multiply(A[:, None], E, out=out)
-    np.add(out, B[:, None], out=out)
-    np.multiply(P, out, out=out)
-    np.divide(out, D, out=out)
-    np.copyto(out, (A + B)[:, None], where=zero)
-    return out
-
-
-def _grid_minimum(a, ws, A, B):
-    """The first argmin on the grid ``ws`` of every row, its value, and
-    whether the row is flat (its maximum within 1e-12 relative of its
-    minimum), as a scan of the whole grid gives them; and which rows the
-    certificate below settled.
-
-    A coarse pass takes every ``_STRIDE``-th point and a second pass the
-    ``2 _STRIDE + 1`` points around the coarse minimum (moved inward at a
-    grid end).  Log-convexity makes the window's argmin the grid's when
-    (i) each window end that is not a grid end exceeds the window minimum
-    by ``_MARGIN`` relative, and (ii) the coarse maximum M has M - min >
-    1e-12 (M + 1), so the row is not flat.  Rows that fail either take the
-    full scan, and so does every row with an inf or nan coarse value,
-    which fails (ii).
-    """
-    # the log entropy's D is the scalar 1; a view gives it the grid's
-    # shape for slicing
-    factors = np.broadcast_arrays(*_ray_factors(a, ws))
-    n, size = A.size, ws.size
-    i, vi = np.empty(n, dtype=np.intp), np.empty(n)
-    flat, full = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    width = 2 * _STRIDE + 1
-    for k in range(0, n, _COARSE_ROWS):
-        s = slice(k, k + _COARSE_ROWS)
-        wa, wb = A[s], B[s]
-        coarse = _grid_values(factors, wa, wb, np.s_[::_STRIDE],
-                              np.empty((wa.size, (size - 1) // _STRIDE + 1)))
-        top = coarse.max(axis=1)
-        start = np.clip(_STRIDE * (np.argmin(coarse, axis=1) - 1), 0,
-                        size - width)
-        window = _grid_values(factors, wa, wb,
-                              start[:, None] + np.arange(width),
-                              np.empty((wa.size, width)))
-        j = np.argmin(window, axis=1)
-        low = window[np.arange(wa.size), j]
-        above = low * (1.0 + _MARGIN)
-        sure = ((top - low > 1e-12 * (top + 1.0))
-                & ((start == 0) | (window[:, 0] > above))
-                & ((start == size - width) | (window[:, -1] > above)))
-        i[s], vi[s], full[s] = start + j, low, ~sure
-    rows = np.flatnonzero(full)
-    buf = np.empty((_SCAN_ROWS, size))
-    for k in range(0, rows.size, _SCAN_ROWS):
-        r = rows[k:k + _SCAN_ROWS]
-        vals = _grid_values(factors, A[r], B[r], slice(None), buf[:r.size])
-        i[r] = np.argmin(vals, axis=1)
-        vi[r] = vals[np.arange(r.size), i[r]]
-        vmax = vals.max(axis=1)
-        flat[r] = vmax - vi[r] <= 1e-12 * (np.abs(vmax) + 1.0)
-    return i, vi, flat, ~full
-
-
+# M/m overflows where the log's difference replaces it, and a row with
+# A = B has w0 = 0, where c r is 0/0 and the result is A + B
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ray_infimum(a, A, B, max_iter):
     """The ray infimum for 1-D arrays of positive weights, order a < 2.
 
-    A 2401-point grid of w in [-60, 60] brackets each row's minimizer;
-    rows whose minimum sits on the boundary are rescanned at twice the
-    span, up to 480.  A row still on the boundary there returns the
-    boundary limit (a-1)(A+B) if its edge value lies within 1e-9 relative
-    of it, and raises otherwise.  A flat row returns its grid minimum; the
-    others are refined by :func:`_golden`.
+    With the larger weight M first (f_{A,B}(w) = f_{B,A}(-w)), (log f)' =
+    h'(w) - (2-a) sigma(w): h' rises (f is log-convex) from (2-a)/2 at 0,
+    and sigma falls from M/(M+m) >= 1/2 to 1/2 at w0 = log(M/m)/(2-a), so
+    f has its minimum in [0, w0].
 
-    :func:`_grid_minimum` finds each grid argmin from 184 points, because
-    the objective (a-1) expm1(w) (A e^{(a-2)w} + B) / expm1((a-1)w) is
-    log-convex in w for a in [1, 2): with c = a - 1, log of its first
-    factor has second derivative c^2/(4 sinh^2(cw/2)) - 1/(4 sinh^2(w/2))
-    >= 0 (sinh(x)/x grows), and its second is a log-sum-exp of affine terms.
+    Golden section keeps a row while hi - lo > 1e-12 max(1, hi),
+    for at most ``max_iter`` steps, and ends with the least of the
+    midpoint value and its last two probes (the first of them on a tie).
+    The loop holds the active rows only; a row's final bracket and probe
+    values are stored when it retires.  The result is clamped into
+    [(a-1)(A+B), A+B], and A = B (w0 = 0) gives A + B exactly.
     """
-    n = A.size
-    out, lo, hi = np.empty(n), np.empty(n), np.empty(n)
-    refine = np.zeros(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        todo, span = np.arange(n), 60.0
-        while todo.size:
-            ws = np.linspace(-span, span, 2401)
-            i, vi, flat, _ = _grid_minimum(a, ws, A[todo], B[todo])
-            edge = ~flat & ((i == 0) | (i == ws.size - 1))
-            inner = ~flat & ~edge
-            out[todo[flat]] = vi[flat]
-            refine[todo[inner]] = True
-            lo[todo[inner]] = ws[i[inner] - 1]
-            hi[todo[inner]] = ws[i[inner] + 1]
-            if span * 2.0 > 600.0:
-                # an edge row of the last span approaches the limit of
-                # the objective as |w| grows
-                floor = (a - 1.0) * (A[todo] + B[todo])
-                limit = edge & (np.abs(vi - floor) <= 1e-9 * floor)
-                out[todo[limit]] = floor[limit]
-                edge &= ~limit
-                if edge.any():
-                    j = np.flatnonzero(edge)[0]
-                    raise NumericalError(
-                        f"ray scan did not bracket the minimizer; best "
-                        f"bracket w={ws[i[j]]:.3g}, value={vi[j]:.17g}")
-            todo, span = todo[edge], span * 2.0
-        if refine.any():
-            out[refine] = _golden(a, A[refine], B[refine], lo[refine],
-                                  hi[refine], max_iter)
-    return out
-
-
-def _golden(a, A, B, lo, hi, max_iter):
-    """Golden-section refinement of every bracket [lo, hi] in lockstep.
-
-    A row stays active while hi - lo >= 1e-12, for at most ``max_iter``
-    steps, and ends with the least of the midpoint value and its last two
-    probes (the first of them on a tie).  The loop holds the active rows
-    only; a row's final bracket and probe values are stored when it
-    retires.
-    """
+    M, m = np.maximum(A, B), np.minimum(A, B)
+    ratio = M / m
+    w0 = np.where(ratio < np.inf, np.log(ratio),
+                  np.log(M) - np.log(m)) / (2.0 - a)
+    lo, hi = np.zeros_like(w0), w0
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc = _ray_value(_ray_factors(a, c), A, B)
-    fd = _ray_value(_ray_factors(a, d), A, B)
-    final = np.empty((4, lo.size))          # lo, hi, fc, fd at retirement
-    act, wa, wb = np.arange(lo.size), A, B
+    fc, fd = _ray_value(a, c, w0), _ray_value(a, d, w0)
+    final = np.empty((4, w0.size))          # lo, hi, fc, fd at retirement
+    act, v0 = np.arange(w0.size), w0
     for _ in range(max_iter):
-        keep = hi - lo >= 1e-12
+        keep = hi - lo > 1e-12 * np.maximum(1.0, hi)
         if not keep.all():
             final[:, act[~keep]] = lo[~keep], hi[~keep], fc[~keep], fd[~keep]
-            act, wa, wb, lo, hi, c, d, fc, fd = (
-                x[keep] for x in (act, wa, wb, lo, hi, c, d, fc, fd))
+            act, v0, lo, hi, c, d, fc, fd = (
+                x[keep] for x in (act, v0, lo, hi, c, d, fc, fd))
             if not act.size:
                 break
         left = fc < fd
         lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        new = np.where(left, hi - _GOLDEN * (hi - lo),
-                       lo + _GOLDEN * (hi - lo))
-        f = _ray_value(_ray_factors(a, new), wa, wb)
+        step = _GOLDEN * (hi - lo)
+        new = np.where(left, hi - step, lo + step)
+        f = _ray_value(a, new, v0)
         c, d = np.where(left, new, d), np.where(left, c, new)
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     else:
@@ -516,9 +388,11 @@ def _golden(a, A, B, lo, hi, max_iter):
             f"golden-section refinement exceeded {max_iter} iterations; "
             f"best bracket [{lo[0]:.17g}, {hi[0]:.17g}]")
     lo, hi, fc, fd = final
-    best = _ray_value(_ray_factors(a, 0.5 * (lo + hi)), A, B)
+    best = _ray_value(a, 0.5 * (lo + hi), w0)
     best = np.where(fc < best, fc, best)
-    return np.where(fd < best, fd, best)
+    best = np.where(fd < best, fd, best)
+    return np.where(w0 > 0.0, np.clip(M * best, (a - 1.0) * (A + B), A + B),
+                    A + B)
 
 
 def theta_surface(alpha: float, A_grid, B_grid) -> np.ndarray:

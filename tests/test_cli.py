@@ -136,6 +136,41 @@ class TestCommands:
         assert lines[0] == "A,B,theta,lower_bound,upper_bound"
         assert len(lines) == 1 + 7 * 7
 
+    def test_theta_surface_at_a_large_scale_passes(self, tmp_path):
+        # Theta(s, s) = 2s is the upper bound A + B itself at s = 1e12
+        status = main(["theta-surface", "--alpha", "1.5", "--grid",
+                       "0:4e12:1e12", "--out", str(tmp_path)])
+        assert status == 0
+
+    def test_theta_surface_bounds_check_at_a_small_scale(self, tmp_path,
+                                                         monkeypatch):
+        # a Theta of 0 lies below every positive floor (alpha-1)(A+B),
+        # however small the grid scale
+        from beckner_lab import cli
+        surface = cli.theta_surface
+
+        def zero_theta(*args):
+            rows = surface(*args)
+            rows[:, 2] = 0.0
+            return rows
+
+        monkeypatch.setattr(cli, "theta_surface", zero_theta)
+        assert main(["theta-surface", "--alpha", "1.5", "--grid",
+                     "0:4e-14:1e-14", "--out", str(tmp_path)]) == 1
+
+    def test_theta_surface_scales_with_the_grid(self, tmp_path):
+        # Theta is 1-homogeneous: the 1e-14 grid is the unit grid scaled
+        tables = []
+        for grid in ("0:4e-14:1e-14", "0:4:1"):
+            out = tmp_path / grid.replace(":", "_")
+            assert main(["theta-surface", "--alpha", "1.95", "--grid", grid,
+                         "--out", str(out)]) == 0
+            tables.append(np.loadtxt(out / "theta_surface_alpha1_95.csv",
+                                     delimiter=",", skiprows=1))
+        small, unit = tables
+        assert small.shape == unit.shape == (25, 5)
+        assert np.allclose(small / 1e-14, unit, rtol=1e-14, atol=0.0)
+
     def test_verify_bochner_report(self, tmp_path, capsys):
         status = main(["verify-bochner", "--model", "zero_range",
                        "--L", "3", "--N", "3", "--alpha", "1.5",

@@ -1,14 +1,13 @@
 """Entropy kinds, the mean function, its partials, and the infimum map."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import beckner_lab as bl
 from beckner_lab import DomainError, NumericalError
-from beckner_lab.entropy import _golden, _grid_minimum
 
 
 def brute_force_big_theta(alpha, A, B, n=1500):
@@ -28,48 +27,37 @@ def brute_force_big_theta(alpha, A, B, n=1500):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def reference_ray_value(a, A, B, w):
-    """The ray objective of one weight pair at one or more points w."""
+def reference_ray_value(a, w, w0):
+    """The ray objective over its larger weight M, at one point or more:
+    c r(w) (1 + e^{(2-a)(w - w0)}), c = a - 1, r = expm1(-w)/expm1(-c w)
+    (c r = -expm1(-w)/w at a = 1, and 1 at w = 0)."""
     w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         if a == 1.0:
-            val = np.expm1(w) / w * (A * np.exp(-w) + B)
+            cr = -np.expm1(-w) / w
         else:
-            num = (a - 1.0) * np.expm1(w) * (A * np.exp((a - 2.0) * w) + B)
-            val = num / np.expm1((a - 1.0) * w)
-    return np.where(np.abs(w) < 1e-12, A + B, val)
+            cr = (a - 1.0) * np.expm1(-w) / np.expm1((1.0 - a) * w)
+    return np.where(w != 0.0, cr, 1.0) * (1.0 + np.exp((2.0 - a) * (w - w0)))
 
 
 def reference_ray_infimum(a, A, B, max_iter=200):
-    """The ray infimum of one positive weight pair, one pair at a time:
-    a 2401-point scan (span doubled while the minimum sits on the
-    boundary) and a scalar golden section.  The lockstep ``big_theta``
-    must reproduce it bit for bit."""
-    span = 60.0
-    for _ in range(4):
-        ws = np.linspace(-span, span, 2401)
-        vals = reference_ray_value(a, A, B, ws)
-        i = int(np.argmin(vals))
-        if float(vals.max() - vals.min()) <= 1e-12 * (abs(float(vals.max())) + 1.0):
-            return float(vals[i])
-        if 0 < i < len(ws) - 1:
-            break
-        span *= 2.0
-        if span > 600.0:
-            raise NumericalError("ray scan did not bracket the minimizer")
-    return reference_golden(a, A, B, ws[i - 1], ws[i + 1], max_iter)[0]
-
-
-def reference_golden(a, A, B, lo, hi, max_iter=200):
-    """Scalar golden section of one pair on [lo, hi]: its value and the
-    number of steps it took.  On running out of steps it raises the
-    lockstep refinement's message with this pair's last bracket."""
-    f = lambda w: float(reference_ray_value(a, A, B, np.float64(w)))
+    """The ray infimum of one positive weight pair and the number of
+    golden-section steps it took: a scalar golden section on [0, w0],
+    w0 = log(M/m)/(2 - a).  The lockstep ``big_theta`` must reproduce it
+    bit for bit.  On running out of steps it raises the lockstep
+    message with this pair's last bracket."""
+    M, m = max(A, B), min(A, B)
+    with np.errstate(over="ignore"):
+        ratio = np.float64(M) / np.float64(m)
+    w0 = (np.log(ratio) if ratio < np.inf
+          else np.log(np.float64(M)) - np.log(np.float64(m))) / (2.0 - a)
+    f = lambda w: float(reference_ray_value(a, np.float64(w), w0))
+    lo, hi = 0.0, float(w0)
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
     for step in range(max_iter):
-        if hi - lo < 1e-12:
+        if hi - lo <= 1e-12 * max(1.0, hi):
             break
         if fc < fd:
             hi, d, fd = d, c, fc
@@ -83,13 +71,79 @@ def reference_golden(a, A, B, lo, hi, max_iter=200):
         raise NumericalError(
             f"golden-section refinement exceeded {max_iter} iterations; "
             f"best bracket [{lo:.17g}, {hi:.17g}]")
-    return min(f(0.5 * (lo + hi)), fc, fd), step
+    best = min(f(0.5 * (lo + hi)), fc, fd)
+    return min(max(M * best, (a - 1.0) * (A + B)), A + B), step
 
 
 def reference_big_theta(entropy, A, B):
     """``reference_ray_infimum`` per pair of positive weights."""
     a = 1.0 if entropy.kind == "log" else entropy.alpha
-    return np.array([reference_ray_infimum(a, x, y) for x, y in zip(A, B)])
+    return np.array([reference_ray_infimum(a, x, y)[0]
+                     for x, y in zip(A, B)])
+
+
+def decimal_big_theta(a, A, B, digits=40):
+    """Independent oracle: a golden section in ``digits``-digit decimal
+    arithmetic on the ray objective c (e^w - 1)/(e^{cw} - 1) (A e^{(a-2)w}
+    + B), c = a - 1 ((e^w - 1)/w (A e^{-w} + B) at a = 1, the log kind),
+    between 0 and log(A/B)/(2 - a), until the bracket is 1e-16 relative
+    wide; the exponent range is unbounded, so nothing overflows."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+        a, A, B, one = Decimal(a), Decimal(A), Decimal(B), Decimal(1)
+        if A == B:
+            return float(A + B)
+
+        def f(w):
+            if a == one:
+                return (w.exp() - one) / w * (A * (-w).exp() + B)
+            c = a - one
+            return (c * (w.exp() - one) / ((c * w).exp() - one)
+                    * (A * ((a - 2) * w).exp() + B))
+
+        w0 = (A / B).ln() / (2 - a)
+        lo, hi = min(w0, 0 * w0), max(w0, 0 * w0)
+        g = (Decimal(5).sqrt() - one) / 2
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = f(c), f(d)
+        while hi - lo > Decimal("1e-16") * max(one, abs(lo), abs(hi)):
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - g * (hi - lo)
+                fc = f(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + g * (hi - lo)
+                fd = f(d)
+        return float(min(fc, fd))
+
+
+def entropy_of_order(a):
+    """The entropy of order a: the log kind at a = 1, else the power kind."""
+    return bl.log_entropy() if a == 1.0 else bl.power_entropy(a)
+
+
+def check_against_oracle(a, A, B):
+    """Theta of every pair is finite, within its bounds (a-1)(A+B) and
+    A + B, and within 1e-13 relative of ``decimal_big_theta``."""
+    e = entropy_of_order(a)
+    got = bl.big_theta(e, A, B)
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= (a - 1.0) * (A + B))
+    assert np.all(got <= A + B)
+    want = np.array([decimal_big_theta(a, x, y) for x, y in zip(A, B)])
+    rel = np.abs(got - want) / want
+    assert rel.max() <= 1e-13, (A[np.argmax(rel)], B[np.argmax(rel)])
+
+
+def fv_cells(n):
+    """The positive weight pairs (A, B) of the FV condition on n cells."""
+    chain = bl.build_fokker_planck_fv(
+        lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
+    a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
+    A, B = a[:-1] - a[1:], b[1:] - b[:-1]
+    cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
+    return A[cells], B[cells]
 
 
 class TestPhi:
@@ -357,35 +411,6 @@ class TestLockstepBigTheta:
         assert np.array_equal(bl.big_theta(e, A, B),
                               reference_big_theta(e, A, B))
 
-    def test_span_doubling(self):
-        # at alpha = 1.05 these pairs bracket at spans 120, 240 and 480
-        e = bl.power_entropy(1.05)
-        A, B = np.array([1.0, 1e-60, 1.0]), np.array([1e-30, 1.0, 1e-110])
-        assert np.array_equal(bl.big_theta(e, A, B),
-                              reference_big_theta(e, A, B))
-        # and this one nowhere up to 480, where its edge value is the
-        # boundary limit (a-1)(A+B) to 4e-11 relative, which it returns
-        with pytest.raises(NumericalError):
-            reference_big_theta(e, [1.0], [1e-300])
-        out = bl.big_theta(e, np.append(A, 1.0), np.append(B, 1e-300))
-        assert np.array_equal(out[:3], reference_big_theta(e, A, B))
-        assert out[3] == bl.big_theta_lower_bound(1.05, 1.0, 1e-300)
-
-    @pytest.mark.parametrize("alpha,A,B", [(1.05, 1e-300, 1.0),
-                                           (1.5, 1e-300, 1.0),
-                                           (1.95, 1e-30, 1.0)])
-    def test_unbracketed_edge_at_the_floor(self, alpha, A, B):
-        floor = bl.big_theta_lower_bound(alpha, A, B)
-        assert bl.big_theta(bl.power_entropy(alpha), A, B) == floor
-        batch = bl.big_theta(bl.power_entropy(alpha), [2.0, A], [3.0, B])
-        assert batch[1] == floor
-        assert batch[0] == bl.big_theta(bl.power_entropy(alpha), 2.0, 3.0)
-
-    def test_unbracketed_edge_above_the_floor(self):
-        # at alpha = 1.01 the span-480 edge value is 0.8% above the floor
-        with pytest.raises(NumericalError, match="did not bracket"):
-            bl.big_theta(bl.power_entropy(1.01), 1.0, 1e-300)
-
     def test_log_entropy_points(self):
         A, B = np.array([2.0, 10.0, 0.3]), np.array([7.0, 0.5, 5.0])
         e = bl.log_entropy()
@@ -395,65 +420,70 @@ class TestLockstepBigTheta:
     def test_fv_cells(self):
         e = bl.power_entropy(1.5)
         for n in (8, 16, 32, 64, 128):
-            chain = bl.build_fokker_planck_fv(
-                lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
-            a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
-            A, B = a[:-1] - a[1:], b[1:] - b[:-1]
-            cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
-            assert cells.sum() >= n - 2
-            assert np.array_equal(bl.big_theta(e, A[cells], B[cells]),
-                                  reference_big_theta(e, A[cells], B[cells]))
-
-    @pytest.mark.parametrize("alpha,A,B,span,settled", [
-        (1.9999, 1e-13, 1e-13, 60.0, False),    # flat
-        (1.9999, 1.0, 1e-6, 60.0, False),       # window ends within the margin
-        (1.9999, 1e6, 1.0, 60.0, False),
-        (1.9999, 2.0, 3.0, 60.0, True),
-        (1.05, 1e250, 1.0, 240.0, False),       # inf at a grid end
-        (1.05, 1.0, 1e250, 240.0, False),
-    ])
-    def test_certificate_verdict_keeps_the_reference_bits(self, alpha, A, B,
-                                                        span, settled):
-        # a row the coarse-to-fine certificate rejects at some span takes
-        # the full scan there, and still gets the reference's bits
-        with np.errstate(all="ignore"):
-            *_, sure = _grid_minimum(alpha, np.linspace(-span, span, 2401),
-                                     np.array([A]), np.array([B]))
-        assert bool(sure[0]) is settled
-        e = bl.power_entropy(alpha)
-        assert np.array_equal(bl.big_theta(e, [A, 2.0], [B, 3.0]),
-                              reference_big_theta(e, [A, 2.0], [B, 3.0]))
-
-    def test_certificate_settles_the_readme_grid_and_fv_cells(self):
-        # these rows never need the full scan; each row's coarse-to-fine
-        # argmin and value are those of the whole grid
-        ws = np.linspace(-60.0, 60.0, 2401)
-        g = np.arange(1, 41) * 0.25
-        grid = [(alpha, *np.meshgrid(g, g)) for alpha in (1.01, 1.8)]
-        for n in (8, 16, 32, 64, 128):
-            chain = bl.build_fokker_planck_fv(
-                lambda x: 2.0 * np.asarray(x) ** 2, n, 4.0)
-            a, b = np.asarray(chain.meta["a"]), np.asarray(chain.meta["b"])
-            A, B = a[:-1] - a[1:], b[1:] - b[:-1]
-            cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
-            grid.append((1.5, A[cells], B[cells]))
-        for alpha, A, B in grid:
-            A, B = A.ravel(), B.ravel()
-            with np.errstate(all="ignore"):
-                i, vi, flat, sure = _grid_minimum(alpha, ws, A, B)
-            assert sure.all() and not flat.any()
-            scan = np.array([reference_ray_value(alpha, x, y, ws)
-                             for x, y in zip(A, B)])
-            assert np.array_equal(i, np.argmin(scan, axis=1))
-            assert np.array_equal(vi, scan.min(axis=1))
+            A, B = fv_cells(n)
+            assert A.size >= n - 2
+            assert np.array_equal(bl.big_theta(e, A, B),
+                                  reference_big_theta(e, A, B))
 
     @pytest.mark.parametrize("a", [1.0, 1.01, 1.5, 1.95, 1.9999])
     def test_ray_objective_is_log_convex(self, a):
-        # the premise of the certificate, on the span-60 grid
+        # the premise of the closed-form bracket
         ws = np.linspace(-60.0, 60.0, 2401)
         for ratio in 10.0 ** np.arange(-8, 9, 2):
-            logf = np.log(reference_ray_value(a, ratio, 1.0, ws))
+            w0 = np.log(ratio) / (2.0 - a)
+            logf = np.log(reference_ray_value(a, ws, w0))
             assert np.diff(logf, 2).min() >= -1e-12, ratio
+
+    def test_certificate_settles_the_readme_grid_and_fv_cells(self):
+        # the bracket's certificate: (log f)' = h'(w) - (2-a) sigma(w) is
+        # <= 0 at w = 0 and >= 0 at w0 = log(M/m)/(2-a), on the README
+        # grid, the FV cells and pairs up to e^+-40; the closed form
+        # agrees with differences of log f
+        g = np.arange(1, 41) * 0.25
+        A, B = (x.ravel() for x in np.meshgrid(g, g))
+        cells = [fv_cells(n) for n in (8, 32, 128)]
+        far = np.exp(np.random.default_rng(7).uniform(-40.0, 40.0, (2, 200)))
+        A, B = (np.concatenate([A, *x]) for x in zip((A, B), *cells, far))
+        M, m = np.maximum(A, B), np.minimum(A, B)
+        for a in (1.0, 1.01, 1.5, 1.95, 1.9999):
+            c, w0 = a - 1.0, np.log(M / m) / (2.0 - a)
+
+            def slope(w, w0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tail = 1.0 / w if a == 1.0 else c / -np.expm1(-c * w)
+                    h = np.where(w > 0.0, 1.0 / -np.expm1(-w) - tail,
+                                 (2.0 - a) / 2.0)
+                return h - (2.0 - a) / (1.0 + np.exp((2.0 - a) * (w - w0)))
+
+            assert np.all(slope(np.zeros_like(w0), w0) <= 0.0), a
+            assert np.all(slope(w0, w0) >= -1e-15), a
+            v0 = w0[w0 > 0.1]
+            w, dw = 0.5 * v0, 1e-5
+            diff = (np.log(reference_ray_value(a, w + dw, v0))
+                    - np.log(reference_ray_value(a, w - dw, v0))) / (2.0 * dw)
+            assert np.allclose(diff, slope(w, v0), rtol=0.0, atol=1e-7), a
+
+    @pytest.mark.parametrize("alpha,A,B", [(1.05, 1e-300, 1.0),
+                                           (1.5, 1e-300, 1.0),
+                                           (1.95, 1e-30, 1.0)])
+    def test_unbracketed_edge_at_the_floor(self, alpha, A, B):
+        # pairs whose minimizer lies beyond any fixed scan span: Theta is
+        # the oracle's, within 1e-13 relative of the floor (a-1)(A+B), and
+        # the one-pair reference's bits inside a batch
+        check_against_oracle(alpha, np.array([A]), np.array([B]))
+        floor = bl.big_theta_lower_bound(alpha, A, B)
+        got = bl.big_theta(bl.power_entropy(alpha), A, B)
+        assert floor <= got <= floor * (1.0 + 1e-13)
+        batch = bl.big_theta(bl.power_entropy(alpha), [2.0, A], [3.0, B])
+        assert batch[1] == got == reference_ray_infimum(alpha, A, B)[0]
+        assert batch[0] == bl.big_theta(bl.power_entropy(alpha), 2.0, 3.0)
+
+    def test_unbracketed_edge_above_the_floor(self):
+        # at alpha = 1.01 the infimum of (1, 1e-300) stays 0.1% above the
+        # floor; the oracle puts it at 0.010010587077923438
+        check_against_oracle(1.01, np.array([1.0]), np.array([1e-300]))
+        got = bl.big_theta(bl.power_entropy(1.01), 1.0, 1e-300)
+        assert got > 1.001 * bl.big_theta_lower_bound(1.01, 1.0, 1e-300)
 
     def test_row_alone_equals_row_in_batch(self):
         rng = np.random.default_rng(3)
@@ -471,59 +501,79 @@ class TestLockstepBigTheta:
 
     @pytest.mark.parametrize("a", [1.0, 1.05, 1.5])
     def test_golden_rows_retire_at_their_own_step(self, a):
-        # bracket widths from below the 1e-12 stop up to 8 retire at
-        # steps 0 to 60; the compacted lockstep refinement gives each row
-        # the bits of its scalar run
+        # brackets [0, w0] from 0 up to about 300 wide retire at steps 0
+        # to 58; the compacted lockstep section gives each row the bits
+        # of its scalar run
         rng = np.random.default_rng(11)
-        A, B = np.exp(rng.uniform(-8.0, 8.0, size=(2, 120)))
-        width = rng.choice([5e-13, 3e-12, 1e-6, 0.1, 0.2, 0.4, 0.8, 8.0],
-                           size=120)
-        lo = rng.uniform(-5.0, 5.0, size=120)
-        hi = lo + width
-        got = _golden(a, A, B, lo, hi, 200)
-        ref, steps = zip(*(reference_golden(a, *row)
-                           for row in zip(A, B, lo, hi)))
-        assert np.array_equal(got, ref)
+        A = np.exp(rng.uniform(-8.0, 8.0, size=120))
+        B = A * np.exp(rng.choice([0.0, 1e-14, 1e-11, 1e-9, 1e-6, 1e-3,
+                                   0.1, 1.0, 10.0, -40.0, 300.0], size=120))
+        e = entropy_of_order(a)
+        ref, steps = zip(*(reference_ray_infimum(a, x, y)
+                           for x, y in zip(A, B)))
+        assert np.array_equal(bl.big_theta(e, A, B), ref)
         assert len(set(steps)) >= 6 and min(steps) == 0
 
-    def test_scan_and_golden_with_rescanned_rows(self):
-        # rows bracketed at spans 60, 120, 240 and 480 reach the golden
-        # section with brackets of four widths, so they retire at
-        # different steps; a boundary-limit row is mixed in
-        e = bl.power_entropy(1.05)
-        rng = np.random.default_rng(12)
-        A = np.concatenate(([1.0, 1e-60, 1.0, 1.0, 2.0],
-                            np.exp(rng.uniform(-20.0, 20.0, size=60))))
-        B = np.concatenate(([1e-30, 1.0, 1e-110, 1e-300, 2.0],
-                            np.exp(rng.uniform(-20.0, 20.0, size=60))))
-        out = bl.big_theta(e, A, B)
-        keep = np.ones(A.size, dtype=bool)
-        keep[3] = False
-        assert np.array_equal(out[keep], reference_big_theta(e, A[keep],
-                                                              B[keep]))
-        assert out[3] == bl.big_theta_lower_bound(1.05, 1.0, 1e-300)
-
     def test_step_limit_names_the_first_active_bracket(self):
-        # rows 0 and 1 converge within the limit; row 2 is the first
-        # still active, and the message carries its last bracket
-        A, B = np.array([1.0, 2.0, 3.0, 0.5]), np.array([2.0, 1.0, 0.7, 4.0])
-        lo = np.array([0.1, -0.3, 0.2, -1.0])
-        hi = lo + np.array([5e-13, 3e-12, 0.8, 0.1])
-        with pytest.raises(NumericalError) as expected:
-            reference_golden(1.5, A[2], B[2], lo[2], hi[2], 20)
-        with pytest.raises(NumericalError) as got:
-            _golden(1.5, A, B, lo, hi, 20)
-        assert str(got.value) == str(expected.value)
-        assert "exceeded 20 iterations; best bracket [" in str(got.value)
-        # through big_theta: pair 0 returns the boundary limit without
-        # refinement, so pair 1 is the first active row
-        e = bl.power_entropy(1.5)
-        A, B = np.array([1e-300, 2.0, 0.5]), np.array([1.0, 7.0, 3.0])
+        # pairs 0 and 2 converge within the limit (equal weights, then a
+        # bracket below the stop); pair 1 is the first still active, and
+        # the message carries its last bracket
+        A = np.array([3.0, 2.0, 1.0, 0.5])
+        B = np.array([3.0, 7.0, 1.0 + 1e-15, 4.0])
         with pytest.raises(NumericalError) as expected:
             reference_ray_infimum(1.5, A[1], B[1], max_iter=12)
         with pytest.raises(NumericalError) as got:
-            bl.big_theta(e, A, B, max_iter=12)
+            bl.big_theta(bl.power_entropy(1.5), A, B, max_iter=12)
         assert str(got.value) == str(expected.value)
+        assert "exceeded 12 iterations; best bracket [" in str(got.value)
+
+
+class TestBigThetaOracle:
+    """Theta against a 40-digit decimal golden section, its bounds and
+    its 1-homogeneity, at every scale of the weights."""
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.8])
+    def test_readme_grid(self, alpha):
+        g = np.arange(1, 41) * 0.25
+        A, B = (x.ravel()[::37] for x in np.meshgrid(g, g))
+        check_against_oracle(alpha, A, B)
+
+    def test_fv_cells(self):
+        for n in (8, 16, 32, 64, 128):
+            A, B = fv_cells(n)
+            k = max(1, n // 16)
+            check_against_oracle(1.5, A[::k], B[::k])
+
+    @pytest.mark.parametrize("a", [1.0, 1.001, 1.05, 1.5, 1.95, 1.9999])
+    def test_pairs_to_e40(self, a):
+        rng = np.random.default_rng(int(a * 1e4))
+        A, B = np.exp(rng.uniform(-40.0, 40.0, size=(2, 20)))
+        check_against_oracle(a, A, B)
+
+    @pytest.mark.parametrize("a,A,B", [
+        (1.9999, 1e300, 1e-300), (1.0, 1e300, 5e-324),
+        (1.0, 1.0, math.exp(-490))])
+    def test_extremes(self, a, A, B):
+        # pairs far beyond any fixed search span; each is also the
+        # one-pair reference's bits inside a batch
+        check_against_oracle(a, np.array([A]), np.array([B]))
+        e = entropy_of_order(a)
+        batch = bl.big_theta(e, [2.0, A], [3.0, B])
+        assert batch[1] == reference_ray_infimum(a, A, B)[0]
+        assert batch[0] == bl.big_theta(e, 2.0, 3.0)
+
+    @pytest.mark.parametrize("a", [1.0, 1.01, 1.5, 1.95, 1.9999])
+    def test_homogeneous(self, a):
+        e = entropy_of_order(a)
+        A, B = np.array([1.0, 3.0, 1.0, 1.0]), np.array([2.0, 0.25, 1e-6, 1.0])
+        base = bl.big_theta(e, A, B)
+        for k in range(-300, 301, 25):
+            c = 10.0 ** k
+            got = bl.big_theta(e, c * A, c * B)
+            assert np.allclose(got, c * base, rtol=1e-14, atol=0.0), k
+        assert np.all(bl.big_theta(e, 10.0 ** np.arange(-300, 301, 25),
+                                   10.0 ** np.arange(-300, 301, 25))
+                      == 2.0 * 10.0 ** np.arange(-300, 301, 25))
 
 
 class TestThetaSurface:
