@@ -22,10 +22,10 @@ derivatives, and sampled verifiers for the mean function's structural
 identities (Euler-type homogeneity relation, concavity, tangent bound)
 live here as well.
 
-All evaluation paths are written against catastrophic cancellation: the
-difference phi'(s) - phi'(t) is computed through expm1/log1p in ratio
-form, and the partial derivatives switch to an explicit series of the
-cancelling combination once log(t/s) is small.
+All evaluation paths are written against catastrophic cancellation:
+theta is the larger argument times a bounded ratio of expm1 terms of
+-log(M/m) <= 0, and the partial derivatives switch to an explicit series
+of the cancelling combination once log(t/s) is small.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class ConvexEntropy:
     """A smooth convex function phi with phi(1) = 0 and its derivatives.
 
     ``eval``/``d1``/``d2``/``d3`` accept floats or numpy arrays (strictly
-    positive) and return the same shape.  ``d1_diff(s, t)`` evaluates
-    phi'(s) - phi'(t) in a cancellation-safe form; ``d1_inv`` inverts phi'
-    where defined.
+    positive) and return the same shape; ``d1_inv`` inverts phi' where
+    defined.
     """
 
     kind: str                 # "log" | "power"
@@ -112,18 +111,6 @@ class ConvexEntropy:
             return -1.0 / s ** 2
         a = self.alpha
         return a * (a - 2.0) * s ** (a - 3.0)
-
-    # -- stable helpers -------------------------------------------------------
-
-    def d1_diff(self, s, t):
-        """phi'(s) - phi'(t), accurate in relative terms even for s ~ t."""
-        s = _check_positive(s)
-        t = _check_positive(t)
-        L = np.log1p((s - t) / t)          # log(s/t)
-        if self.kind == "log":
-            return L
-        a = self.alpha
-        return (a / (a - 1.0)) * t ** (a - 1.0) * np.expm1((a - 1.0) * L)
 
     def d1_inv(self, y):
         """Inverse of phi' (domain-checked)."""
@@ -175,30 +162,23 @@ def _check_positive(s):
 
 @dataclass(frozen=True)
 class MeanFunction:
-    """theta(s,t) = (s-t)/(phi'(s)-phi'(t)) with diagonal regularization.
+    """theta(s, t) = (s - t)/(phi'(s) - phi'(t)), theta(s, s) = 1/phi''(s).
 
-    Within a relative band 1e-7 around the diagonal the ratio is replaced
-    by the midpoint Taylor form 1/phi''((s+t)/2), whose linear correction
-    cancels by symmetry; the relative error of the switch is O(1e-14).
+    With M and m the larger and smaller argument and L = log(M/m),
+    theta = M^{2-a} cr_a(L)/a (:func:`_power_ratio`), a the order of the
+    entropy: both argument orders run the same operations, so theta is
+    symmetric bit for bit, and it is accurate for every positive pair.
     """
 
     entropy: ConvexEntropy
 
     def theta(self, s, t):
         """The symmetric positive mean theta(s, t)."""
-        e = self.entropy
-        s_arr = np.asarray(_check_positive(s), dtype=float)
-        t_arr = np.asarray(_check_positive(t), dtype=float)
-        s_b, t_b = np.broadcast_arrays(s_arr, t_arr)
-        out = np.empty(s_b.shape, dtype=float)
-        near = np.abs(s_b - t_b) <= 1e-7 * np.maximum(s_b, t_b)
-        if np.any(near):
-            m = 0.5 * (s_b[near] + t_b[near])
-            out[near] = 1.0 / e.d2(m)
-        far = ~near
-        if np.any(far):
-            sf, tf = s_b[far], t_b[far]
-            out[far] = (sf - tf) / e.d1_diff(sf, tf)
+        a = _order(self.entropy)
+        M, L = _ordered_log(_check_positive(s), _check_positive(t))
+        with np.errstate(invalid="ignore"):        # 0/0 at L = 0
+            cr = _power_ratio(a, L)
+        out = np.where(L > 0.0, cr, 1.0) * M ** (2.0 - a) / a
         return out if out.ndim else float(out)
 
     def partials(self, s, t):
@@ -211,70 +191,61 @@ class MeanFunction:
         return d1, d2
 
 
+def _ordered_log(s, t):
+    """max(s, t) and L = log(max/min) >= 0 of positive s and t, as
+    log1p((M - m)/m), whose M - m is exact near the diagonal, or as
+    log M - log m where (M - m)/m overflows."""
+    M, m = np.maximum(s, t), np.minimum(s, t)
+    with np.errstate(over="ignore"):
+        L = np.log1p((M - m) / m)
+    over = L == np.inf
+    if np.any(over):
+        L = np.where(over, np.log(M) - np.log(m), L)
+    return M, L
+
+
+def _power_ratio(a, L):
+    """cr_a(L) = (a - 1) expm1(-L)/expm1((1 - a) L) of L > 0, and
+    -expm1(-L)/L at a = 1: in [a - 1, 1], tending to 1 as L -> 0, and no
+    term cancels.  theta(s, t) is M^{2-a} cr_a(log(M/m))/a, and Theta's
+    objective at (e^w, 1) is theta times the curvature weights, so the
+    ray (:func:`_ray_value`) runs on this ratio too."""
+    if a == 1.0:
+        return -np.expm1(-L) / L
+    return (a - 1.0) * np.expm1(-L) / np.expm1((1.0 - a) * L)
+
+
 def _theta_partial1(e: ConvexEntropy, s, t):
     """d/ds of theta(s, t).
 
-    Written as (1 - theta(s,t) phi''(s)) / (phi'(s) - phi'(t)); the
-    cancelling combination in the numerator is evaluated by a series in
-    L = log(t/s) once |L| is small.
+    With c = a - 1, L = log(t/s) and E = expm1(c L)/c (L at c = 0, the
+    log kind), it is G/(a s^c E^2), G = expm1(L) - E.  G cancels near the
+    diagonal: it is summed by its series once |L| <= 1e-3; above that,
+    c > 0 takes it as (c expm1(L) - expm1(c L))/c, which rounds less.
     """
-    s = np.asarray(_check_positive(s), dtype=float)
-    t = np.asarray(_check_positive(t), dtype=float)
-    s_b, t_b = np.broadcast_arrays(s, t)
-    L = np.log1p((t_b - s_b) / s_b)        # log(t/s)
-    small = np.abs(L) <= 1e-3
-    out = np.empty(s_b.shape, dtype=float)
-
-    if e.kind == "log":
-        # d1 theta = (expm1(L) - L) / L^2, -> 1/2 on the diagonal
-        g = np.where(small, _series_expm1_minus_x(L), np.expm1(L) - L)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = g / L ** 2
-        out = np.where(L == 0.0, 0.5, val)
-        return out if out.ndim else float(out)
-
-    a = e.alpha
-    am1 = a - 1.0
-    # g = (a-1) expm1(L) - expm1((a-1) L); leading term (a-1)(2-a) L^2 / 2
-    g = np.where(
-        small,
-        _series_power_g(L, am1),
-        am1 * np.expm1(L) - np.expm1(am1 * L),
-    )
-    em = np.expm1(am1 * L)
+    s, t = np.broadcast_arrays(_check_positive(s), _check_positive(t))
+    L = np.where(t < s, -1.0, 1.0) * _ordered_log(s, t)[1]
+    a = _order(e)
+    c = a - 1.0
+    if c == 0.0:
+        E, G = L, np.expm1(L) - L
+    else:
+        em = np.expm1(c * L)
+        E, G = em / c, (c * np.expm1(L) - em) / c
+    G = np.where(np.abs(L) <= 1e-3, _series_g(L, c), G)
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = g * am1 / (a * s_b ** am1 * em ** 2)
-    diag = (2.0 - a) * s_b ** (1.0 - a) / (2.0 * a)
-    out = np.where(L == 0.0, diag, val)
+        val = G / (a * s ** c * E ** 2)
+    out = np.where(L == 0.0, (2.0 - a) * s ** -c / (2.0 * a), val)
     return out if out.ndim else float(out)
 
 
-def _series_expm1_minus_x(x):
-    """sum_{k>=2} x^k / k!, for |x| <= 1e-3."""
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    fact = 1.0
-    for k in range(1, 10):
-        term = term * x
-        fact *= k
-        if k >= 2:
-            acc = acc + term / fact
-    return acc
-
-
-def _series_power_g(x, am1):
-    """sum_{k>=2} am1 (1 - am1^{k-1}) x^k / k!, for |x| <= 1e-3."""
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    fact = 1.0
-    p = 1.0
-    for k in range(1, 10):
-        term = term * x
-        fact *= k
-        p *= am1
-        if k >= 2:
-            acc = acc + am1 * (1.0 - p / am1) * term / fact
-    return acc
+def _series_g(x, c):
+    """sum_{k=2}^{9} (1 - c^{k-1}) x^k / k!, by Horner's rule, for |x| <=
+    1e-3."""
+    acc = 0.0
+    for k in range(9, 1, -1):
+        acc = (1.0 - c ** (k - 1)) / math.factorial(k) + x * acc
+    return acc * x * x
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +301,10 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
 
 def _ray_value(a, w, w0):
     """The ray objective over its larger weight M at w in (0, w0]:
-    c r(w) (1 + e^{(2-a)(w - w0)}), c = a - 1, with c r(w) = c expm1(-w) /
-    expm1(-c w), and -expm1(-w)/w at a = 1.  On the bracket c r lies in
-    [c, 1] and the exponential is at most 1, so nothing overflows."""
-    if a == 1.0:
-        cr = -np.expm1(-w) / w
-    else:
-        cr = (a - 1.0) * np.expm1(-w) / np.expm1((1.0 - a) * w)
-    return cr * (1.0 + np.exp((2.0 - a) * (w - w0)))
+    cr_a(w) (1 + e^{(2-a)(w - w0)}), cr_a from :func:`_power_ratio`.  On
+    the bracket cr_a lies in [a - 1, 1] and the exponential is at most 1,
+    so nothing overflows."""
+    return _power_ratio(a, w) * (1.0 + np.exp((2.0 - a) * (w - w0)))
 
 
 # M/m overflows where the log's difference replaces it, and a row with

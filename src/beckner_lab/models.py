@@ -400,6 +400,23 @@ def lambda_h(h: float, lambda_conv: float) -> float:
 # explicit decay constants
 # ---------------------------------------------------------------------------
 
+def _ladder_curvature(alpha: float, a, A, B):
+    """(min, first argmin) over the live levels n (a_n > 0, n < len(A)) of
+    A_n + B_n + Theta(A_n, B_n), Theta of the power entropy of order
+    alpha, A and B a ladder's birth decrements and death increments; a
+    level with a negative increment counts as -inf, and no live level
+    gives (inf, None)."""
+    live = np.flatnonzero(a[:-1] > 0.0)
+    if not live.size:
+        return math.inf, None
+    A, B = A[live], B[live]
+    pos = (A >= 0.0) & (B >= 0.0)
+    val = np.full(live.size, -math.inf)
+    val[pos] = A[pos] + B[pos] + big_theta(power_entropy(alpha), A[pos], B[pos])
+    k = int(np.argmin(val))
+    return float(val[k]), int(live[k])
+
+
 def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
     """Evaluate the explicit decay constant for a model instance.
 
@@ -416,15 +433,10 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
             raise HypothesisError("birth rate sequence must be nonincreasing")
         if np.any(np.diff(b) < -1e-12):
             raise HypothesisError("death rate sequence must be nondecreasing")
-        live = np.flatnonzero(a[:-1] > 0.0)
         # a step the wrong way within the 1e-12 tolerance counts as flat
-        A = np.maximum(a[live] - a[live + 1], 0.0)
-        B = np.maximum(b[live + 1] - b[live], 0.0)
-        best = math.inf
-        best_n = None
-        for n, val in zip(live, A + B + big_theta(power_entropy(alpha), A, B)):
-            if val < best:
-                best, best_n = float(val), int(n)
+        best, best_n = _ladder_curvature(alpha, a,
+                                         np.maximum(a[:-1] - a[1:], 0.0),
+                                         np.maximum(b[1:] - b[:-1], 0.0))
         if best_n is None:
             raise HypothesisError("no active birth level; chain is frozen")
         return PaperConstant(best, "birth_death_curvature_infimum",

@@ -209,6 +209,23 @@ class TestSummationByParts:
         lhs, rhs = double_sum_oracle(chain, bs, chi, psi, beta)
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
 
+    @pytest.mark.parametrize("alpha", [1.001, 1.5])
+    def test_theta_weight_on_a_ten_decade_density(self, alpha):
+        # theta of densities 1e10 apart in either order has the same bits
+        a, b = [3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0]
+        chain = bl.build_birth_death(a, b)
+        bs = bl.r_function(bl.ModelSpec("birth_death", {"a": a, "b": b}),
+                           chain)
+        rho = bl.normalize_density(chain, np.array([1.0, 1e-10, 1.0, 1e-10]))
+        rng = np.random.default_rng(4)
+        chi, psi = rng.standard_normal((2, chain.n_states))
+        mean = bl.MeanFunction(bl.power_entropy(alpha))
+        beta = np.asarray(mean.theta(rho.values[:, None], rho.values[None, :]))
+        res = bl.bochner_identity_check(chain, bs, chi, psi, beta)
+        assert res.passed
+        lhs, rhs = double_sum_oracle(chain, bs, chi, psi, beta)
+        assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
+
     def test_matches_double_sum_oracle(self, chains, structures):
         rng = np.random.default_rng(2)
         for name in ("zero_range", "random_transposition_4"):

@@ -118,6 +118,27 @@ def decimal_big_theta(a, A, B, digits=40):
         return float(min(fc, fd))
 
 
+def decimal_theta(a, s, t, partial=False, digits=60):
+    """Independent oracle: theta(s, t) = (s - t)/(phi'(s) - phi'(t)), or
+    with ``partial`` d theta/ds = (1 - theta phi''(s))/(phi'(s) - phi'(t)),
+    in ``digits``-digit decimal arithmetic from phi' = log (a = 1) or
+    a (s^{a-1} - 1)/(a - 1); the exponent range is unbounded."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+        a, s, t, one = Decimal(a), Decimal(s), Decimal(t), Decimal(1)
+        if a == one:
+            d1, d2 = Decimal.ln, lambda x: one / x
+        else:
+            d1 = lambda x: a * (x ** (a - one) - one) / (a - one)
+            d2 = lambda x: a * x ** (a - 2)
+        if s == t:
+            return float((2 - a) / (2 * d2(s) * s) if partial
+                         else one / d2(s))
+        theta = (s - t) / (d1(s) - d1(t))
+        return float((one - theta * d2(s)) / (d1(s) - d1(t)) if partial
+                     else theta)
+
+
 def entropy_of_order(a):
     """The entropy of order a: the log kind at a = 1, else the power kind."""
     return bl.log_entropy() if a == 1.0 else bl.power_entropy(a)
@@ -275,6 +296,57 @@ class TestTheta:
         m = bl.MeanFunction(bl.log_entropy())
         with pytest.raises(DomainError):
             m.theta(-1.0, 2.0)
+
+
+def theta_pairs(max_exp):
+    """(s, t) pairs in both orders: ratios 10^k, |k| <= max_exp, the
+    near-diagonal ratios 1 +- 1e-13 ... 1e-3 at three scales, and pairs
+    so far apart that log1p of the quotient of the smaller over the larger
+    loses its digits."""
+    s = [10.0 ** k for k in range(-max_exp, max_exp + 1, 10)]
+    t = [1.0] * len(s)
+    for x in (0.3, 1.0, 7e5):
+        for d in 10.0 ** -np.arange(3, 14):
+            s += [x * (1.0 + d), x * (1.0 - d)]
+            t += [x, x]
+    s += [1e-17, 1.87e8, 4.68e8, 2.5]
+    t += [1.0, 9.85e-18, 2.59e-8, 2.5]
+    if max_exp >= 300:
+        s += [1e300, 1.0]
+        t += [1e-300, 5e-324]
+    return np.array(s + t), np.array(t + s)
+
+
+class TestThetaOracle:
+    """theta and its partials against a 60-digit decimal oracle, in both
+    argument orders, from the diagonal to ratios 10^+-300."""
+
+    @pytest.mark.parametrize("a", [1.0, 1.001, 1.01, 1.5, 1.9, 1.9999])
+    def test_theta(self, a):
+        m = bl.MeanFunction(entropy_of_order(a))
+        s, t = theta_pairs(300)
+        got = m.theta(s, t)
+        half = [decimal_theta(a, x, y) for x, y in zip(s, t[:len(s) // 2])]
+        want = np.array(half + half)        # the second half is swapped
+        rel = np.abs(got - want) / want
+        assert rel.max() <= 1e-14, (s[np.argmax(rel)], t[np.argmax(rel)])
+        assert np.array_equal(got, m.theta(t, s))
+        assert all(m.theta(x, y) == m.theta(y, x) for x, y in zip(s, t))
+
+    # near alpha = 2 the error is set by the 1e-3 series switch
+    @pytest.mark.parametrize("a,tol", [
+        (1.0, 1e-12), (1.001, 1e-12), (1.01, 1e-12), (1.5, 1e-12),
+        (1.9, 4e-12), (1.9999, 3e-9)])
+    def test_partials(self, a, tol):
+        m = bl.MeanFunction(entropy_of_order(a))
+        s, t = theta_pairs(150)
+        d1, d2 = m.partials(s, t)
+        assert np.all(np.isfinite(d1))
+        assert np.array_equal(d2, m.partials(t, s)[0])
+        want = np.array([decimal_theta(a, x, y, partial=True)
+                         for x, y in zip(s, t)])
+        rel = np.abs(d1 - want) / np.abs(want)
+        assert rel.max() <= tol, (s[np.argmax(rel)], t[np.argmax(rel)])
 
 
 class TestThetaPartials:

@@ -59,6 +59,27 @@ class TestRunExperiment:
         assert exp.decay.fit.rate >= 2.0 * 1.5 * exp.lambda_h - 1e-6
         assert 0.0 < exp.lambda_h < 4.0
 
+    def test_inequality_reuses_the_trajectory_functionals(self, monkeypatch):
+        import importlib
+        from beckner_lab.fokker_planck import discrete_power_inequality
+        calls = {"entropy": 0, "entropy_production": 0}
+        for short in ("dynamics", "fokker_planck"):
+            mod = importlib.import_module(f"beckner_lab.{short}")
+            for name in calls:
+                def counted(*args, _fn=getattr(mod, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(mod, name, counted)
+        exp = bl.run_fv_experiment(fv_spec(32), 1.5, seed=5)
+        assert calls == {"entropy": 1, "entropy_production": 1}
+        # the public function on the stored densities gives the same gap
+        lhs, rhs = discrete_power_inequality(exp.chain, 1.5,
+                                             exp.decay.trajectory.densities)
+        gap = (lhs - rhs) / (np.abs(rhs) + np.abs(lhs) + 1e-300)
+        check = next(c for c in exp.checks.checks
+                     if c.name == "discrete_power_inequality")
+        assert check.max_residual == float(np.max(gap))
+
     def test_report_holds_the_production_decay_check(self):
         # production decay, certified at the per-cell rate alpha lambda_h
         exp = bl.run_fv_experiment(fv_spec(16), 1.5, seed=3)
