@@ -8,11 +8,11 @@ variationally.
 """
 
 from .bochner import (BochnerStructure, bochner_identity_check,
-                      identity_3id_check, ineq_ratio, proposition_sides,
-                      r_function, verify_assumption)
+                      identity_3id_check, proposition_sides, r_function,
+                      verify_assumption)
 from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
-                    check_reversibility, dirichlet_form, entropy,
-                    normalize_density, random_density)
+                    dirichlet_form, entropy, normalize_density,
+                    random_density)
 from .constants import (ConstantEstimate, OptimizerOptions, beckner_constant,
                         constants_report, lsi_constant, mlsi_constant,
                         spectral_gap)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .chain import Density, FiniteChain
 from .entropy import ConvexEntropy, MeanFunction
-from .errors import CapabilityError, DegeneracyError, DomainError
+from .errors import CapabilityError, DomainError
 from .models import ModelSpec, build_model
 from .reporting import CheckReport, VerificationReport
 
@@ -416,7 +416,7 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
 
 
 # ---------------------------------------------------------------------------
-# the key inequality and its per-density ratio
+# the key inequality
 # ---------------------------------------------------------------------------
 
 def entropy_second_derivative(chain: FiniteChain, e: ConvexEntropy, rho):
@@ -475,20 +475,3 @@ def entropy_production(chain: FiniteChain, e: ConvexEntropy, rho):
                                * (f[..., tg] - f) * (r[..., tg] - r), axis=-1)
     return total if total.ndim else float(total)
 
-
-def ineq_ratio(chain: FiniteChain, bs: BochnerStructure,
-               e: ConvexEntropy, rho: Density) -> float:
-    """Largest lambda certified at rho: 2 x (Gamma sum) / (production sum).
-
-    Minimizing this ratio over trial densities brackets the certifiable
-    decay constant from above.
-    """
-    den = entropy_production(chain, e, rho)
-    r = rho.values
-    scale = float(np.max(chain.rates) * np.max(np.abs(e.d1(r)))
-                  * np.max(np.abs(r)) + 1e-300)
-    if abs(den) <= 1e-14 * scale:
-        raise DegeneracyError(
-            "entropy production vanishes; rho is (numerically) constant")
-    _, rhs = proposition_sides(chain, bs, e, rho)
-    return 2.0 * rhs / den

@@ -5,10 +5,11 @@ S -> S with an inverse-move table), jump rates c : S x G -> [0, inf) and
 a strictly positive invariant probability vector pi.  The generator acts
 as
 
-    L f(eta) = sum_g c(eta, g) (f(g eta) - f(eta)),
+    L f(eta) = sum_g c(eta, g) (f(g eta) - f(eta)).
 
-and under reversibility the Dirichlet form has the symmetric gradient
-representation
+Every chain is reversible: construction checks detailed balance
+pi(eta) c(eta, g) = pi(g eta) c(g eta, g^{-1}) at each (state, move)
+pair, so the Dirichlet form has the symmetric gradient representation
 
     E(f, g) = 1/2 pi[ sum_g c (grad_g f)(grad_g g) ] = -pi[f L g].
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from .entropy import ConvexEntropy
 from .errors import (DomainError, ReversibilityError, SizeError)
-from .reporting import CheckReport, VerificationReport
 
 DENSE_CAP = 20000
 DENSITY_FLOOR = 1e-12
@@ -44,8 +44,9 @@ class FiniteChain:
         self.inverse = np.ascontiguousarray(inverse, dtype=np.intp)
         self.rates = np.ascontiguousarray(rates, dtype=float)
         pi = np.ascontiguousarray(pi, dtype=float)
-        if np.any(pi <= 0.0):
-            raise DomainError("invariant measure must be strictly positive")
+        if not (np.all(np.isfinite(pi)) and np.all(pi > 0.0)):
+            raise DomainError(
+                "invariant measure must be finite and strictly positive")
         total = pi.sum()
         # renormalize only when needed so serialization round-trips bit-exact
         self.pi = pi if abs(total - 1.0) <= 1e-15 else pi / total
@@ -74,11 +75,12 @@ class FiniteChain:
             raise DomainError("rates must have shape (n_states, n_moves)")
         if self.pi.shape != (S,) or abs(self.pi.sum() - 1.0) > 1e-12:
             raise DomainError("pi must be a probability vector")
-        if np.any(self.rates < 0.0):
-            raise DomainError("rates must be nonnegative")
+        if not (np.all(np.isfinite(self.rates)) and np.all(self.rates >= 0.0)):
+            raise DomainError("rates must be finite and nonnegative")
         if np.any(self.targets < 0) or np.any(self.targets >= S):
             raise DomainError("a move leads outside the state space")
-        if self.inverse.shape != (G,):
+        if self.inverse.shape != (G,) or np.any(self.inverse < 0) \
+                or np.any(self.inverse >= G):
             raise DomainError("inverse table must list one move per move")
         # inverse consistency wherever the rate is positive
         for g in range(G):
@@ -90,6 +92,21 @@ class FiniteChain:
                 raise DomainError(
                     f"inverse of move {self.move_names[g]!r} fails at state "
                     f"{self.keys[bad]!r}")
+        # detailed balance pi(eta) c(eta, g) = pi(g eta) c(g eta, g^{-1}) to
+        # 1e-10 of the largest flow; a zero-rate move that fixes its state
+        # carries no constraint
+        tg = self.targets.T
+        flow = self.pi[:, None] * self.rates
+        back = self.pi[tg] * self.rates[tg, self.inverse]
+        active = (self.rates > 0.0) | ((tg != np.arange(S)[:, None])
+                                       & (back > 0.0))
+        gap = np.where(active, np.abs(flow - back), 0.0)
+        if gap.max(initial=0.0) > 1e-10 * max(flow.max(initial=0.0), 1e-300):
+            i, g = np.unravel_index(np.argmax(gap), gap.shape)
+            raise ReversibilityError(
+                f"detailed balance fails at state {self.keys[i]!r}, move "
+                f"{self.move_names[g]!r}: flow {flow[i, g]:.17g} there, "
+                f"{back[i, g]:.17g} back")
 
     # -- operators -------------------------------------------------------------
 
@@ -132,7 +149,8 @@ class FiniteChain:
         """Eigen-decomposition of D^{1/2} L D^{-1/2}, D = diag(pi).
 
         Returns (eigenvalues ascending of -L, orthonormal eigenvectors in
-        the symmetrized basis, sqrt(pi)).  Valid under reversibility.
+        the symmetrized basis, sqrt(pi)).  The symmetrization is exact
+        because the chain is reversible (checked at construction).
         """
         if self._spectral is None:
             Q = self.dense_generator()
@@ -168,28 +186,14 @@ class Density:
 # ---------------------------------------------------------------------------
 
 def dirichlet_form(chain: FiniteChain, f, g) -> float:
-    """E(f, g) in symmetric gradient form, cross-checked against -pi[f Lg].
-
-    The two representations agree only under reversibility; a mismatch
-    beyond 1e-10 (relative) raises :class:`ReversibilityError` carrying
-    both values.
-    """
+    """E(f, g) in symmetric gradient form; equal to -pi[f Lg], since the
+    chain is reversible."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     sym = 0.0
-    scale = 0.0
     for mv in range(chain.n_moves):
-        gf = chain.grad(f, mv)
-        gg = chain.grad(g, mv)
         w = chain.pi * chain.rates[:, mv]
-        sym += 0.5 * float(np.sum(w * gf * gg))
-        scale += 0.5 * float(np.sum(w * np.abs(gf) * np.abs(gg)))
-    adj = -float(np.sum(chain.pi * f * chain.apply_generator(g)))
-    ref = max(scale, abs(adj), 1e-300)
-    if abs(sym - adj) > 1e-10 * ref:
-        raise ReversibilityError(
-            f"gradient form {sym:.17g} and -pi[f Lg] = {adj:.17g} disagree; "
-            f"the chain is not reversible")
+        sym += 0.5 * float(np.sum(w * chain.grad(f, mv) * chain.grad(g, mv)))
     return sym
 
 
@@ -204,37 +208,6 @@ def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
     r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     out = np.add.reduce(chain.pi * e.eval(r), axis=-1)
     return out if out.ndim else float(out)
-
-
-def check_reversibility(chain: FiniteChain) -> VerificationReport:
-    """Verify pi[sum_g c F(eta,g)] = pi[sum_g c F(g eta, g^{-1})].
-
-    The identity holds for every bounded F exactly when the flow
-    balances pointwise, pi(eta) c(eta, g) = pi(g eta) c(g eta, g^{-1}),
-    so that is checked at every (state, move) pair, to 1e-10 of the
-    largest flow; the worst pair is the failure witness.
-    """
-    tol = 1e-10
-    flow = chain.pi[:, None] * chain.rates          # pi(eta) c(eta, g)
-    back = np.empty_like(flow)
-    moved = np.empty_like(flow, dtype=bool)
-    for g in range(chain.n_moves):
-        tg = chain.targets[g]
-        back[:, g] = chain.pi[tg] * chain.rates[tg, chain.inverse[g]]
-        moved[:, g] = tg != np.arange(chain.n_states)
-    # zero-rate moves that fix the state carry no constraint
-    active = (chain.rates > 0.0) | (moved & (back > 0.0))
-    gap = np.where(active, np.abs(flow - back), 0.0)
-    scale = max(float(flow.max()), 1e-300)
-    i, g = np.unravel_index(np.argmax(gap), gap.shape)
-    report = VerificationReport()
-    report.add(CheckReport(
-        "pointwise_flow_balance", bool(gap.max() <= tol * scale),
-        float(gap.max() / scale), tol,
-        witness=None if gap.max() <= tol * scale else
-        {"state": chain.keys[int(i)], "move": chain.move_names[int(g)],
-         "forward": float(flow[i, g]), "backward": float(back[i, g])}))
-    return report
 
 
 def normalize_density(chain: FiniteChain, raw) -> Density:

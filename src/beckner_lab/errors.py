@@ -33,13 +33,13 @@ class NumericalError(BecknerLabError):
 class DegeneracyError(BecknerLabError):
     """Input is degenerate for the operation.
 
-    Raised for a reducible chain where irreducibility is required, and for
-    a (numerically) constant density, whose entropy production vanishes.
+    Raised for a reducible chain where irreducibility is required.
     """
 
 
 class ReversibilityError(BecknerLabError):
-    """The two forms of the Dirichlet form disagree beyond tolerance."""
+    """A chain violates detailed balance pi(eta) c(eta, g) =
+    pi(g eta) c(g eta, g^{-1}) beyond tolerance; raised at construction."""
 
 
 class ConfigError(BecknerLabError, ValueError):

@@ -84,8 +84,8 @@ def build_birth_death(a, b) -> FiniteChain:
     n_max = len(a) - 1
     if len(b) != len(a):
         raise DomainError("rate sequences must cover 0..n_max")
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise DomainError("rates must be nonnegative")
+    if not all(np.all(np.isfinite(r)) and np.all(r >= 0.0) for r in (a, b)):
+        raise DomainError("rates must be finite and nonnegative")
     if b[0] != 0.0:
         raise DomainError("death rate must vanish at 0")
     if a[n_max] != 0.0:
@@ -357,12 +357,10 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
     h = 1.0 / n_cells
     a, b = fv_rates(cells, h)
     chain = build_birth_death(a, b)
-    meta = dict(chain.meta)
-    meta.update({"model": "fokker_planck_fv", "n_cells": int(n_cells),
-                 "h": h, "lambda_conv": float(lambda_conv),
-                 "cell_averages": cells / (h * cells.sum())})
-    return FiniteChain(chain.keys, chain.move_names, chain.targets,
-                       chain.inverse, chain.rates, chain.pi, meta=meta)
+    chain.meta.update({"model": "fokker_planck_fv", "n_cells": int(n_cells),
+                       "h": h, "lambda_conv": float(lambda_conv),
+                       "cell_averages": cells / (h * cells.sum())})
+    return chain
 
 
 def erf(s):

@@ -1,5 +1,10 @@
 """Chain representation: generator, Dirichlet form, entropy, diagnostics."""
 
+import json
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -81,14 +86,12 @@ class TestDirichletForm:
                                  np.full(rt4.n_states, 3.7)) == 0.0
 
     def test_non_reversible_raises(self):
-        # two-state chain with mismatched pi: the two forms disagree
-        bad = bl.FiniteChain([0, 1], ["swap"], np.array([[1, 0]]),
-                             np.array([0]), np.array([[1.0], [1.0]]),
-                             np.array([0.9, 0.1]))
-        f = np.array([1.0, 0.0])
-        g = np.array([0.0, 1.0])
+        # two-state chain with mismatched pi: the gradient form would not
+        # equal -pi[f Lg], so construction rejects the chain
         with pytest.raises(ReversibilityError):
-            bl.dirichlet_form(bad, f, g)
+            bl.FiniteChain([0, 1], ["swap"], np.array([[1, 0]]),
+                           np.array([0]), np.array([[1.0], [1.0]]),
+                           np.array([0.9, 0.1]))
 
 
 class TestEntropy:
@@ -144,32 +147,58 @@ def randomized_identity(chain, trials=100, seed=0, tol=1e-10):
     return worst <= tol * max(float(np.sum(flow)), 1e-300)
 
 
+def perturbed_bd8_rates(bd8):
+    """bd8's rates with the up rate at state 3 raised by 10%."""
+    rates = np.array(bd8.rates)
+    rates[3, 0] *= 1.1
+    return rates
+
+
 class TestReversibility:
-    def test_builtin_models_pass(self, chains):
-        for name, chain in chains.items():
-            rep = bl.check_reversibility(chain)
-            assert rep.passed, name
-            assert [c.name for c in rep.checks] == ["pointwise_flow_balance"]
+    def test_builtin_models_pass(self, specs):
+        # every builder's chain passes the detailed-balance check
+        for name, spec in specs.items():
+            assert isinstance(bl.build_model(spec), bl.FiniteChain), name
+
+    def test_scale_chains_construct(self):
+        # RT(7), BL(14,7) and ZR(5,8): 7!, C(14,7) and C(12,4) states
+        for chain, n_states in (
+                (bl.build_random_transposition(7), 5040),
+                (bl.build_bernoulli_laplace(14, 7, 1.0), 3432),
+                (bl.build_zero_range(5, 8, bl.linear_rate_table(5, 8)), 495)):
+            assert chain.n_states == n_states
 
     def test_perturbed_rate_detected(self, bd8):
-        rates = np.array(bd8.rates)
-        rates[3, 0] *= 1.1
-        broken = bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
-                                bd8.inverse, rates, bd8.pi)
-        rep = bl.check_reversibility(broken)
-        assert not rep.passed
-        witness = rep.failures()[0].witness
-        assert witness["state"] in (3, 4)
+        with pytest.raises(ReversibilityError, match=r"at state [34],"):
+            bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
+                           bd8.inverse, perturbed_bd8_rates(bd8), bd8.pi)
+
+    def test_two_state_witness(self):
+        # rates 1 and 3 under the uniform law: flows 0.5 and 1.5 disagree
+        with pytest.raises(ReversibilityError,
+                           match=r"at state 0, move 'swap': flow 0\.5 "
+                                 r"there, 1\.5 back"):
+            bl.FiniteChain([0, 1], ["swap"], [[1, 0]], [0],
+                           [[1.0], [3.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("inverse", [[1], [-1]])
+    def test_inverse_out_of_range_rejected(self, inverse):
+        with pytest.raises(DomainError, match="inverse table"):
+            bl.FiniteChain([0, 1], ["swap"], [[1, 0]], inverse,
+                           [[1.0], [1.0]], [0.5, 0.5])
 
     def test_pointwise_balance_agrees_with_random_f(self, chains, bd8):
-        rates = np.array(bd8.rates)
-        rates[3, 0] *= 1.1
-        broken = bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
-                                bd8.inverse, rates, bd8.pi)
-        for chain in [*chains.values(), broken]:
-            assert bl.check_reversibility(chain).passed == \
-                randomized_identity(chain)
-        assert not randomized_identity(broken)
+        # the construction check and the randomized identity agree: every
+        # built chain passes both, the perturbed rates fail both
+        for chain in chains.values():
+            assert randomized_identity(chain)
+        rates = perturbed_bd8_rates(bd8)
+        with pytest.raises(ReversibilityError):
+            bl.FiniteChain(bd8.keys, bd8.move_names, bd8.targets,
+                           bd8.inverse, rates, bd8.pi)
+        assert not randomized_identity(SimpleNamespace(
+            pi=bd8.pi, rates=rates, targets=bd8.targets, inverse=bd8.inverse,
+            n_states=bd8.n_states, n_moves=bd8.n_moves))
 
     def test_stationarity_on_indicators(self, chains):
         for chain in chains.values():
@@ -230,5 +259,35 @@ class TestJsonRoundTrip:
             assert bl.chain_to_json(back) == text
 
     def test_imported_chain_works(self, zr33):
+        # the round-tripped chain passes the construction checks again
         back = bl.chain_from_json(bl.chain_to_json(zr33))
-        assert bl.check_reversibility(back).passed
+        assert np.array_equal(back.pi, zr33.pi)
+
+    def test_unbalanced_rate_rejected_on_import(self, bd8):
+        doc = json.loads(bl.chain_to_json(bd8))
+        doc["rates"][3][2] *= 1.1
+        with pytest.raises(ReversibilityError):
+            bl.chain_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("pi", 1, math.nan), ("pi", 2, math.inf), ("rates", 0, math.inf),
+        ("rates", 1, math.nan)])
+    def test_non_finite_rejected_on_import(self, field, index, value):
+        doc = json.loads(bl.chain_to_json(
+            bl.build_birth_death(*bl.mm_infinity_rates(3))))
+        if field == "pi":
+            doc["pi"][index] = value
+        else:
+            doc["rates"][index][2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="must be finite"):
+                bl.chain_from_json(json.dumps(doc))
+
+    def test_non_finite_birth_death_rate_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a, b in (([2.0, math.nan, 0.0], [0.0, 1.0, 2.0]),
+                         ([2.0, 1.0, 0.0], [0.0, math.inf, 2.0])):
+                with pytest.raises(DomainError, match="must be finite"):
+                    bl.build_birth_death(a, b)
