@@ -286,51 +286,34 @@ class IdentityGap:
         return self.gap <= self.tolerance * self.scale
 
 
-def _symmetric_pairs(beta, x, y) -> np.ndarray:
-    """beta at the state pairs (x, y), checked against beta at (y, x)."""
-    b, bt = beta(x, y), beta(y, x)
-    size = np.max(np.abs(b), axis=-1, keepdims=True, initial=1.0)
-    if np.any(np.abs(b - bt) > 1e-9 * (np.abs(b) + np.abs(bt)) + 1e-15 * size):
-        raise DomainError("beta must be symmetric")
-    return b
-
-
 def bochner_identity_check(chain: FiniteChain, bs: BochnerStructure,
-                           chi, psi, beta,
+                           chi, psi, rho, e: ConvexEntropy,
                            tol: float = 1e-10) -> IdentityGap:
     """Two sides of the summation-by-parts identity
 
         pi[sum R beta(eta, d eta) grad_d chi grad_g psi]
         = 1/4 pi[sum R grad_g(beta(eta, d eta) grad_d chi)
-                       grad_d grad_g psi].
+                       grad_d grad_g psi]
 
-    ``chi`` and ``psi`` are functions on states, or (K, S) stacks with
-    one function per row.  ``beta`` is a symmetric (S, S) state-pair
-    array, or a callable ``beta(x, y)`` giving its values at the state
-    index pairs (x, y), one row per row of the stack.  It is read only
-    at the support pairs (eta, d eta) and (g eta, d g eta), and must be
-    symmetric there.
+    with the weight beta(x, y) = theta(rho(x), rho(y)), theta the mean
+    function of ``e``, which is symmetric bit for bit.  ``chi``, ``psi``
+    and ``rho`` are functions on states (``rho`` also a ``Density``), or
+    (K, S) stacks with one function per row.
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if not callable(beta):
-        full = np.asarray(beta, dtype=float)
-        if full.shape != (chain.n_states, chain.n_states):
-            raise DomainError("beta must be a full state-pair array")
-
-        def beta(x, y):
-            return full[x, y]
-
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
     dg_eta = chain.targets[dd, g_eta]          # delta gamma eta
-    b_here = _symmetric_pairs(beta, ii, d_eta)
-    b_moved = _symmetric_pairs(beta, g_eta, dg_eta)
 
     def at(f, idx):
         return np.take(f, idx, axis=-1)
 
+    theta = MeanFunction(e).theta
+    b_here = theta(at(r, ii), at(r, d_eta))
+    b_moved = theta(at(r, g_eta), at(r, dg_eta))
     w = chain.pi[ii] * vv
     grad_d_chi = at(chi, d_eta) - at(chi, ii)
     grad_g_psi = at(psi, g_eta) - at(psi, ii)

@@ -39,24 +39,15 @@ from .dynamics import (DecayReport, dirichlet_decay_check, entropy_bound_check,
                        evolve, fit_decay_rate)
 # big_theta is bound here for perfbench's tracer test, which patches it
 from .entropy import big_theta, check_alpha, power_entropy  # noqa: F401
-from .errors import CapabilityError, DomainError, HypothesisError
-from .models import (ModelSpec, _ladder_curvature, build_fokker_planck_fv,
-                     lambda_h, phi_mielke, potential_from_config)
+from .errors import CapabilityError, DomainError
+from .models import (ModelSpec, _ladder_curvature, build_model, lambda_h,
+                     paper_lambda, phi_mielke)
 from .reporting import CheckReport, VerificationReport
 
 
 def _require_fv(chain: FiniteChain):
     if chain.meta.get("model") != "fokker_planck_fv":
         raise CapabilityError("chain was not built by the finite-volume builder")
-
-
-def check_convexity(Vpp, lambda_conv: float) -> None:
-    """Require V'' >= lambda, to 1e-6 relative, at 2001 equispaced
-    points of [0, 1]."""
-    vpp = np.asarray(Vpp(np.linspace(0.0, 1.0, 2001)), dtype=float)
-    if np.min(vpp) < lambda_conv - 1e-6 * lambda_conv:
-        raise HypothesisError(
-            f"V'' >= {lambda_conv} fails: min sampled V'' = {np.min(vpp):.6g}")
 
 
 def discrete_power_inequality(chain: FiniteChain, alpha: float, rho):
@@ -83,17 +74,17 @@ def discrete_power_inequality(chain: FiniteChain, alpha: float, rho):
     if np.any(np.abs(h * np.add.reduce(p * rho, axis=-1) - 1.0) > 1e-9):
         raise DomainError("rho must have mass one (see normalize_density)")
     e = power_entropy(alpha)
-    lhs, rhs = _power_sides(chain, alpha, entropy(chain, e, rho),
+    lh = lambda_h(h, float(chain.meta["lambda_conv"]))
+    lhs, rhs = _power_sides(chain, alpha, lh, entropy(chain, e, rho),
                             entropy_production(chain, e, rho))
     return (lhs, rhs) if np.ndim(lhs) else (float(lhs), float(rhs))
 
 
-def _power_sides(chain: FiniteChain, alpha: float, ent, prod):
-    """The two sides of the power-entropy inequality from the power
-    entropy ``ent`` and the entropy production ``prod`` of the same
-    densities (see :func:`discrete_power_inequality`)."""
+def _power_sides(chain: FiniteChain, alpha: float, lh: float, ent, prod):
+    """The two sides of the power-entropy inequality at the mesh rate
+    ``lh`` from the power entropy ``ent`` and the entropy production
+    ``prod`` of the same densities (see :func:`discrete_power_inequality`)."""
     h = float(chain.meta["h"])
-    lh = lambda_h(h, float(chain.meta["lambda_conv"]))
     return (2.0 * lh * (alpha - 1.0) * ent / h,
             (alpha - 1.0) * prod / (2.0 * alpha * h))
 
@@ -179,23 +170,19 @@ def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None
                       seed: int = 0) -> FVExperiment:
     """Build, evolve, and verify the mesh decay bound 2 alpha lambda_h.
 
-    The trajectory is sampled at 41 equispaced times up to
-    t = log(1e6) / (2 alpha lambda_h), an entropy drop by 1e6 at the
-    bound; the discrete power-entropy inequality is checked at each
-    sampled density (including the initial one).
+    The chain comes from ``build_model``, then the rate and its
+    hypothesis V'' >= lambda from ``paper_lambda``.  The trajectory is
+    sampled at 41 equispaced times up to t = log(1e6) / (2 alpha
+    lambda_h), an entropy drop by 1e6 at the bound; the discrete
+    power-entropy inequality is checked at each sampled density
+    (including the initial one).
     """
     if spec.kind != "fokker_planck_fv":
         raise CapabilityError("expected a fokker_planck_fv model spec")
     check_alpha(alpha)
-    p = spec.params
-    V, Vpp = potential_from_config(p["potential"])
-    lam = float(p["lambda_conv"])
-    check_convexity(Vpp, lam)
-    n_cells = int(p["n_cells"])
-    chain = build_fokker_planck_fv(V, n_cells, lam)
-    h = 1.0 / n_cells
-    lh = lambda_h(h, lam)
-    rate = 2.0 * alpha * lh
+    chain = build_model(spec)           # too few cells fail here first
+    const = paper_lambda(spec, alpha)
+    rate, lh = const.value, const.parameters["lambda_h"]
 
     if rho0 is None:
         rho0 = random_density(chain, np.random.default_rng(seed), 1.0)
@@ -213,7 +200,7 @@ def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None
                            witness={"fitted": fit.rate, "bound": rate}))
 
     # evolve keeps Ent and half the production of every sampled density
-    lhs, rhs = _power_sides(chain, alpha, traj.entropy_values,
+    lhs, rhs = _power_sides(chain, alpha, lh, traj.entropy_values,
                             2.0 * traj.dirichlet_values)
     gap = (lhs - rhs) / (abs(rhs) + abs(lhs) + 1e-300)
     k = int(np.argmax(gap))                     # the first worst sample
@@ -228,8 +215,9 @@ def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None
         checks.add(c)
     decay = DecayReport(traj, fit, rate, ent_check, dir_check,
                         rate_ok and ent_check.passed)
-    return FVExperiment(p.get("potential"), n_cells, h, lam, alpha, chain,
-                        lh, decay, checks)
+    m = chain.meta
+    return FVExperiment(spec.params.get("potential"), m["n_cells"], m["h"],
+                        m["lambda_conv"], alpha, chain, lh, decay, checks)
 
 
 @dataclass(frozen=True)

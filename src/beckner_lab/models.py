@@ -17,7 +17,7 @@ families admit:
 * Bernoulli-Laplace with intensity bounds c <= lambda_x <= c+delta and
   delta <= 2^{2-a} c:  a c - (5/2 + 2^{a-3} - a) delta;
 * random transposition: 8/(n(n-1));
-* finite-volume chain: 2 a lambda_h with
+* finite-volume chain with V'' >= lambda: 2 a lambda_h with
   lambda_h = 2 h^{-2} Phi(h^2 lambda / 8),
   Phi(s^2) = (3 erf(s) - erf(3s)) / (2 erf(s)).
 """
@@ -351,8 +351,8 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
     geometric-mean flux construction.  ``lambda_conv`` (a lower bound on
     V'') is recorded for downstream decay constants.
     """
-    if lambda_conv <= 0.0:
-        raise HypothesisError("convexity bound lambda must be positive")
+    if not 0.0 < lambda_conv < math.inf:       # NaN fails too
+        raise HypothesisError("convexity bound lambda must be finite and > 0")
     cells = fv_cell_averages(V, n_cells)        # checks n_cells first
     h = 1.0 / n_cells
     a, b = fv_rates(cells, h)
@@ -361,6 +361,14 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
                        "h": h, "lambda_conv": float(lambda_conv),
                        "cell_averages": cells / (h * cells.sum())})
     return chain
+
+
+def check_convexity(Vpp, lambda_conv: float) -> None:
+    """Require V'' >= lambda, to 1e-6 relative, at 2001 points of [0, 1]."""
+    vpp = np.asarray(Vpp(np.linspace(0.0, 1.0, 2001)), dtype=float)
+    if not np.min(vpp) >= lambda_conv - 1e-6 * lambda_conv:   # NaN fails
+        raise HypothesisError(
+            f"V'' >= {lambda_conv} fails: min sampled V'' = {np.min(vpp):.6g}")
 
 
 def erf(s):
@@ -485,8 +493,9 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
                              {"alpha": alpha, "n": n})
 
     if spec.kind == "fokker_planck_fv":
-        h = 1.0 / p["n_cells"]
         lam = p["lambda_conv"]
+        check_convexity(potential_from_config(p["potential"])[1], lam)
+        h = 1.0 / p["n_cells"]
         lh = lambda_h(h, lam)
         return PaperConstant(2.0 * alpha * lh, "fv_mesh_rate",
                              {"alpha": alpha, "h": h, "lambda_conv": lam,

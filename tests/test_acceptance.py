@@ -101,14 +101,12 @@ def test_criterion_03_bochner_identities():
     worst = 0.0
     for name, (spec, chain, bs) in _criterion3_models().items():
         rng = np.random.default_rng(13)
-        mean = bl.MeanFunction(bl.power_entropy(1.5))
         for k in range(100):
             chi = rng.standard_normal(chain.n_states)
             psi = rng.standard_normal(chain.n_states)
             rho = bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3])
-            beta = np.asarray(mean.theta(rho.values[:, None],
-                                         rho.values[None, :]))
-            res = bl.bochner_identity_check(chain, bs, chi, psi, beta)
+            res = bl.bochner_identity_check(chain, bs, chi, psi, rho,
+                                            bl.power_entropy(1.5))
             worst = max(worst, res.gap / res.scale)
             worst = max(worst, bl.identity_3id_check(
                 chain, bs, rho, bl.power_entropy(1.5), samples=200, seed=k))

@@ -38,6 +38,12 @@ def double_sum_oracle(chain, bs, chi, psi, beta):
     return lhs, rhs
 
 
+def _theta_table(e, rho):
+    """The (S, S) table of theta(rho(x), rho(y)) for the oracle."""
+    r = rho.values
+    return np.asarray(bl.MeanFunction(e).theta(r[:, None], r[None, :]))
+
+
 def dense_r(chain):
     """R as an (S, G, G) array, built per family from dense products."""
     kind = chain.meta["model"]
@@ -187,8 +193,8 @@ class TestSummationByParts:
         chain = chains["birth_death"]
         bs = structures["birth_death"]
         c = np.ones(chain.n_states)
-        beta = np.ones((chain.n_states, chain.n_states))
-        res = bl.bochner_identity_check(chain, bs, c, c, beta)
+        res = bl.bochner_identity_check(chain, bs, c, c, c,
+                                        bl.power_entropy(2.0))
         assert res.gap == 0.0
 
     def test_unit_beta_birth_death(self, chains, structures):
@@ -196,8 +202,10 @@ class TestSummationByParts:
         chain = chains["birth_death"]
         bs = structures["birth_death"]
         f = rng.standard_normal(chain.n_states)
-        beta = np.ones((chain.n_states, chain.n_states))
-        res = bl.bochner_identity_check(chain, bs, f, f, beta)
+        rho = bl.random_density(chain, rng, 1.0)
+        # theta of the alpha = 2 entropy is 1/2 at every pair
+        res = bl.bochner_identity_check(chain, bs, f, f, rho,
+                                        bl.power_entropy(2.0))
         assert res.passed
 
     def test_mean_weight_on_exclusion_model(self):
@@ -209,11 +217,10 @@ class TestSummationByParts:
         rho = bl.random_density(chain, rng, 1.0)
         chi = rng.standard_normal(chain.n_states)
         psi = rng.standard_normal(chain.n_states)
-        mean = bl.MeanFunction(bl.power_entropy(1.5))
-        beta = np.asarray(mean.theta(rho.values[:, None], rho.values[None, :]))
-        res = bl.bochner_identity_check(chain, bs, chi, psi, beta)
+        e = bl.power_entropy(1.5)
+        res = bl.bochner_identity_check(chain, bs, chi, psi, rho, e)
         assert res.passed
-        lhs, rhs = double_sum_oracle(chain, bs, chi, psi, beta)
+        lhs, rhs = double_sum_oracle(chain, bs, chi, psi, _theta_table(e, rho))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
 
     @pytest.mark.parametrize("alpha", [1.001, 1.5])
@@ -226,11 +233,10 @@ class TestSummationByParts:
         rho = bl.normalize_density(chain, np.array([1.0, 1e-10, 1.0, 1e-10]))
         rng = np.random.default_rng(4)
         chi, psi = rng.standard_normal((2, chain.n_states))
-        mean = bl.MeanFunction(bl.power_entropy(alpha))
-        beta = np.asarray(mean.theta(rho.values[:, None], rho.values[None, :]))
-        res = bl.bochner_identity_check(chain, bs, chi, psi, beta)
+        e = bl.power_entropy(alpha)
+        res = bl.bochner_identity_check(chain, bs, chi, psi, rho, e)
         assert res.passed
-        lhs, rhs = double_sum_oracle(chain, bs, chi, psi, beta)
+        lhs, rhs = double_sum_oracle(chain, bs, chi, psi, _theta_table(e, rho))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
 
     def test_matches_double_sum_oracle(self, chains, structures):
@@ -240,21 +246,13 @@ class TestSummationByParts:
             bs = structures[name]
             chi = rng.standard_normal(chain.n_states)
             psi = rng.standard_normal(chain.n_states)
-            z = rng.standard_normal(chain.n_states)
-            beta = 0.5 * (z[:, None] + z[None, :])
-            res = bl.bochner_identity_check(chain, bs, chi, psi, beta)
-            lhs, rhs = double_sum_oracle(chain, bs, chi, psi, beta)
+            rho = bl.random_density(chain, rng, 1.0)
+            e = bl.power_entropy(1.5)
+            res = bl.bochner_identity_check(chain, bs, chi, psi, rho, e)
+            lhs, rhs = double_sum_oracle(chain, bs, chi, psi,
+                                         _theta_table(e, rho))
             assert res.gap == pytest.approx(abs(lhs - rhs), abs=1e-12)
             assert res.passed
-
-    def test_asymmetric_beta_rejected(self, chains, structures):
-        chain = chains["birth_death"]
-        beta = np.zeros((chain.n_states, chain.n_states))
-        beta[0, 1] = 1.0
-        with pytest.raises(bl.DomainError):
-            bl.bochner_identity_check(chain, structures["birth_death"],
-                                      np.ones(chain.n_states),
-                                      np.ones(chain.n_states), beta)
 
 
 class TestSecondGradientIdentity:
@@ -406,28 +404,20 @@ def acceptance():
     return out
 
 
-def _pair_theta(mean, rho):
-    return lambda x, y: mean.theta(np.take(rho, x, axis=-1),
-                                   np.take(rho, y, axis=-1))
-
-
 class TestStackedChecks:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
     def test_rows_equal_one_density_calls(self, acceptance, alpha):
         e = bl.power_entropy(alpha)
-        mean = bl.MeanFunction(e)
         for chain, bs in acceptance:
             rho, chi, psi = _draws(chain, 8)
-            res = bl.bochner_identity_check(chain, bs, chi, psi,
-                                            _pair_theta(mean, rho))
+            res = bl.bochner_identity_check(chain, bs, chi, psi, rho, e)
             ids = bl.identity_3id_check(chain, bs, rho, e, seed=7)
             lhs, rhs = bl.proposition_sides(chain, bs, e, rho)
             assert res.gap.shape == ids.shape == lhs.shape == (20,)
             for k in range(20):
                 r = rho[k]
-                beta = np.asarray(mean.theta(r[:, None], r[None, :]))
                 one = bl.bochner_identity_check(chain, bs, chi[k], psi[k],
-                                                beta)
+                                                bl.Density(r), e)
                 assert (res.gap[k], res.scale[k]) == (one.gap, one.scale)
                 assert ids[k] == bl.identity_3id_check(
                     chain, bs, bl.Density(r), e, seed=7 + k)
@@ -438,8 +428,8 @@ class TestStackedChecks:
         chain, bs = acceptance[3]
         assert chain.n_states == 6 and bs.nnz == 0
         rho, chi, psi = _draws(chain, 3, k=4)
-        res = bl.bochner_identity_check(chain, bs, chi, psi,
-                                        np.ones((6, 6)))
+        res = bl.bochner_identity_check(chain, bs, chi, psi, rho,
+                                        bl.power_entropy(2.0))
         assert np.array_equal(res.gap, np.zeros(4))
         assert np.array_equal(
             bl.identity_3id_check(chain, bs, rho, bl.log_entropy()),
@@ -457,17 +447,6 @@ class TestStackedChecks:
         for bad in (np.ones((4, 3)), np.ones((6, 4)), np.float64(1.0)):
             with pytest.raises(bl.DomainError):
                 rt3.apply_generator(bad)
-
-    def test_asymmetric_beta_rejected_in_either_orientation(self, chains,
-                                                            structures):
-        chain = chains["birth_death"]
-        bs = structures["birth_death"]
-        ones = np.ones((2, chain.n_states))
-        for x, y in ((0, 1), (1, 0)):
-            def beta(a, b, x=x, y=y):
-                return np.where((a == x) & (b == y), 2.0, 1.0)
-            with pytest.raises(bl.DomainError):
-                bl.bochner_identity_check(chain, bs, ones, ones, beta)
 
     def test_row_chunks_cover_the_rows_in_order(self, monkeypatch):
         from beckner_lab import bochner

@@ -428,6 +428,28 @@ class TestCommands:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: need at least 3 cells\n"
 
+    @pytest.mark.parametrize("command, output", [
+        ("decay", "trajectory_alpha1_5.csv"), ("constants", "constants.csv")])
+    def test_convexity_hypothesis_fails_before_any_output(
+            self, tmp_path, capsys, command, output):
+        # V = 2 x^2 has V'' = 4 < 10 = lambda
+        argv = [command, "--model", "fokker_planck_fv", "--coeff", "2.0",
+                "--n-cells", "16", "--lambda-conv", "10.0"]
+        if command == "constants":
+            argv += ["--starts", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: V'' >= 10.0 fails: min sampled V'' = 4\n"
+        assert not (tmp_path / output).exists()
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_nonfinite_lambda_exit_code(self, tmp_path, capsys, lam):
+        assert main(["fokker-planck", "--model", "fokker_planck_fv",
+                     "--lambda-conv", lam, "--cells", "8", "16",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: convexity bound lambda must be finite and > 0\n"
+
     def test_negative_tol_flag_exit_code(self, tmp_path, capsys):
         status = main(["decay", "--model", "random_transposition", "--n", "3",
                        "--tol", "-1", "--out", str(tmp_path)])

@@ -369,6 +369,17 @@ class TestPaperLambda:
         assert const.value == pytest.approx(
             3.0 * bl.lambda_h(1.0 / 16, 4.0), rel=1e-14)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_fv_nonfinite_lambda_rejected(self, lam):
+        spec = bl.ModelSpec("fokker_planck_fv",
+                            {"potential": {"kind": "quadratic", "coeff": 2.0},
+                             "n_cells": 8, "lambda_conv": lam})
+        with pytest.raises(HypothesisError, match="V'' >= "):
+            bl.paper_lambda(spec, 1.5)
+        with pytest.raises(HypothesisError, match="finite and > 0"):
+            bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2,
+                                      8, lam)
+
 
 class TestPotentialConfig:
     def test_quadratic(self):
