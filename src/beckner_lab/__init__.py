@@ -13,16 +13,14 @@ from .bochner import (BochnerStructure, bochner_identity_check,
 from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
                     dirichlet_form, entropy, normalize_density,
                     random_density)
-from .constants import (ConstantEstimate, OptimizerOptions, beckner_constant,
-                        constants_report, lsi_constant, mlsi_constant,
+from .constants import (ConstantEstimate, OptimizerOptions, constants_report,
                         spectral_gap)
 from .dynamics import (DecayFit, DecayReport, Trajectory,
                        derivative_identity_check, dirichlet_decay_check,
                        evolve, evolve_rk4, fit_decay_rate, run_decay)
 from .entropy import (ConvexEntropy, MeanFunction, big_theta,
                       big_theta_lower_bound, log_entropy, power_entropy,
-                      quadratic_entropy, theta_surface, verify_concavity,
-                      verify_theta_identities)
+                      theta_surface, verify_concavity, verify_theta_identities)
 from .errors import (BecknerLabError, CapabilityError, ConfigError,
                      DegeneracyError, DomainError, HypothesisError,
                      NumericalError, ReversibilityError, SizeError)

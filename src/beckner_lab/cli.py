@@ -119,8 +119,8 @@ def _check_alpha(a) -> float:
 
 def _check_tol(t) -> float:
     t = float(t)
-    if not t > 0.0:
-        raise ConfigError("tol must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ConfigError("tol must be positive and finite")
     return t
 
 

@@ -13,22 +13,23 @@ over positive pi-mean-one densities:
 Minimization runs L-BFGS with an Armijo line search on the
 log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
-the spectral-gap eigenvector and random log-Gaussian fields.  The starts
-advance in lockstep as the rows of one array (a constants report puts
-all of its estimates in one array, a block of rows each, ordered by
-quotient kind).  Each lockstep round makes one evaluation of value,
-density and gradient for all running rows, and the array keeps only the
-rows still running; each row gets the bits it would get if its start
-ran alone.  Linearization rays rho = 1 + eps f_gap are always folded in,
-which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or below
-2 lambda_P.
+the spectral-gap eigenvector and random log-Gaussian fields.
+:func:`constants_report` is the one way to request the three: its
+estimates advance in lockstep as the rows of one array, a block of rows
+each, ordered by quotient kind.  Each lockstep round makes one
+evaluation of value, density and gradient for all running rows, and the
+array keeps only the rows still running; each row gets the bits it would
+get if its start ran alone.  Linearization rays rho = 1 + eps f_gap are
+always folded in, which pins lambda_B(2) = 2 lambda_P and keeps every
+estimate at or below 2 lambda_P.
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
 O(rho - 1) parts, and the descent can walk into that noise below the
 sharp value.  On ``build_birth_death([1, 0], [0, 1])`` (sharp value 4,
-1 for lsi) lambda_B(1.1), lambda_M and lambda_L read 3.93855, 3.99983
-and 0.9999983.
+1 for lsi) the report at alpha = 1.1 reads lambda_B(1.1) = 3.93855,
+lambda_M = 3.99658 and lambda_L = 0.999146; its fold over the pooled
+minimizers carries the noise of one kind's minimizer to the others.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .chain import Density, FiniteChain
 from .entropy import check_alpha, dphi_kernel, phi_kernel
-from .errors import DegeneracyError, DomainError, NumericalError
+from .errors import DegeneracyError, DomainError, NumericalError, SizeError
 from .models import ModelSpec, paper_lambda
 
 
@@ -228,6 +229,7 @@ class OptimizerOptions:
 STATUSES = ("gradient", "stalled", "maxiter")
 
 _MEMORY = 10        # curvature pairs kept per start
+STACK_MAX_BYTES = 2 ** 30   # cap on the descent stack of all estimates
 
 
 @dataclass(frozen=True)
@@ -451,31 +453,38 @@ class ConstantEstimate:
 _NEAR_ONE = 1.0 + 1e-4     # alpha of the mlsi continuity estimate
 
 
-def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
-              extra_candidates=(), continuity_check: bool = False
+def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
               ) -> list[ConstantEstimate]:
     """One estimate per (kind, alpha) spec, all descended as one stack.
 
     Every spec owns a block of ``opts.starts`` rows started from the same
     fields, so each row gets the bits its estimate's own descent gives.
-    With ``continuity_check`` every mlsi spec is followed by a power-entropy
-    block at alpha = 1 + 1e-4, whose candidates add the mlsi minimizer and
-    whose value and relative gap go to the mlsi convergence record (the
-    power family tends to the log case as alpha -> 1).  The stack orders
-    the blocks by kind (beckner, mlsi, lsi), so a round evaluates each
-    kind on one run of rows.  The blocks are then finished in spec order:
-    rays and ``extra_candidates`` join the candidates, the best is
-    rechecked, and the first block with no converged start raises.
+    Every mlsi spec is followed by a power-entropy block at
+    alpha = 1 + 1e-4, whose candidates add the mlsi minimizer and whose
+    value and relative gap go to the mlsi convergence record (the power
+    family tends to the log case as alpha -> 1).  The stack orders the
+    blocks by kind (beckner, mlsi, lsi), so a round evaluates each kind on
+    one run of rows.  The blocks are then finished in spec order: the
+    rays join the candidates, the best is rechecked, and the first block
+    with no converged start raises.  A stack over ``STACK_MAX_BYTES``
+    raises :class:`SizeError` before any start is drawn.
     """
     stack, checks = [], set()      # checks: the continuity blocks
     for spec in specs:
         stack.append(spec)
-        if continuity_check and spec[0] == "mlsi":
+        if spec[0] == "mlsi":
             checks.add(len(stack))
             stack.append(("beckner", _NEAR_ONE))
+    # a row holds its pairs (2 _MEMORY floats per state, R^{-1} and Y Y^T)
+    # and about twenty working arrays of one float per state
+    K, S = opts.starts, chain.n_states
+    need = 8 * len(stack) * K * ((2 * _MEMORY + 20) * S + 2 * _MEMORY ** 2)
+    if need > STACK_MAX_BYTES:
+        raise SizeError(
+            f"{K} starts need about {need / 2 ** 20:.0f} MiB of descent "
+            f"stack, over the cap of {STACK_MAX_BYTES / 2 ** 20:.0f} MiB")
     f_gap = poincare_eigenvector(chain)
-    starts = _start_fields(chain, f_gap, opts)
-    K = len(starts)
+    starts, rays = _start_fields(chain, f_gap, opts), _gap_rays(chain, f_gap)
     order = sorted(range(len(stack)), key=lambda i: _KINDS.index(stack[i][0]))
     quot = _Quotient(chain, specs=[stack[i] for i in order], block=K)
     run = _descend(quot, np.tile(starts, (len(stack), 1)), opts.max_iter,
@@ -484,8 +493,8 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
     for i, (kind, alpha) in enumerate(stack):
         near, j = i in checks, order.index(i)   # j: the block in the stack
         est = _finish(chain, quot, j * K, run.block(slice(j * K, (j + 1) * K)),
-                      kind, alpha, f_gap, (ests[-1].minimizer.values,)
-                      if near else extra_candidates)
+                      kind, alpha, np.vstack([rays, ests[-1].minimizer.values])
+                      if near else rays)
         if near:
             mlsi = ests[-1]
             rel = abs(est.value - mlsi.value) / max(abs(mlsi.value), 1e-300)
@@ -496,11 +505,12 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions,
     return ests
 
 
-def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
-            extra_candidates) -> ConstantEstimate:
+def _finish(chain, quot, first, run: _Descent, kind, alpha,
+            rays) -> ConstantEstimate:
     """The estimate of one block of the stack, whose first row has stack
-    id ``first``: its starts' results, the gap rays and the extra
-    candidates, the best of them rechecked directly."""
+    id ``first``: its starts' results and the densities ``rays`` (the gap
+    rays, and for a continuity block the mlsi minimizer), the best of them
+    rechecked directly."""
     finite = np.isfinite(run.value)
     candidates = [(float(v), rho)
                   for v, rho in zip(run.value[finite], run.rho[finite])]
@@ -511,7 +521,6 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
     v = run.value[finite & (np.array(run.status) != "maxiter")]
     spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
               if v.size else math.nan)
-    rays = np.vstack([_gap_rays(chain, f_gap), *extra_candidates])
     nums, dens = quot.parts(rays, np.full(len(rays), first))
     for num, den, rho in zip(nums, dens, rays):
         if den > 0.0 and math.isfinite(num):
@@ -538,40 +547,6 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha, f_gap,
                      "renormalization_gap": invariance,
                      "status_counts": status_counts, "value_spread": spread,
                      "evaluations": run.evaluations, "rounds": run.rounds})
-
-
-def beckner_constant(chain: FiniteChain, alpha: float,
-                     opts: OptimizerOptions | None = None,
-                     extra_candidates=()) -> ConstantEstimate:
-    """Upper bracket of the sharp power-entropy constant lambda_B(alpha).
-
-    Contract: at most 2 lambda_P (up to optimizer tolerance), exactly
-    2 lambda_P at alpha = 2, and never below a valid explicit bound.
-    """
-    check_alpha(alpha)
-    return _estimate(chain, [("beckner", alpha)], opts or OptimizerOptions(),
-                     extra_candidates)[0]
-
-
-def mlsi_constant(chain: FiniteChain, opts: OptimizerOptions | None = None,
-                  continuity_check: bool = True,
-                  extra_candidates=()) -> ConstantEstimate:
-    """Upper bracket of the modified log-Sobolev constant lambda_M.
-
-    When ``continuity_check`` is set, the power-entropy estimate at
-    alpha = 1 + 1e-4 is computed in the same stack with the same protocol
-    and its relative gap recorded (the power family tends to the log case
-    as alpha -> 1).
-    """
-    return _estimate(chain, [("mlsi", None)], opts or OptimizerOptions(),
-                     extra_candidates, continuity_check)[0]
-
-
-def lsi_constant(chain: FiniteChain, opts: OptimizerOptions | None = None,
-                 extra_candidates=()) -> ConstantEstimate:
-    """Upper bracket of the log-Sobolev constant lambda_L."""
-    return _estimate(chain, [("lsi", None)], opts or OptimizerOptions(),
-                     extra_candidates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +593,7 @@ def constants_report(chain: FiniteChain, alphas,
     for a in distinct:
         check_alpha(a)
     ests = _estimate(chain, [("beckner", a) for a in distinct]
-                     + [("mlsi", None), ("lsi", None)], opts,
-                     continuity_check=True)
+                     + [("mlsi", None), ("lsi", None)], opts)
     est_m, est_l = ests[-2:]
 
     # every quotient at every pooled minimizer, in one evaluation
@@ -655,8 +629,7 @@ def constants_report(chain: FiniteChain, alphas,
 
     return ConstantsTable(
         rows=rows, lambda_p=lam_p, lambda_m=lam_m, lambda_l=lam_l,
-        mlsi_continuity_gap=est_m.convergence.get("alpha_to_one_gap",
-                                                  math.nan),
+        mlsi_continuity_gap=est_m.convergence["alpha_to_one_gap"],
         references=references,
         ordering_pass=global_ok and all(r.ordering_pass for r in rows),
         estimates=ests)

@@ -155,33 +155,28 @@ class DecayFit:
     diagnostics: dict
 
 
-def fit_decay_rate(traj: Trajectory, window: tuple | None = None) -> DecayFit:
+def fit_decay_rate(traj: Trajectory) -> DecayFit:
     """Infimum of -(d/dt) log Ent by central differences, plus LSQ slope.
 
     Entropy samples below 1e-14 (converged to equilibrium) are excluded;
-    the window auto-shrinks accordingly and an empty window is an error.
-    A trajectory that starts at equilibrium has nothing to fit and
-    returns an infinite rate (every decay bound holds vacuously).
+    the fit window is the longest contiguous run of the others, and one of
+    fewer than 3 samples is an error.  A trajectory that starts at
+    equilibrium has nothing to fit and returns an infinite rate (every
+    decay bound holds vacuously).
     """
     t = traj.times
     ent = traj.entropy_values
-    if window is None and np.all(ent <= ENTROPY_FLOOR):
+    if np.all(ent <= ENTROPY_FLOOR):
         return DecayFit(rate=math.inf, slope=math.inf,
                         diagnostics={"degenerate": True, "n_points": 0,
                                      "window_used": (float(t[0]), float(t[0])),
                                      "argmin_time": float(t[0])})
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    t0, t1 = window
-    keep = (t >= t0 - 1e-15) & (t <= t1 + 1e-15) & (ent > ENTROPY_FLOOR)
-    idx = np.flatnonzero(keep)
+    # the longest contiguous run, for the differencing
+    idx = np.flatnonzero(ent > ENTROPY_FLOOR)
+    idx = max(np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1), key=len)
     if len(idx) < 3:
-        raise DomainError("window holds fewer than 3 usable entropy samples")
-    # require a contiguous run for the differencing
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    idx = max(runs, key=len)
-    if len(idx) < 3:
-        raise DomainError("window holds fewer than 3 contiguous samples")
+        raise DomainError("window holds fewer than 3 contiguous samples "
+                          "above the entropy floor")
     tt = t[idx]
     le = np.log(ent[idx])
     inst = traj.instantaneous_rate()[idx[1:-1]]

@@ -6,10 +6,10 @@ Two entropy kinds are built in, both normalized so phi(1) = 0:
 * ``power``  phi(s) = (s^a - s)/(a - 1) - s + 1,  1 < a <= 2,
 
 where the power family interpolates pointwise between the logarithmic
-entropy (a -> 1) and the variance (s - 1)^2 at a = 2, which is
-``quadratic_entropy()``.  phi and phi' are written once, as the kernels
-:func:`phi_kernel` and :func:`dphi_kernel` of the order a (1 for log),
-which ``ConvexEntropy`` and the constants quotient both call.
+entropy (a -> 1) and the variance (s - 1)^2 at a = 2.  phi and phi' are
+written once, as the kernels :func:`phi_kernel` and :func:`dphi_kernel`
+of the order a (1 for log), which ``ConvexEntropy`` and the constants
+quotient both call.
 
 The central object is the mean function
 
@@ -126,11 +126,6 @@ class ConvexEntropy:
 
 def log_entropy() -> ConvexEntropy:
     return ConvexEntropy("log")
-
-
-def quadratic_entropy() -> ConvexEntropy:
-    """The variance (s - 1)^2: the power entropy of order 2."""
-    return power_entropy(2.0)
 
 
 def power_entropy(alpha: float) -> ConvexEntropy:

@@ -108,7 +108,7 @@ def fv_condition_check(chain: FiniteChain,
     h = float(chain.meta["h"])
     lam = float(chain.meta["lambda_conv"])
     phi = phi_mielke(h ** 2 * lam / 8.0)
-    lh = 2.0 * phi / h ** 2
+    lh = lambda_h(h, lam)
     report = VerificationReport()
 
     # log-concavity of the cell weights, sharp for Gaussian weights:

@@ -304,10 +304,9 @@ def fv_cell_averages(V, n_cells: int, order: int = 16) -> np.ndarray:
     """Cell averages of exp(-V) over the uniform partition of [0, 1].
 
     Gauss-Legendre quadrature per cell; the order doubles until the
-    averages are stable to 1e-12 in relative terms.
+    averages are stable to 1e-12 in relative terms.  ``n_cells`` is at
+    least 3 (see :func:`_check_fv_mesh`).
     """
-    if n_cells < 3:
-        raise DomainError("need at least 3 cells")
     h = 1.0 / n_cells
     edges = np.linspace(0.0, 1.0, n_cells + 1)
 
@@ -351,9 +350,8 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
     geometric-mean flux construction.  ``lambda_conv`` (a lower bound on
     V'') is recorded for downstream decay constants.
     """
-    if not 0.0 < lambda_conv < math.inf:       # NaN fails too
-        raise HypothesisError("convexity bound lambda must be finite and > 0")
-    cells = fv_cell_averages(V, n_cells)        # checks n_cells first
+    _check_fv_mesh(n_cells, lambda_conv)     # before h = 1 / n_cells
+    cells = fv_cell_averages(V, n_cells)
     h = 1.0 / n_cells
     a, b = fv_rates(cells, h)
     chain = build_birth_death(a, b)
@@ -361,6 +359,14 @@ def build_fokker_planck_fv(V, n_cells: int, lambda_conv: float) -> FiniteChain:
                        "h": h, "lambda_conv": float(lambda_conv),
                        "cell_averages": cells / (h * cells.sum())})
     return chain
+
+
+def _check_fv_mesh(n_cells: int, lambda_conv: float) -> None:
+    """Require a finite convexity bound lambda > 0 and at least 3 cells."""
+    if not 0.0 < lambda_conv < math.inf:       # NaN fails too
+        raise HypothesisError("convexity bound lambda must be finite and > 0")
+    if n_cells < 3:
+        raise DomainError("need at least 3 cells")
 
 
 def check_convexity(Vpp, lambda_conv: float) -> None:
@@ -427,7 +433,8 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
     """Evaluate the explicit decay constant for a model instance.
 
     Raises :class:`HypothesisError` naming the violated condition when
-    the instance falls outside the respective theorem's assumptions.
+    the instance falls outside the respective theorem's assumptions, and
+    a finite-volume instance fails the checks of its builder as it does.
     """
     check_alpha(alpha)
     p = spec.params
@@ -494,6 +501,7 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
 
     if spec.kind == "fokker_planck_fv":
         lam = p["lambda_conv"]
+        _check_fv_mesh(p["n_cells"], lam)
         check_convexity(potential_from_config(p["potential"])[1], lam)
         h = 1.0 / p["n_cells"]
         lh = lambda_h(h, lam)

@@ -306,7 +306,7 @@ class TestCurvatureInequality:
         for name in ("birth_death", "random_transposition_4"):
             chain = chains[name]
             bs = structures[name]
-            e = bl.quadratic_entropy()
+            e = bl.power_entropy(2.0)
             rho = bl.random_density(chain, rng, 1.0)
             lhs, rhs = bl.proposition_sides(chain, bs, e, rho)
             ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
@@ -322,7 +322,7 @@ class TestCurvatureInequality:
         rng = np.random.default_rng(6)
         chain = chains["birth_death"]
         bs = structures["birth_death"]
-        e = bl.quadratic_entropy()
+        e = bl.power_entropy(2.0)
         rhos = [bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3]).values
                 for k in range(100)]
         # trap-family bound at alpha = 2: rate differences (1,1) per level
@@ -341,7 +341,7 @@ class TestCurvatureInequality:
         f = poincare_eigenvector(chain)
         rho = bl.Density(1.0 + 1e-4 * f / np.max(np.abs(f)))
         rho = bl.normalize_density(chain, rho.values)
-        ratio = certified_ratios(chain, bs, bl.quadratic_entropy(),
+        ratio = certified_ratios(chain, bs, bl.power_entropy(2.0),
                                  [rho.values])[0]
         assert ratio == pytest.approx(2.0 * spectral_gap(chain), rel=1e-3)
 

@@ -97,12 +97,12 @@ class TestDirichletForm:
 class TestEntropy:
     def test_flat_density_zero(self, zr33):
         rho = bl.normalize_density(zr33, np.ones(zr33.n_states))
-        for e in (bl.log_entropy(), bl.quadratic_entropy(), bl.power_entropy(1.5)):
+        for e in (bl.log_entropy(), bl.power_entropy(2.0), bl.power_entropy(1.5)):
             assert bl.entropy(zr33, e, rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_is_variance(self, bd8):
         rho = bl.random_density(bd8, np.random.default_rng(5), 1.0)
-        ent = bl.entropy(bd8, bl.quadratic_entropy(), rho)
+        ent = bl.entropy(bd8, bl.power_entropy(2.0), rho)
         var = float(np.sum(bd8.pi * rho.values ** 2) - 1.0)
         assert ent == pytest.approx(var, rel=1e-10)
 

@@ -9,11 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from beckner_lab import (ConfigError, OptimizerOptions, beckner_constant,
-                         build_random_transposition, lsi_constant,
-                         mlsi_constant, potential_from_config)
+from beckner_lab import (ConfigError, OptimizerOptions,
+                         build_random_transposition, potential_from_config)
 from beckner_lab.cli import (_CSV_BLOCK_ROWS, _write_csv, main,
                              parse_model_block, validate_config)
+from beckner_lab.constants import _estimate
 
 
 def _fv_report_text(n_cells, alpha):
@@ -246,9 +246,9 @@ class TestCommands:
         entries = report["convergence"]
         chain = build_random_transposition(3)
         opts = OptimizerOptions(starts=8, seed=5)
-        alone = [beckner_constant(chain, 1.5, opts),
-                 beckner_constant(chain, 2.0, opts),
-                 mlsi_constant(chain, opts), lsi_constant(chain, opts)]
+        alone = [_estimate(chain, [spec], opts)[0]
+                 for spec in (("beckner", 1.5), ("beckner", 2.0),
+                              ("mlsi", None), ("lsi", None))]
         assert [(e["name"], e["alpha"]) for e in entries] == [
             ("beckner", 1.5), ("beckner", 2.0), ("mlsi", None), ("lsi", None)]
         for entry, est in zip(entries, alone):
@@ -455,6 +455,43 @@ class TestCommands:
                        "--tol", "-1", "--out", str(tmp_path)])
         assert status == 2
         assert "tol must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemmas", "--samples", "200"],
+        ["verify-bochner", "--model", "random_transposition", "--n", "3"],
+        ["decay", "--model", "random_transposition", "--n", "3"],
+        ["constants", "--model", "random_transposition", "--n", "3",
+         "--starts", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_infinite_tol_flag_exit_code(self, tmp_path, capsys, argv):
+        # an infinite tolerance would pass every check it gates
+        status = main(argv + ["--tol", "inf", "--out", str(tmp_path)])
+        assert status == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "effective_config.json").exists()
+
+    def test_starts_over_the_stack_cap_fail_before_any_draw(
+            self, tmp_path, capsys, monkeypatch):
+        from beckner_lab import constants
+        argv = ["constants", "--model", "random_transposition", "--n", "3",
+                "--alpha", "1.5"]
+        # RT(3): 6 states and 4 blocks (1.5, mlsi, its alpha -> 1 check,
+        # lsi); a row is about 3.5 kB, so 2 starts (8 rows) fit under the
+        # lowered cap and 64 starts (256 rows) do not
+        monkeypatch.setattr(constants, "STACK_MAX_BYTES", 10 ** 5,
+                            raising=False)
+        assert main(argv + ["--starts", "2", "--out",
+                            str(tmp_path / "small")]) == 0
+
+        def no_draw(*args):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(constants, "_start_fields", no_draw)
+        out = tmp_path / "large"
+        assert main(argv + ["--starts", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: 64 starts need about 1 MiB of descent stack")
+        assert not (out / "constants.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--model", "random_transposition", "--n", "3",

@@ -7,8 +7,13 @@ import beckner_lab as bl
 from beckner_lab import DegeneracyError
 from beckner_lab.chain import DENSITY_FLOOR
 from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
-                                   _Quotient, _start_fields,
+                                   _estimate, _Quotient, _start_fields,
                                    poincare_eigenvector, quotient_value)
+
+
+def alone(chain, kind, alpha=None, opts=OptimizerOptions()):
+    """The estimate of one (kind, alpha) descended as a stack of its own."""
+    return _estimate(chain, [(kind, alpha)], opts)[0]
 
 
 def complete_graph_chain(m, r):
@@ -72,12 +77,12 @@ class TestSpectralGap:
 class TestBecknerConstant:
     def test_alpha_two_equals_twice_gap(self, chains):
         for name, chain in chains.items():
-            est = bl.beckner_constant(chain, 2.0)
+            est = alone(chain, "beckner", 2.0)
             gap = bl.spectral_gap(chain)
             assert est.value == pytest.approx(2.0 * gap, rel=1e-6), name
 
     def test_bracketed_by_random_search(self, rt3):
-        est = bl.beckner_constant(rt3, 1.5)
+        est = alone(rt3, "beckner", 1.5)
         assert 8.0 / 6.0 - 1e-9 <= est.value <= 2.0 * bl.spectral_gap(rt3) + 1e-6
         # the densities random_density draws for k = 0, 1, ... with
         # amplitude (0.1, 1.0, 3.0)[k % 3], as one stack
@@ -97,15 +102,15 @@ class TestBecknerConstant:
         assert val == pytest.approx(2.0 * bl.spectral_gap(bd8), rel=1e-4)
 
     def test_optimizer_validity(self, rt4):
-        est = bl.beckner_constant(rt4, 1.5)
+        est = alone(rt4, "beckner", 1.5)
         assert est.convergence["value_recheck_gap"] <= 1e-12 * max(1.0, est.value)
         assert est.convergence["renormalization_gap"] <= 1e-12 * max(1.0, est.value)
         assert est.convergence["converged_starts"] >= 1
 
     def test_status_counts_sum_to_starts(self, rt4):
         opts = OptimizerOptions(starts=8)
-        for est in (bl.beckner_constant(rt4, 1.5, opts),
-                    bl.lsi_constant(rt4, opts)):
+        for est in (alone(rt4, "beckner", 1.5, opts),
+                    alone(rt4, "lsi", opts=opts)):
             conv = est.convergence
             counts = conv["status_counts"]
             assert set(counts) == set(STATUSES)
@@ -115,7 +120,7 @@ class TestBecknerConstant:
 
     def test_value_spread_over_converged_starts(self, rt4):
         opts = OptimizerOptions(starts=8)
-        est = bl.beckner_constant(rt4, 1.5, opts)
+        est = alone(rt4, "beckner", 1.5, opts)
         run = _descend(_Quotient(rt4, "beckner", 1.5),
                        _start_fields(rt4, poincare_eigenvector(rt4), opts),
                        opts.max_iter, opts.tol)
@@ -149,7 +154,7 @@ class TestBecknerConstant:
 
     def test_range_check(self, rt3):
         with pytest.raises(bl.DomainError):
-            bl.beckner_constant(rt3, 2.5)
+            bl.constants_report(rt3, [2.5])
 
     def test_quotient_value_checks_alpha(self, zr33):
         rho = bl.normalize_density(zr33, 1.0 + 0.1 * poincare_eigenvector(
@@ -187,8 +192,8 @@ class TestBecknerConstant:
 
 class TestLogCaseConstants:
     def test_two_state_scan_oracles(self, two_state):
-        est_m = bl.mlsi_constant(two_state, continuity_check=False)
-        est_l = bl.lsi_constant(two_state)
+        est_m = alone(two_state, "mlsi")
+        est_l = alone(two_state, "lsi")
         scan_m = scan_two_state_quotient(two_state, "mlsi")
         scan_l = scan_two_state_quotient(two_state, "lsi")
         assert est_m.value <= scan_m + 1e-9
@@ -199,14 +204,14 @@ class TestLogCaseConstants:
     def test_orderings(self, chains):
         for name, chain in chains.items():
             gap = bl.spectral_gap(chain)
-            est_m = bl.mlsi_constant(chain, continuity_check=False)
-            est_l = bl.lsi_constant(
-                chain, extra_candidates=(est_m.minimizer.values,))
-            assert est_m.value <= 2.0 * gap + 1e-6, name
-            assert 4.0 * est_l.value <= est_m.value + 1e-6, name
+            # the log-case constants alone; the report folds every
+            # quotient over the pooled minimizers
+            table = bl.constants_report(chain, [])
+            assert table.lambda_m <= 2.0 * gap + 1e-6, name
+            assert 4.0 * table.lambda_l <= table.lambda_m + 1e-6, name
 
     def test_alpha_to_one_continuity(self, rt4):
-        est = bl.mlsi_constant(rt4)
+        est = alone(rt4, "mlsi")
         assert est.convergence["alpha_to_one_gap"] <= 1e-2
 
     def test_near_flat_quotient_linearizes(self, zr33):
@@ -234,10 +239,10 @@ class TestConstantsReport:
                                                       chain_name):
         chain = {"zr33": zr33, "rt4": rt4}[chain_name]
         table = bl.constants_report(chain, [1.1, 1.5, 2.0])
-        alone = [bl.beckner_constant(chain, a) for a in (1.1, 1.5, 2.0)]
-        alone += [bl.mlsi_constant(chain), bl.lsi_constant(chain)]
-        assert len(table.estimates) == len(alone)
-        for est, one in zip(table.estimates, alone):
+        ones = [alone(chain, "beckner", a) for a in (1.1, 1.5, 2.0)]
+        ones += [alone(chain, "mlsi"), alone(chain, "lsi")]
+        assert len(table.estimates) == len(ones)
+        for est, one in zip(table.estimates, ones):
             assert (est.name, est.alpha) == (one.name, one.alpha)
             assert est.value == one.value, est.name
             assert np.array_equal(est.minimizer.values, one.minimizer.values)

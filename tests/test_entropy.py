@@ -176,14 +176,11 @@ class TestPhi:
 
     def test_normalization_and_convexity(self):
         s = np.linspace(0.05, 20.0, 200)
-        for e in (bl.log_entropy(), bl.quadratic_entropy(),
-                  bl.power_entropy(1.2), bl.power_entropy(2.0)):
+        for e in (bl.log_entropy(), bl.power_entropy(1.2),
+                  bl.power_entropy(2.0)):
             assert e.eval(1.0) == pytest.approx(0.0, abs=1e-15)
             assert np.all(np.asarray(e.eval(s)) >= -1e-14)
             assert np.all(np.asarray(e.d2(s)) > 0.0)
-
-    def test_quadratic_is_power_two(self):
-        assert bl.quadratic_entropy() == bl.power_entropy(2.0)
 
     def test_power_tends_to_log(self):
         e = bl.power_entropy(1.0 + 1e-6)
@@ -231,7 +228,7 @@ class TestPhi:
         s = np.linspace(0.05, 50.0, 100)
         assert np.all(np.asarray(bl.log_entropy().d3(s)) <= 0.0)
         assert np.all(np.asarray(bl.power_entropy(1.7).d3(s)) <= 0.0)
-        assert np.all(np.asarray(bl.quadratic_entropy().d3(s)) == 0.0)
+        assert np.all(np.asarray(bl.power_entropy(2.0).d3(s)) == 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -249,7 +246,7 @@ class TestPhi:
 
 class TestTheta:
     def test_closed_form_values(self):
-        m2 = bl.MeanFunction(bl.quadratic_entropy())
+        m2 = bl.MeanFunction(bl.power_entropy(2.0))
         assert m2.theta(7.0, 2.0) == pytest.approx(0.5, abs=1e-15)
         m15 = bl.MeanFunction(bl.power_entropy(1.5))
         assert m15.theta(4.0, 1.0) == pytest.approx(1.0, abs=1e-14)
@@ -351,7 +348,7 @@ class TestThetaOracle:
 
 class TestThetaPartials:
     def test_quadratic_is_constant(self):
-        m = bl.MeanFunction(bl.quadratic_entropy())
+        m = bl.MeanFunction(bl.power_entropy(2.0))
         d1, d2 = m.partials(5.0, 0.3)
         assert d1 == 0.0 and d2 == 0.0
 
@@ -562,7 +559,7 @@ class TestLockstepBigTheta:
         A, B = np.exp(rng.uniform(-5.0, 5.0, size=(2, 40)))
         A[:4], B[2:6] = 0.0, 0.0
         for e in (bl.power_entropy(1.3), bl.log_entropy(),
-                  bl.quadratic_entropy()):
+                  bl.power_entropy(2.0)):
             full = bl.big_theta(e, A, B)
             assert np.array_equal(
                 bl.big_theta(e, A.reshape(5, 8), B.reshape(5, 8)),
@@ -719,5 +716,5 @@ class TestIdentityVerifiers:
     def test_rejects_convex_third_derivative(self):
         # quadratic has phi''' = 0, allowed; a made-up convex check is
         # exercised through the power family only
-        rep = bl.verify_concavity(bl.quadratic_entropy(), (0.5,), 100, seed=1)
+        rep = bl.verify_concavity(bl.power_entropy(2.0), (0.5,), 100, seed=1)
         assert rep.passed

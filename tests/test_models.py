@@ -374,11 +374,26 @@ class TestPaperLambda:
         spec = bl.ModelSpec("fokker_planck_fv",
                             {"potential": {"kind": "quadratic", "coeff": 2.0},
                              "n_cells": 8, "lambda_conv": lam})
-        with pytest.raises(HypothesisError, match="V'' >= "):
+        with pytest.raises(HypothesisError, match="finite and > 0"):
             bl.paper_lambda(spec, 1.5)
         with pytest.raises(HypothesisError, match="finite and > 0"):
             bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2,
                                       8, lam)
+
+    # the nonfinite lambdas are the case above
+    @pytest.mark.parametrize("n_cells,lam,error,message", [
+        (0, 4.0, DomainError, "need at least 3 cells"),
+        (2, 4.0, DomainError, "need at least 3 cells"),
+        (8, -1.0, HypothesisError, "lambda must be finite and > 0")])
+    def test_fv_constant_checks_what_the_builder_checks(self, n_cells, lam,
+                                                        error, message):
+        spec = bl.ModelSpec("fokker_planck_fv",
+                            {"potential": {"kind": "quadratic", "coeff": 2.0},
+                             "n_cells": n_cells, "lambda_conv": lam})
+        for call in (bl.build_model, lambda s: bl.paper_lambda(s, 1.5)):
+            with pytest.raises(error, match=message) as err:
+                call(spec)
+            assert type(err.value) is error
 
 
 class TestPotentialConfig:
