@@ -19,9 +19,11 @@ estimates advance in lockstep as the rows of one array, a block of rows
 each, ordered by quotient kind.  Each lockstep round makes one
 evaluation of value, density and gradient for all running rows, and the
 array keeps only the rows still running; each row gets the bits it would
-get if its start ran alone.  Linearization rays rho = 1 + eps f_gap are
-always folded in, which pins lambda_B(2) = 2 lambda_P and keeps every
-estimate at or below 2 lambda_P.
+get if its start ran alone, unless a converged row of its own block
+dominates it: then it retires with the bits of its lone run cut at that
+iteration.  Linearization rays rho = 1 + eps f_gap are always folded in,
+which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or below
+2 lambda_P.
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
@@ -209,7 +211,7 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "max_iter"):
+        for name in ("starts", "max_iter", "seed"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
@@ -225,8 +227,9 @@ class OptimizerOptions:
             raise DomainError(f"tol must be finite and > 0, got {self.tol}")
 
 
-# start statuses; every status but "maxiter" counts as converged
-STATUSES = ("gradient", "stalled", "maxiter")
+# start statuses; "gradient" and "stalled" count as converged, "maxiter"
+# and "dominated" (retired below its block's best converged value) do not
+STATUSES = ("gradient", "stalled", "maxiter", "dominated")
 
 _MEMORY = 10        # curvature pairs kept per start
 STACK_MAX_BYTES = 2 ** 30   # cap on the descent stack of all estimates
@@ -240,11 +243,13 @@ class _Descent:
     gnorm: np.ndarray
     status: list[str]
     trials: np.ndarray      # line-search trial points evaluated per row
+    iterations: np.ndarray  # iterations completed per row
 
     def block(self, rows: slice) -> _Descent:
         """The results of the rows ``rows``."""
         return _Descent(self.value[rows], self.rho[rows], self.gnorm[rows],
-                        self.status[rows], self.trials[rows])
+                        self.status[rows], self.trials[rows],
+                        self.iterations[rows])
 
     @property
     def evaluations(self) -> int:
@@ -326,36 +331,50 @@ class _Pairs:
                                      np.concatenate((w, -gamma * t), axis=1)))
 
 
-def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
+def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
+             block: int | None = None) -> _Descent:
     """L-BFGS in log coordinates from each row of the (K, S) stack ``U0``.
 
     Each row has its own pairs (kept when s.y > 1e-12 |s| |y|),
-    direction, step, iteration count, stall anchor and status, so it
-    follows exactly the path it follows alone.  A round tries one step
-    per running row with one evaluation of value, density and gradient
-    for all of them.  A trial with a finite gradient that meets the
-    Armijo test (c1 = 1e-4) is accepted, and the row's next iteration
-    starts at once: its stopping tests run and it gets a new direction;
-    otherwise the step shrinks to the minimizer of the interpolating
-    quadratic, clamped to [0.1, 0.5] of the step.  Without pairs a row
-    steps along -g, first scaled by 1/max(1, |g|_inf); a quasi-Newton
-    direction starts at unit step and gives way to -g if it does not
-    descend.  The evaluator sees each trial stack with its rows' ids, so
-    a stacked quotient evaluates every row with its own kind and alpha.
-    The state arrays hold the running rows only: a row's results are
-    written out when it stops, and its state is dropped.
+    direction, step, iteration count, stall anchor and status, so until
+    it stops it follows exactly the path it follows alone.  The rows
+    with stack id r form blocks r // ``block`` (one block without it),
+    and each block keeps its incumbent: the least value of its rows that
+    stopped converged.  A round tries one step per running row with one
+    evaluation of value, density and gradient for all of them.  A trial
+    with a finite gradient that meets the Armijo test (c1 = 1e-4) is
+    accepted, and the row's next iteration starts at once: its stopping
+    tests run and it gets a new direction; otherwise the step shrinks to
+    the minimizer of the interpolating quadratic, clamped to [0.1, 0.5]
+    of the step.  Without pairs a row steps along -g, first scaled by
+    1/max(1, |g|_inf); a quasi-Newton direction starts at unit step and
+    gives way to -g if it does not descend.  The evaluator sees each
+    trial stack with its rows' ids, so a stacked quotient evaluates every
+    row with its own kind and alpha.  The state arrays hold the running
+    rows only: a row's results are written out when it stops, and its
+    state is dropped.
 
-    Statuses: "gradient" (gradient test met), "stalled" (the predicted
-    decrease of the line search, an accepted step's gain or 25
-    iterations' progress fell below floating-point resolution; the
-    iterate is then the best the arithmetic supports and counts as
-    converged) and "maxiter" (``max_iter`` iterations ran out).
+    Statuses, in order of precedence: "gradient" (gradient test met),
+    "stalled" (the predicted decrease of the line search, an accepted
+    step's gain or 25 iterations' progress fell below floating-point
+    resolution; the iterate is then the best the arithmetic supports and
+    counts as converged), "maxiter" (``max_iter`` iterations ran out) and
+    "dominated": after at least 50 iterations (two stall windows), a row
+    with a quasi-Newton direction d whose model minimum val + g.d / 2 is
+    not below its block's incumbent retires, as in multi-level
+    single-linkage (Rinnooy Kan & Timmer 1987).  A dominated row holds
+    the iterate its run alone has when cut at that many iterations, and
+    since other blocks never touch the incumbent, a block gets the same
+    bits stacked or alone.
     """
     U = np.array(U0, dtype=float)
     K, n = U.shape
     value, rho_out, gnorm = np.empty(K), np.empty((K, n)), np.empty(K)
     status, trials = np.empty(K, dtype=int), np.empty(K, dtype=int)
+    iters = np.empty(K, dtype=int)
     live = np.arange(K)                     # stack ids of the running rows
+    size = block or K                       # stack id // size: the block
+    best = np.full(K, math.inf)             # incumbent per block
     with np.errstate(all="ignore"):         # inf/nan iterates are rejected
         val, rho, G = quot.evaluate(U, live)
         pairs = _Pairs(K, n)
@@ -383,15 +402,22 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
             # a predicted decrease below float resolution ends the row
             stop = ~(step * np.abs(gd) >= 1e-15 * np.fmax(1.0, np.abs(val)))
             maxed = it >= max_iter
-            stop[top] |= done | stall | maxed
+            # a row past two stall windows whose quasi-Newton model
+            # minimum cannot beat its block's incumbent retires
+            dom = ((it >= 50) & qn & ~bad & ~stop[top]
+                   & (v + 0.5 * dg >= best[live[top] // size]))
+            stop[top] |= done | stall | maxed | dom
             if stop.any():
                 code = np.ones(len(live), dtype=int)    # index in STATUSES
-                code[top] = np.select((done, stall, maxed), (0, 1, 2), 1)
-                out = live[stop]
+                code[top] = np.select((done, stall, maxed, dom), (0, 1, 2, 3),
+                                      1)
+                out, code = live[stop], code[stop]
                 value[out], rho_out[out], status[out] = (val[stop], rho[stop],
-                                                         code[stop])
+                                                         code)
                 gnorm[out] = np.abs(G[stop]).max(axis=1)
-                trials[out] = rounds
+                trials[out], iters[out] = rounds, its[stop]
+                conv = code < 2                 # gradient or stalled
+                np.fmin.at(best, out[conv] // size, val[stop][conv])
                 keep = ~stop
                 live, U, val, rho, G, D, gd, step, its, anchor = (
                     x[keep] for x in (live, U, val, rho, G, D, gd, step, its,
@@ -420,7 +446,7 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float) -> _Descent:
             its[top] += 1
             flat = flat[top]
     return _Descent(value, rho_out, gnorm, [STATUSES[c] for c in status],
-                    trials)
+                    trials, iters)
 
 
 def _gap_rays(chain, f_gap):
@@ -488,7 +514,7 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
     order = sorted(range(len(stack)), key=lambda i: _KINDS.index(stack[i][0]))
     quot = _Quotient(chain, specs=[stack[i] for i in order], block=K)
     run = _descend(quot, np.tile(starts, (len(stack), 1)), opts.max_iter,
-                   opts.tol)
+                   opts.tol, K)
     ests = []
     for i, (kind, alpha) in enumerate(stack):
         near, j = i in checks, order.index(i)   # j: the block in the stack
@@ -516,9 +542,9 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha,
                   for v, rho in zip(run.value[finite], run.rho[finite])]
     best_gnorm = float(np.fmin.reduce(run.gnorm, initial=math.inf))
     status_counts = {s: run.status.count(s) for s in STATUSES}
-    n_conv = len(run.status) - status_counts["maxiter"]
+    n_conv = status_counts["gradient"] + status_counts["stalled"]
     # spread of the final values over the converged starts
-    v = run.value[finite & (np.array(run.status) != "maxiter")]
+    v = run.value[finite & np.isin(run.status, STATUSES[:2])]
     spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
               if v.size else math.nan)
     nums, dens = quot.parts(rays, np.full(len(rays), first))

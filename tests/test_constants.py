@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import beckner_lab as bl
-from beckner_lab import DegeneracyError
+from beckner_lab import DegeneracyError, constants
 from beckner_lab.chain import DENSITY_FLOOR
 from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
-                                   _estimate, _Quotient, _start_fields,
-                                   poincare_eigenvector, quotient_value)
+                                   _estimate, _gap_rays, _Quotient,
+                                   _start_fields, poincare_eigenvector,
+                                   quotient_value)
 
 
 def alone(chain, kind, alpha=None, opts=OptimizerOptions()):
@@ -115,7 +116,8 @@ class TestBecknerConstant:
             counts = conv["status_counts"]
             assert set(counts) == set(STATUSES)
             assert sum(counts.values()) == conv["starts"] == 8
-            assert conv["converged_starts"] == 8 - counts["maxiter"]
+            assert conv["converged_starts"] == (counts["gradient"]
+                                                + counts["stalled"])
             assert conv["evaluations"] > conv["rounds"] > 0
 
     def test_value_spread_over_converged_starts(self, rt4):
@@ -124,7 +126,7 @@ class TestBecknerConstant:
         run = _descend(_Quotient(rt4, "beckner", 1.5),
                        _start_fields(rt4, poincare_eigenvector(rt4), opts),
                        opts.max_iter, opts.tol)
-        conv = np.array(run.status) != "maxiter"
+        conv = np.isin(run.status, ["gradient", "stalled"])
         assert conv.sum() == est.convergence["converged_starts"]
         vals = run.value[conv]
         assert est.convergence["value_spread"] == (
@@ -139,7 +141,10 @@ class TestBecknerConstant:
     @pytest.mark.parametrize("options,match", [
         ({"starts": 2.5}, "starts must be an integer"),
         ({"max_iter": 2.5}, "max_iter must be an integer"),
-        ({"seed": -1}, "seed must be >= 0")])
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": np.nan}, "seed must be an integer"),
+        ({"seed": "3"}, "seed must be an integer")])
     def test_ill_typed_options_rejected(self, options, match):
         with pytest.raises(bl.DomainError, match=match):
             OptimizerOptions(**options)
@@ -351,19 +356,25 @@ MIXED_SPECS = [("beckner", 1.1), ("beckner", 1.5), ("beckner", 2.0),
                ("beckner", 1.0 + 1e-4), ("mlsi", None), ("lsi", None)]
 
 
+# a limit below the 50 iterations a start runs before it can be
+# dominated, so the starts that run longest end "maxiter"
+SHORT_MAX_ITER = 40
+
+
 @pytest.fixture(scope="module")
 def lockstep(zr33, rt4):
-    """(quotient, starts, 32-start lockstep descent) per chain and case."""
+    """(quotient, starts, 32-start lockstep descent) per chain, case and
+    iteration limit."""
     cache = {}
 
-    def get(chain_name, kind, alpha):
-        key = (chain_name, kind, alpha)
+    def get(chain_name, kind, alpha, max_iter=400):
+        key = (chain_name, kind, alpha, max_iter)
         if key not in cache:
             chain = {"zr33": zr33, "rt4": rt4}[chain_name]
             quot = _Quotient(chain, kind, alpha)
             starts = _start_fields(chain, poincare_eigenvector(chain),
                                    OptimizerOptions())
-            cache[key] = quot, starts, _descend(quot, starts, 400, 1e-8)
+            cache[key] = quot, starts, _descend(quot, starts, max_iter, 1e-8)
         return cache[key]
 
     return get
@@ -385,8 +396,17 @@ class TestOneEntropyPath:
             assert np.array_equal(den, bl.entropy(chain, e, R))
 
 
+def cut(run, k, max_iter):
+    """The iteration limit and status of start k's run alone: a dominated
+    start is its run alone cut at the iterations it completed."""
+    if run.status[k] == "dominated":
+        return int(run.iterations[k]), "maxiter"
+    return max_iter, run.status[k]
+
+
 class TestLockstepDescent:
-    """Every start of a stacked descent gets the bits it gets alone."""
+    """Every start of a stacked descent gets the bits it gets alone, or
+    when its block retires it, the bits of its run alone cut there."""
 
     @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
     @pytest.mark.parametrize("kind,alpha", LOCKSTEP_CASES)
@@ -395,23 +415,27 @@ class TestLockstepDescent:
         quot, starts, run = lockstep(chain_name, kind, alpha)
         assert len(run.status) == 32
         for k in range(len(starts)):
-            one = _descend(quot, starts[k:k + 1], 400, 1e-8)
+            max_iter, status = cut(run, k, 400)
+            one = _descend(quot, starts[k:k + 1], max_iter, 1e-8)
             assert one.value[0] == run.value[k], k
             assert np.array_equal(one.rho[0], run.rho[k]), k
             assert one.gnorm[0] == run.gnorm[k], k
-            assert one.status == [run.status[k]], k
+            assert one.status == [status], k
 
     def test_rows_equal_reference_loop(self, lockstep):
         seen = set()
-        for kind, alpha in (("beckner", 2.0), ("lsi", None)):
-            quot, starts, run = lockstep("zr33", kind, alpha)
+        for kind, alpha, limit in (("beckner", 2.0, 400), ("lsi", None, 400),
+                                   ("lsi", None, SHORT_MAX_ITER)):
+            quot, starts, run = lockstep("zr33", kind, alpha, limit)
             seen.update(run.status)
             for k in range(len(starts)):
-                val, rho, gnorm, status = reference_descend(quot, starts[k])
+                max_iter, want = cut(run, k, limit)
+                val, rho, gnorm, status = reference_descend(quot, starts[k],
+                                                            max_iter)
                 assert val == run.value[k], (kind, k)
                 assert np.array_equal(rho, run.rho[k]), (kind, k)
                 assert gnorm == run.gnorm[k], (kind, k)
-                assert status == run.status[k], (kind, k)
+                assert status == want, (kind, k)
         assert set(STATUSES) <= seen
 
     @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
@@ -419,7 +443,9 @@ class TestLockstepDescent:
         seen = set()
         for kind, alpha in LOCKSTEP_CASES:
             seen.update(lockstep(chain_name, kind, alpha)[2].status)
-        assert {"gradient", "stalled", "maxiter"} <= seen
+        seen.update(lockstep(chain_name, "lsi", None,
+                             SHORT_MAX_ITER)[2].status)
+        assert set(STATUSES) <= seen
 
     @pytest.mark.parametrize("kind,alpha", LOCKSTEP_CASES)
     def test_stacked_evaluator_rows_equal_one_row(self, zr33, rt4, kind,
@@ -535,3 +561,41 @@ class TestLockstepDescent:
         assert 1e-35 < rho.min() < 1e-33
         assert np.isfinite(val[0])
         assert np.all(np.isfinite(G))
+
+
+class TestDominatedStarts:
+    """Retiring dominated starts leaves every estimate where the starts
+    run to their own end put it."""
+
+    def test_retirement_keeps_the_estimate(self, zr33, bl52, rt4, bd12,
+                                           monkeypatch):
+        specs = [("beckner", 1.1), ("beckner", 1.5), ("beckner", 2.0),
+                 ("mlsi", None), ("lsi", None)]
+        opts = OptimizerOptions(starts=8)
+        runs, descend = [], _descend
+
+        def recorded(*args):
+            runs.append(descend(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(constants, "_descend", recorded)
+        for chain in (zr33, bl52, rt4, bd12,
+                      bl.build_birth_death([1, 0], [0, 3])):
+            f_gap = poincare_eigenvector(chain)
+            starts = _start_fields(chain, f_gap, opts)
+            rays = _gap_rays(chain, f_gap)
+            for est, (kind, alpha) in zip(_estimate(chain, specs, opts),
+                                          specs):
+                # no start retired: each start run alone, and the rays
+                quot = _Quotient(chain, kind, alpha)
+                ends = [descend(quot, u[None], opts.max_iter, opts.tol)
+                        .value[0] for u in starts]
+                ref = np.nanmin(ends + list(quotient_value(chain, kind, alpha,
+                                                           rays)))
+                assert ref <= est.value <= ref + 1e-12 * max(1.0, abs(ref)), \
+                    (chain.meta, kind, alpha)
+        dominated = np.concatenate([run.iterations[np.equal(run.status,
+                                                            "dominated")]
+                                    for run in runs])
+        assert dominated.size > 0
+        assert dominated.min() >= 50
