@@ -117,18 +117,18 @@ def _check_alpha(a) -> float:
     return a
 
 
-def _check_tol(t) -> float:
+def _check_positive(name: str, t) -> float:
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
-        raise ConfigError("tol must be positive and finite")
+        raise ConfigError(f"{name} must be finite and > 0")
     return t
 
 
-def _check_t_end(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ConfigError("t_end must be finite and > 0")
-    return t
+def _check_cells(cells) -> list[int]:
+    cells = [int(c) for c in cells]
+    if any(c2 <= c1 for c1, c2 in zip(cells, cells[1:])):
+        raise ConfigError("cells must be strictly increasing")
+    return cells
 
 
 def _check_count(name: str, n, minimum: int = 1) -> int:
@@ -227,13 +227,13 @@ def _config_from_doc(doc) -> ExperimentConfig:
             _check_alpha(x) for x in (a if isinstance(a, list) else [a])]),
         seed=get("seed", lambda n: _check_count("seed", n, 0)),
         out=get("out", str),
-        tol=get("tol", _check_tol),
+        tol=get("tol", lambda t: _check_positive("tol", t)),
         grid=get("grid", _parse_grid),
         samples=get("samples", lambda n: _check_count("samples", n)),
-        cells=get("cells", lambda c: [int(x) for x in c]),
+        cells=get("cells", _check_cells),
         # the rate fit needs three samples
         n_points=get("n_points", lambda n: _check_count("n_points", n, 3)),
-        t_end=get("t_end", _check_t_end),
+        t_end=get("t_end", lambda t: _check_positive("t_end", t)),
         starts=get("starts", lambda n: _check_count("starts", n)),
         dump_densities=doc.get("dump_densities", False), echo=doc)
     if not isinstance(cfg.dump_densities, bool):
@@ -454,24 +454,27 @@ def _cmd_constants(cfg: ExperimentConfig) -> int:
 
 def _cmd_fokker_planck(cfg: ExperimentConfig) -> int:
     spec = cfg.model
-    pot = spec.params["potential"]
-    lam = spec.params["lambda_conv"]
+    p = spec.params
+    study = fokker_planck.mesh_refinement_study(
+        p["potential"], p["lambda_conv"], cfg.cells, cfg.alphas,
+        seed=cfg.seed)
+    # the model's own mesh, from the study when it is one of its meshes
+    own = study.experiments.get(p["n_cells"])
+    if own is None:
+        own = fokker_planck.run_fv_experiment(spec, cfg.alphas, seed=cfg.seed)
     status = 0
-    for a in cfg.alphas:
-        study = fokker_planck.mesh_refinement_study(pot, lam, cfg.cells, a,
-                                                    seed=cfg.seed)
+    for k, a in enumerate(cfg.alphas):
+        rows = [(e.h, e.lambda_h, e.decay.fit.rate, e.decay.lambda_paper,
+                 next(c.passed for c in e.checks.checks
+                      if c.name == "fitted_rate_vs_mesh_bound"))
+                for e in (runs[k] for runs in study.experiments.values())]
         tag = f"{a:.6g}".replace(".", "_")
         _write_csv(os.path.join(cfg.out, f"refinement_alpha{tag}.csv"),
-                   "h,lambda_h,fitted_rate,bound_2alpha_lambda_h,pass",
-                   [(r.h, r.lambda_h, r.fitted_rate, r.bound, r.passed)
-                    for r in study.rows])
-        exp = study.experiments.get(spec.params["n_cells"])
-        if exp is None:
-            exp = fokker_planck.run_fv_experiment(spec, a, seed=cfg.seed)
+                   "h,lambda_h,fitted_rate,bound_2alpha_lambda_h,pass", rows)
         _write_json(os.path.join(cfg.out, f"fv_report_alpha{tag}.json"),
-                    exp.checks.to_dict())
+                    own[k].checks.to_dict())
         ok = (study.lambda_h_increasing and study.ratio_ok
-              and all(r.passed for r in study.rows) and exp.checks.passed)
+              and all(r[-1] for r in rows) and own[k].checks.passed)
         print(f"alpha={a}: refinement "
               f"{'PASS' if ok else 'FAIL'} "
               f"(ratios {['%.2f' % r for r in study.gap_ratios]})")

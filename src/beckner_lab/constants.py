@@ -471,7 +471,6 @@ class ConstantEstimate:
     name: str
     value: float
     minimizer: Density
-    method: str
     alpha: float | None = None
     convergence: dict = field(default_factory=dict)
 
@@ -565,8 +564,7 @@ def _finish(chain, quot, first, run: _Descent, kind, alpha,
     rescaled = Density(rho / float(np.sum(chain.pi * rho)))
     invariance = abs(quotient_value(chain, kind, alpha, rescaled) - recheck)
     return ConstantEstimate(
-        name=kind, value=val, minimizer=minimizer, method="MultistartLBFGS",
-        alpha=alpha,
+        name=kind, value=val, minimizer=minimizer, alpha=alpha,
         convergence={"converged_starts": n_conv, "starts": len(run.status),
                      "best_gradient_norm": best_gnorm,
                      "value_recheck_gap": abs(recheck - val),

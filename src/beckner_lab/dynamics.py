@@ -38,7 +38,6 @@ class Trajectory:
     densities: np.ndarray           # shape (T, S)
     entropy_values: np.ndarray
     dirichlet_values: np.ndarray    # E(phi'(rho_t), rho_t)
-    entropy_kind: ConvexEntropy
 
     def instantaneous_rate(self) -> np.ndarray:
         """-(d/dt) log Ent by central differences, NaN at both ends.
@@ -86,7 +85,7 @@ def evolve(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
     dens = 1.0 + dev / d
     rho = np.maximum(dens, 1e-300)
     return Trajectory(times, dens, entropy(chain, e, rho),
-                      0.5 * entropy_production(chain, e, rho), e)
+                      0.5 * entropy_production(chain, e, rho))
 
 
 def evolve_rk4(chain: FiniteChain, rho0: Density, t_end: float,

@@ -24,6 +24,10 @@ The cell certificates prove the rate alpha lambda_h for the ladder; the
 stronger 2 alpha lambda_h bound is verified directly on trajectories
 (the reflecting truncation at the potential minimum enlarges the gap
 well past it, which the mesh-refinement study confirms).
+
+The mesh is the unit of work: the chain, its eigendecomposition and the
+initial density do not depend on alpha, so each mesh is built and
+decomposed once, and one experiment per alpha is run on it.
 """
 
 from __future__ import annotations
@@ -155,10 +159,8 @@ def fv_condition_check(chain: FiniteChain,
 
 @dataclass(frozen=True)
 class FVExperiment:
-    potential: dict | None
     n_cells: int
     h: float
-    lambda_conv: float
     alpha: float
     chain: FiniteChain
     lambda_h: float
@@ -166,109 +168,102 @@ class FVExperiment:
     checks: VerificationReport
 
 
-def run_fv_experiment(spec: ModelSpec, alpha: float, rho0: Density | None = None,
-                      seed: int = 0) -> FVExperiment:
-    """Build, evolve, and verify the mesh decay bound 2 alpha lambda_h.
+def run_fv_experiment(spec: ModelSpec, alphas, rho0: Density | None = None,
+                      seed: int = 0) -> list[FVExperiment]:
+    """Build one mesh, then evolve and verify the decay bound
+    2 alpha lambda_h at each of ``alphas``.
 
-    The chain comes from ``build_model``, then the rate and its
-    hypothesis V'' >= lambda from ``paper_lambda``.  The trajectory is
-    sampled at 41 equispaced times up to t = log(1e6) / (2 alpha
-    lambda_h), an entropy drop by 1e6 at the bound; the discrete
-    power-entropy inequality is checked at each sampled density
-    (including the initial one).
+    The chain comes from ``build_model`` once, so its spectrum is
+    computed once, and rho0 (drawn from ``seed`` unless given) starts
+    every trajectory: neither depends on alpha.  Per alpha, the rate
+    and its hypothesis V'' >= lambda come from ``paper_lambda``.  The
+    trajectory is sampled at 41 equispaced times up to t = log(1e6) /
+    (2 alpha lambda_h), an entropy drop by 1e6 at the bound; the
+    discrete power-entropy inequality is checked at each sampled density
+    (including the initial one).  Returns one experiment per alpha, in
+    the order of ``alphas``.
     """
     if spec.kind != "fokker_planck_fv":
         raise CapabilityError("expected a fokker_planck_fv model spec")
-    check_alpha(alpha)
+    for alpha in alphas:
+        check_alpha(alpha)
     chain = build_model(spec)           # too few cells fail here first
-    const = paper_lambda(spec, alpha)
-    rate, lh = const.value, const.parameters["lambda_h"]
-
     if rho0 is None:
         rho0 = random_density(chain, np.random.default_rng(seed), 1.0)
-    e = power_entropy(alpha)
-    times = np.linspace(0.0, math.log(1e6) / rate, 41)
-    traj = evolve(chain, e, rho0, times)
-    fit = fit_decay_rate(traj)
-
-    checks = VerificationReport()
-    ent_check = entropy_bound_check(traj, rate)
-    checks.add(ent_check)
-    rate_ok = bool(fit.rate >= rate - 1e-6)
-    checks.add(CheckReport("fitted_rate_vs_mesh_bound", rate_ok,
-                           float(max(0.0, rate - fit.rate)), 1e-6,
-                           witness={"fitted": fit.rate, "bound": rate}))
-
-    # evolve keeps Ent and half the production of every sampled density
-    lhs, rhs = _power_sides(chain, alpha, lh, traj.entropy_values,
-                            2.0 * traj.dirichlet_values)
-    gap = (lhs - rhs) / (abs(rhs) + abs(lhs) + 1e-300)
-    k = int(np.argmax(gap))                     # the first worst sample
-    disc_ok = bool(gap[k] <= 1e-9)
-    checks.add(CheckReport("discrete_power_inequality", disc_ok,
-                           float(gap[k]), 1e-9,
-                           witness=None if disc_ok else {"t": float(times[k])}))
-
-    # production decay is certified only at the per-cell rate
-    dir_check = dirichlet_decay_check(traj, alpha * lh)
-    for c in fv_condition_check(chain, alpha).checks + dir_check.checks:
-        checks.add(c)
-    decay = DecayReport(traj, fit, rate, ent_check, dir_check,
-                        rate_ok and ent_check.passed)
     m = chain.meta
-    return FVExperiment(spec.params.get("potential"), m["n_cells"], m["h"],
-                        m["lambda_conv"], alpha, chain, lh, decay, checks)
+    experiments = []
+    for alpha in alphas:
+        const = paper_lambda(spec, alpha)
+        rate, lh = const.value, const.parameters["lambda_h"]
+        e = power_entropy(alpha)
+        times = np.linspace(0.0, math.log(1e6) / rate, 41)
+        traj = evolve(chain, e, rho0, times)
+        fit = fit_decay_rate(traj)
 
+        checks = VerificationReport()
+        ent_check = entropy_bound_check(traj, rate)
+        checks.add(ent_check)
+        rate_ok = bool(fit.rate >= rate - 1e-6)
+        checks.add(CheckReport("fitted_rate_vs_mesh_bound", rate_ok,
+                               float(max(0.0, rate - fit.rate)), 1e-6,
+                               witness={"fitted": fit.rate, "bound": rate}))
 
-@dataclass(frozen=True)
-class RefinementRow:
-    h: float
-    lambda_h: float
-    fitted_rate: float
-    bound: float                  # 2 alpha lambda_h
-    passed: bool
+        # evolve keeps Ent and half the production of every sampled density
+        lhs, rhs = _power_sides(chain, alpha, lh, traj.entropy_values,
+                                2.0 * traj.dirichlet_values)
+        gap = (lhs - rhs) / (abs(rhs) + abs(lhs) + 1e-300)
+        k = int(np.argmax(gap))                     # the first worst sample
+        disc_ok = bool(gap[k] <= 1e-9)
+        checks.add(CheckReport("discrete_power_inequality", disc_ok,
+                               float(gap[k]), 1e-9,
+                               witness=None if disc_ok
+                               else {"t": float(times[k])}))
+
+        # production decay is certified only at the per-cell rate
+        dir_check = dirichlet_decay_check(traj, alpha * lh)
+        for c in fv_condition_check(chain, alpha).checks + dir_check.checks:
+            checks.add(c)
+        decay = DecayReport(traj, fit, rate, ent_check, dir_check,
+                            rate_ok and ent_check.passed)
+        experiments.append(FVExperiment(m["n_cells"], m["h"], alpha, chain,
+                                        lh, decay, checks))
+    return experiments
 
 
 @dataclass(frozen=True)
 class RefinementTable:
-    rows: list[RefinementRow]
+    experiments: dict[int, list[FVExperiment]]  # by n_cells, one per alpha
     lambda_h_increasing: bool
     gap_ratios: list[float]       # (lam - lam_h) / (lam - lam_{h/2})
     ratio_ok: bool
-    experiments: dict[int, FVExperiment]      # keyed by n_cells
 
 
 def mesh_refinement_study(potential_cfg: dict, lambda_conv: float,
-                          cells_list, alpha: float,
+                          cells_list, alphas,
                           seed: int = 0) -> RefinementTable:
     """Refinement sweep: lambda_h must increase toward lambda at O(h^2).
 
     For consecutive meshes related by halving h, the gap lambda -
-    lambda_h must shrink by a factor in [3.5, 4.5].  Each row comes from
-    one run_fv_experiment on its mesh, with the same alpha and seed; the
-    experiments are kept in ``experiments``, keyed by n_cells.
+    lambda_h must shrink by a factor in [3.5, 4.5]; these verdicts
+    depend on the meshes alone.  Each mesh is one run_fv_experiment at
+    every alpha, with the same seed; ``experiments`` maps n_cells to its
+    experiments, in the order of ``alphas``.
     """
     cells = [int(c) for c in cells_list]
     if any(c2 <= c1 for c1, c2 in zip(cells, cells[1:])):
         raise DomainError("cells_list must be strictly increasing")
 
-    rows = []
-    experiments = {}
-    for n_cells in cells:
-        spec = ModelSpec("fokker_planck_fv",
-                         {"potential": potential_cfg, "n_cells": n_cells,
-                          "lambda_conv": lambda_conv})
-        exp = experiments[n_cells] = run_fv_experiment(spec, alpha, seed=seed)
-        bound = 2.0 * alpha * exp.lambda_h
-        rows.append(RefinementRow(exp.h, exp.lambda_h, exp.decay.fit.rate,
-                                  bound, exp.decay.fit.rate >= bound - 1e-6))
-
-    lams = [r.lambda_h for r in rows]
+    experiments = {
+        n: run_fv_experiment(
+            ModelSpec("fokker_planck_fv",
+                      {"potential": potential_cfg, "n_cells": n,
+                       "lambda_conv": lambda_conv}), alphas, seed=seed)
+        for n in cells}
+    hs = [1.0 / n for n in cells]
+    lams = [lambda_h(h, lambda_conv) for h in hs]
     increasing = all(l2 > l1 for l1, l2 in zip(lams, lams[1:]))
-    ratios = []
-    for r1, r2 in zip(rows, rows[1:]):
-        if abs(r1.h / r2.h - 2.0) < 1e-12:
-            ratios.append((lambda_conv - r1.lambda_h)
-                          / (lambda_conv - r2.lambda_h))
+    ratios = [(lambda_conv - l1) / (lambda_conv - l2)
+              for h1, h2, l1, l2 in zip(hs, hs[1:], lams, lams[1:])
+              if abs(h1 / h2 - 2.0) < 1e-12]
     ratio_ok = all(3.5 <= r <= 4.5 for r in ratios)
-    return RefinementTable(rows, increasing, ratios, ratio_ok, experiments)
+    return RefinementTable(experiments, increasing, ratios, ratio_ok)

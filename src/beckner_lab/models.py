@@ -60,9 +60,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PaperConstant:
-    """An explicit decay constant with its provenance and inputs."""
+    """An explicit decay constant, its inputs and any reference values."""
     value: float
-    formula_id: str
     parameters: dict
     references: dict = field(default_factory=dict)
 
@@ -452,8 +451,7 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
                                          np.maximum(b[1:] - b[:-1], 0.0))
         if best_n is None:
             raise HypothesisError("no active birth level; chain is frozen")
-        return PaperConstant(best, "birth_death_curvature_infimum",
-                             {"alpha": alpha, "argmin_level": best_n})
+        return PaperConstant(best, {"alpha": alpha, "argmin_level": best_n})
 
     if spec.kind == "zero_range":
         table = _rate_table(p["c_x"], p["L"], p["N"])
@@ -468,8 +466,7 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
             raise HypothesisError(
                 "increment spread violates delta < 2^{2-alpha} c")
         val = alpha * c - (3.0 + 2.0 ** (alpha - 2.0) - alpha) * delta
-        return PaperConstant(val, "zero_range_increment_bound",
-                             {"alpha": alpha, "c": c, "delta": delta})
+        return PaperConstant(val, {"alpha": alpha, "c": c, "delta": delta})
 
     if spec.kind == "bernoulli_laplace":
         lam = np.asarray(p["lambda_x"], dtype=float)
@@ -488,16 +485,14 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
             # from the normalization lambda_x = L/(N(L-N))
             refs["sharper_homogeneous"] = (alpha * L + 4.0 - 2.0 * alpha) * c / L
             refs["bobkov_tetali"] = alpha * (L + 2.0) * c / (2.0 * L)
-        return PaperConstant(val, "bernoulli_laplace_intensity_bound",
-                             {"alpha": alpha, "c": c, "delta": delta},
+        return PaperConstant(val, {"alpha": alpha, "c": c, "delta": delta},
                              references=refs)
 
     if spec.kind == "random_transposition":
         n = p["n"]
         if n < 2:
             raise HypothesisError("need n >= 2")
-        return PaperConstant(8.0 / (n * (n - 1)), "random_transposition",
-                             {"alpha": alpha, "n": n})
+        return PaperConstant(8.0 / (n * (n - 1)), {"alpha": alpha, "n": n})
 
     if spec.kind == "fokker_planck_fv":
         lam = p["lambda_conv"]
@@ -505,7 +500,7 @@ def paper_lambda(spec: ModelSpec, alpha: float) -> PaperConstant:
         check_convexity(potential_from_config(p["potential"])[1], lam)
         h = 1.0 / p["n_cells"]
         lh = lambda_h(h, lam)
-        return PaperConstant(2.0 * alpha * lh, "fv_mesh_rate",
+        return PaperConstant(2.0 * alpha * lh,
                              {"alpha": alpha, "h": h, "lambda_conv": lam,
                               "lambda_h": lh})
 

@@ -219,17 +219,15 @@ def test_criterion_08_finite_volume_pipeline():
     t0 = time.time()
     pot = {"kind": "quadratic", "coeff": 2.0}
     ok = True
-    for alpha in (1.5, 2.0):
-        study = bl.mesh_refinement_study(pot, 4.0, [8, 16, 32, 64], alpha,
-                                         seed=5)
-        ok = ok and study.lambda_h_increasing
-        ok = ok and all(3.5 <= r <= 4.5 for r in study.gap_ratios)
-        ok = ok and all(r.passed for r in study.rows)
-        for n_cells in (8, 16, 32, 64):
-            spec = bl.ModelSpec("fokker_planck_fv",
-                                {"potential": pot, "n_cells": n_cells,
-                                 "lambda_conv": 4.0})
-            exp = bl.run_fv_experiment(spec, alpha, seed=5)
+    # each mesh's experiments are its runs at alpha 1.5 and 2.0, seed 5
+    study = bl.mesh_refinement_study(pot, 4.0, [8, 16, 32, 64], [1.5, 2.0],
+                                     seed=5)
+    ok = ok and study.lambda_h_increasing
+    ok = ok and all(3.5 <= r <= 4.5 for r in study.gap_ratios)
+    for runs in study.experiments.values():
+        for exp in runs:
+            ok = ok and (exp.decay.fit.rate
+                         >= 2.0 * exp.alpha * exp.lambda_h - 1e-6)
             ok = ok and exp.checks.passed
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0

@@ -22,22 +22,29 @@ def _fv_report_text(n_cells, alpha):
     spec = ModelSpec("fokker_planck_fv",
                      {"potential": {"kind": "quadratic", "coeff": 2.0},
                       "n_cells": n_cells, "lambda_conv": 4.0})
-    checks = run_fv_experiment(spec, alpha, seed=0).checks.to_dict()
+    exp, = run_fv_experiment(spec, [alpha], seed=0)
+    checks = exp.checks.to_dict()
     return json.dumps(checks, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
 def fv_runs(monkeypatch):
-    """(n_cells, alpha) of every run_fv_experiment call, in call order."""
-    from beckner_lab import fokker_planck
-    calls = []
-    run = fokker_planck.run_fv_experiment
+    """n_cells of every build_fokker_planck_fv call, in call order, and
+    the count of eigendecompositions."""
+    from beckner_lab import models
+    calls = {"builds": [], "eigh": 0}
+    build, eigh = models.build_fokker_planck_fv, np.linalg.eigh
 
-    def counted(spec, alpha, **kw):
-        calls.append((spec.params["n_cells"], alpha))
-        return run(spec, alpha, **kw)
+    def counted_build(V, n_cells, lambda_conv):
+        calls["builds"].append(n_cells)
+        return build(V, n_cells, lambda_conv)
 
-    monkeypatch.setattr(fokker_planck, "run_fv_experiment", counted)
+    def counted_eigh(*args, **kw):
+        calls["eigh"] += 1
+        return eigh(*args, **kw)
+
+    monkeypatch.setattr(models, "build_fokker_planck_fv", counted_build)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return calls
 
 
@@ -319,12 +326,13 @@ class TestCommands:
     def test_fokker_planck_reuses_the_study_experiment(self, tmp_path,
                                                         fv_runs):
         # the model's n_cells (32 by default) is one of --cells, so the
-        # report comes from the study: 4 meshes x 2 alphas, no extra run
+        # report comes from the study: each of the 4 meshes is built and
+        # decomposed once for both alphas, and no other mesh is run
         status = main(["fokker-planck", "--model", "fokker_planck_fv",
                        "--coeff", "2.0", "--cells", "8", "16", "32", "64",
                        "--alpha", "1.5", "2.0", "--out", str(tmp_path)])
         assert status == 0
-        assert len(fv_runs) == 8
+        assert fv_runs == {"builds": [8, 16, 32, 64], "eigh": 4}
         for tag, alpha in (("1_5", 1.5), ("2", 2.0)):
             assert (tmp_path / f"fv_report_alpha{tag}.json").read_text() == \
                 _fv_report_text(32, alpha)
@@ -335,7 +343,7 @@ class TestCommands:
                        "--coeff", "2.0", "--n-cells", "24", "--cells", "8",
                        "16", "--alpha", "1.5", "2.0", "--out", str(tmp_path)])
         assert status == 0
-        assert [n for n, _ in fv_runs] == [8, 16, 24, 8, 16, 24]
+        assert fv_runs == {"builds": [8, 16, 24], "eigh": 3}
         for tag, alpha in (("1_5", 1.5), ("2", 2.0)):
             assert (tmp_path / f"fv_report_alpha{tag}.json").read_text() == \
                 _fv_report_text(24, alpha)
@@ -425,8 +433,11 @@ class TestCommands:
         ["fokker-planck", "--model", "fokker_planck_fv", "--cells", "0", "8"],
     ])
     def test_too_few_cells_exit_code(self, tmp_path, capsys, argv):
+        # every mesh is built before the first output is written
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: need at least 3 cells\n"
+        assert [p.name for p in tmp_path.iterdir()] == \
+            ["effective_config.json"]
 
     @pytest.mark.parametrize("command, output", [
         ("decay", "trajectory_alpha1_5.csv"), ("constants", "constants.csv")])
@@ -454,7 +465,7 @@ class TestCommands:
         status = main(["decay", "--model", "random_transposition", "--n", "3",
                        "--tol", "-1", "--out", str(tmp_path)])
         assert status == 2
-        assert "tol must be positive" in capsys.readouterr().err
+        assert "tol must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify-lemmas", "--samples", "200"],
@@ -467,7 +478,7 @@ class TestCommands:
         # an infinite tolerance would pass every check it gates
         status = main(argv + ["--tol", "inf", "--out", str(tmp_path)])
         assert status == 2
-        assert "tol must be positive" in capsys.readouterr().err
+        assert "tol must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "effective_config.json").exists()
 
     def test_starts_over_the_stack_cap_fail_before_any_draw(
@@ -587,6 +598,17 @@ class TestCommands:
             ["verify-lemmas", "--alpha", "1.5", "2.0", "--samples", "300"],
             {"command": "verify-lemmas", "alpha": [1.5, 2.0], "samples": 300},
             "verify-lemmas needs alpha in (1,2)")
+
+    def test_unordered_cells_exit_before_writing(self, tmp_path, capsys):
+        self._config_error_writes_nothing(
+            tmp_path, capsys,
+            ["fokker-planck", "--model", "fokker_planck_fv", "--cells", "16",
+             "8"],
+            {"command": "fokker-planck", "cells": [16, 8],
+             "model": {"model": "fokker_planck_fv", "n_cells": 32,
+                       "lambda": 4.0,
+                       "potential": {"kind": "quadratic", "coeff": 2.0}}},
+            "cells must be strictly increasing")
 
     @pytest.mark.parametrize("argv", [
         ["theta-surface"],

@@ -381,7 +381,7 @@ class TestDirichletDecayPairs:
         # ties every pair s < t at a gap of 1
         times = np.arange(5.0)
         traj = bl.dynamics.Trajectory(times, np.ones((5, 2)), np.ones(5),
-                                      np.ones(5), bl.log_entropy())
+                                      np.ones(5))
         check, = bl.dirichlet_decay_check(traj, 1e3).checks
         assert check.max_residual == 1.0
         assert check.witness == {"s": 0.0, "t": 1.0} == \

@@ -54,7 +54,7 @@ class TestConditionCheck:
 
 class TestRunExperiment:
     def test_quadratic_potential_pipeline(self):
-        exp = bl.run_fv_experiment(fv_spec(32), 1.5, seed=5)
+        exp, = bl.run_fv_experiment(fv_spec(32), [1.5], seed=5)
         assert exp.checks.passed, [c.name for c in exp.checks.failures()]
         assert exp.decay.fit.rate >= 2.0 * 1.5 * exp.lambda_h - 1e-6
         assert 0.0 < exp.lambda_h < 4.0
@@ -70,7 +70,7 @@ class TestRunExperiment:
                     calls[_name] += 1
                     return _fn(*args)
                 monkeypatch.setattr(mod, name, counted)
-        exp = bl.run_fv_experiment(fv_spec(32), 1.5, seed=5)
+        exp, = bl.run_fv_experiment(fv_spec(32), [1.5], seed=5)
         assert calls == {"entropy": 1, "entropy_production": 1}
         # the public function on the stored densities gives the same gap
         lhs, rhs = discrete_power_inequality(exp.chain, 1.5,
@@ -82,21 +82,44 @@ class TestRunExperiment:
 
     def test_report_holds_the_production_decay_check(self):
         # production decay, certified at the per-cell rate alpha lambda_h
-        exp = bl.run_fv_experiment(fv_spec(16), 1.5, seed=3)
+        exp, = bl.run_fv_experiment(fv_spec(16), [1.5], seed=3)
         check, = [c for c in exp.checks.checks
                   if c.name == "dirichlet_exponential_decay"]
         assert check.passed
         assert exp.decay.dirichlet_bound.checks == [check]
 
+    def test_one_mesh_serves_every_alpha(self, monkeypatch):
+        # the mesh, its eigendecomposition and rho0 are built once; each
+        # alpha's experiment equals a run of that alpha alone
+        from beckner_lab import models
+        builds, eighs = [], []
+        build, eigh = models.build_fokker_planck_fv, np.linalg.eigh
+        monkeypatch.setattr(models, "build_fokker_planck_fv",
+                            lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: eighs.append(a) or eigh(*a))
+        both = bl.run_fv_experiment(fv_spec(16), [1.5, 2.0], seed=4)
+        assert (len(builds), len(eighs)) == (1, 1)
+        assert [e.alpha for e in both] == [1.5, 2.0]
+        assert both[0].chain is both[1].chain
+        assert np.array_equal(both[0].decay.trajectory.densities[0],
+                              both[1].decay.trajectory.densities[0])
+        for exp in both:
+            alone, = bl.run_fv_experiment(fv_spec(16), [exp.alpha], seed=4)
+            assert exp.checks.to_dict() == alone.checks.to_dict()
+            assert exp.decay.fit.rate == alone.decay.fit.rate
+            assert exp.decay.lambda_paper == alone.decay.lambda_paper
+            assert np.array_equal(exp.decay.trajectory.densities,
+                                  alone.decay.trajectory.densities)
+
     def test_inequality_margin_across_meshes(self):
         # the inequality is far from tight at every sample time, also the
         # late ones where rho - 1 ~ 1e-7, so its residual keeps a margin
         worst = -np.inf
-        for alpha in (1.2, 1.5, 2.0):
-            for n_cells in (8, 16, 32, 64, 128):
-                for seed in (0, 5, 7):
-                    exp = bl.run_fv_experiment(fv_spec(n_cells), alpha,
-                                               seed=seed)
+        for n_cells in (8, 16, 32, 64, 128):
+            for seed in (0, 5, 7):
+                for exp in bl.run_fv_experiment(fv_spec(n_cells),
+                                                [1.2, 1.5, 2.0], seed=seed):
                     check, = [c for c in exp.checks.checks
                               if c.name == "discrete_power_inequality"]
                     worst = max(worst, check.max_residual)
@@ -106,7 +129,7 @@ class TestRunExperiment:
         spec = fv_spec(16, lam=1.0,
                        potential={"kind": "quadratic", "coeff": 0.0})
         with pytest.raises(HypothesisError):
-            bl.run_fv_experiment(spec, 1.5)
+            bl.run_fv_experiment(spec, [1.5])
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(HypothesisError):
@@ -116,7 +139,7 @@ class TestRunExperiment:
         chain = bl.build_fokker_planck_fv(
             lambda x: 2.0 * np.asarray(x) ** 2, 16, 4.0)
         rho0 = bl.normalize_density(chain, np.ones(chain.n_states))
-        exp = bl.run_fv_experiment(fv_spec(16), 2.0, rho0=rho0)
+        exp, = bl.run_fv_experiment(fv_spec(16), [2.0], rho0=rho0)
         assert np.max(exp.decay.trajectory.entropy_values) <= 1e-14
 
     def test_discrete_inequality_at_random_densities(self):
@@ -191,21 +214,29 @@ class TestRunExperiment:
 
 class TestRefinementStudy:
     def test_small_sweep(self):
-        study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16, 32], 2.0, seed=2)
+        study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16, 32], [2.0],
+                                         seed=2)
         assert study.lambda_h_increasing
         assert study.ratio_ok
         assert len(study.gap_ratios) == 2
-        for row in study.rows:
-            assert row.passed
+        for exp, in study.experiments.values():
+            assert exp.decay.fit.rate >= 2.0 * exp.alpha * exp.lambda_h - 1e-6
 
     def test_keeps_each_mesh_experiment(self):
-        study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16], 1.5, seed=2)
+        study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16], [1.5, 2.0],
+                                         seed=2)
         assert list(study.experiments) == [8, 16]
-        for row, (n, exp) in zip(study.rows, study.experiments.items()):
-            assert exp.n_cells == n and exp.alpha == 1.5
-            assert (row.h, row.lambda_h, row.fitted_rate) == \
-                (exp.h, exp.lambda_h, exp.decay.fit.rate)
+        for n, runs in study.experiments.items():
+            assert [exp.alpha for exp in runs] == [1.5, 2.0]
+            for exp in runs:
+                assert exp.n_cells == n and exp.h == 1.0 / n
+                assert exp.lambda_h == bl.lambda_h(1.0 / n, 4.0)
+                assert exp.decay.lambda_paper == 2.0 * exp.alpha * exp.lambda_h
+                alone, = bl.run_fv_experiment(fv_spec(n), [exp.alpha],
+                                              seed=2)
+                assert exp.decay.fit.rate == alone.decay.fit.rate
+                assert exp.checks.to_dict() == alone.checks.to_dict()
 
     def test_monotone_cells_required(self):
         with pytest.raises(bl.DomainError):
-            bl.mesh_refinement_study(QUAD, 4.0, [16, 8], 1.5)
+            bl.mesh_refinement_study(QUAD, 4.0, [16, 8], [1.5])
