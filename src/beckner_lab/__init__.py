@@ -28,7 +28,7 @@ from .fokker_planck import (FVExperiment, RefinementTable, fv_condition_check,
                             mesh_refinement_study, run_fv_experiment)
 from .models import (ModelSpec, PaperConstant, build_bernoulli_laplace,
                      build_birth_death, build_fokker_planck_fv, build_model,
-                     build_random_transposition, build_zero_range, erf,
+                     build_random_transposition, build_zero_range,
                      lambda_h, linear_rate_table, mm_infinity_rates,
                      paper_lambda, potential_from_config)
 

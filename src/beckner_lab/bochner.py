@@ -16,14 +16,16 @@ curvature content: for any positive density rho and admissible entropy,
         >= pi[sum Gamma (grad_g phi'(rho) grad_d rho
                          + phi''(rho) grad_g rho grad_d rho)],
 
-and the decay constant certified at rho is twice that right side divided
-by pi[sum_g c grad_g phi'(rho) grad_g rho].
+and the decay constant certified at rho is that right side divided by
+the entropy production E(phi'(rho), rho).  The left side (d2/dt2 Ent)
+and the production are the chain's functionals, in ``chain``.
 
-R is stored sparsely (COO over nonzero triples), built per family on
-the c c > 0 support; all checks are vectorized gathers over the
-support, summed in a fixed state-major, move-lexicographic order so
-residuals are reproducible.  The structure checks are exact: each
-triple is looked up against its partner by its sorted linear key.
+R is stored sparsely (COO over nonzero triples), built from the chain
+alone on the c c > 0 support, by the family its ``meta["model"]``
+records; all checks are vectorized gathers over the support, summed in
+a fixed state-major, move-lexicographic order so residuals are
+reproducible.  The structure checks are exact: each triple is looked up
+against its partner by its sorted linear key.
 
 The pointwise checks take one density (or function) or a (K, S) stack
 of rows.  Rows are gathered with ``np.take(., idx, axis=-1)``, which
@@ -40,10 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Density, FiniteChain
+from .chain import Density, FiniteChain, entropy_second_derivative
 from .entropy import ConvexEntropy, MeanFunction
 from .errors import CapabilityError, DomainError
-from .models import ModelSpec, build_model
 from .reporting import CheckReport, VerificationReport
 
 # elements in the widest array of one row chunk of a stacked check (256 KiB
@@ -142,8 +143,9 @@ def _cc_support(chain: FiniteChain):
     return ii[keep], gg[keep], dd[keep], cc[keep]
 
 
-def r_function(spec: ModelSpec, chain: FiniteChain | None = None) -> BochnerStructure:
-    """Construct the model's auxiliary function R.
+def r_function(chain: FiniteChain) -> BochnerStructure:
+    """Construct the auxiliary function R of a chain's model family, read
+    from ``chain.meta["model"]`` (which ``chain_from_json`` keeps).
 
     Nonzero triples, by family (rates written in the chain's units):
 
@@ -159,14 +161,13 @@ def r_function(spec: ModelSpec, chain: FiniteChain | None = None) -> BochnerStru
     The finite-volume chain reuses the birth-death construction.  Each
     family is evaluated on the triples with c(eta,g) c(eta,d) > 0, which
     hold every nonzero R; the nonzero values are kept in that
-    state-major, move-lexicographic order.
+    state-major, move-lexicographic order.  A chain with no known model
+    raises ``CapabilityError``.
     """
-    if chain is None:
-        chain = build_model(spec)
-    family = _FAMILIES.get(spec.kind)
+    kind = chain.meta.get("model")
+    family = _FAMILIES.get(kind)
     if family is None:
-        raise CapabilityError(
-            f"no auxiliary function for variant {spec.kind!r}")
+        raise CapabilityError(f"no auxiliary function for variant {kind!r}")
     ii, gg, dd, cc = _cc_support(chain)
     value = family(chain, ii, gg, dd, cc)
     keep = value != 0.0
@@ -402,20 +403,6 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
 # the key inequality
 # ---------------------------------------------------------------------------
 
-def entropy_second_derivative(chain: FiniteChain, e: ConvexEntropy, rho):
-    """pi[L phi'(rho) L rho + phi''(rho)(L rho)^2], which is d2/dt2 Ent
-    along the flow and the left side of the curvature inequality.
-
-    One density (a ``Density`` or a 1-D row) gives a float, a (K, S)
-    stack a (K,) array, each row with the bits of its one-density call.
-    """
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
-    Lr = chain.apply_generator(r)
-    Lf = chain.apply_generator(e.d1(r))
-    out = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)
-    return out if out.ndim else float(out)
-
-
 def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
                       e: ConvexEntropy, rho):
     """(lhs, rhs) of the curvature inequality
@@ -440,21 +427,3 @@ def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
     term = grad_g_f * grad_d_r + e.d2(r_here) * grad_g_r * grad_d_r
     rhs = np.add.reduce(chain.pi[ii] * gam * term, axis=-1)
     return (lhs, rhs) if rhs.ndim else (lhs, float(rhs))
-
-
-def entropy_production(chain: FiniteChain, e: ConvexEntropy, rho):
-    """pi[sum_g c grad_g phi'(rho) grad_g rho] = 2 E(phi'(rho), rho).
-
-    One density (a ``Density`` or a 1-D row) gives a float, a (T, S)
-    stack of rows a (T,) array; each row gets the bits of its
-    one-density call, with the moves added in move order.
-    """
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
-    f = e.d1(r)
-    total = np.zeros(r.shape[:-1])
-    for g in range(chain.n_moves):
-        tg = chain.targets[g]
-        total += np.add.reduce(chain.pi * chain.rates[:, g]
-                               * (f[..., tg] - f) * (r[..., tg] - r), axis=-1)
-    return total if total.ndim else float(total)
-

@@ -17,6 +17,9 @@ States carry opaque canonical keys (ints, tuples, ...) hashed into an
 index map once at construction; all numerical work runs on index arrays.
 Dense |S| x |S| matrices are materialized lazily and only below a desk
 scale cap.
+
+A density's functionals live here too: the entropy, the Dirichlet form
+(whose E(phi'(rho), rho) is the entropy production) and d2/dt2 Ent.
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ class FiniteChain:
 
     # -- operators -------------------------------------------------------------
 
-    def grad(self, f, g: int):
-        f = np.asarray(f, dtype=float)
-        return f[self.targets[g]] - f
-
     def apply_generator(self, f):
         """(L f)(eta) = sum_g c(eta, g)(f(g eta) - f(eta)); L 1 = 0.
 
@@ -185,16 +184,23 @@ class Density:
 # operations
 # ---------------------------------------------------------------------------
 
-def dirichlet_form(chain: FiniteChain, f, g) -> float:
-    """E(f, g) in symmetric gradient form; equal to -pi[f Lg], since the
-    chain is reversible."""
+def dirichlet_form(chain: FiniteChain, f, g):
+    """E(f, g) = 1/2 pi[sum_g c grad_g f grad_g g] = -pi[f Lg].
+
+    One pair of functions gives a float, a pair of (T, S) stacks a (T,)
+    array: each move's terms are summed per row (``np.add.reduce``) and
+    added in move order, then halved once, so each row gets the bits of
+    its one-pair call.
+    """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    sym = 0.0
+    total = np.zeros(f.shape[:-1])
     for mv in range(chain.n_moves):
-        w = chain.pi * chain.rates[:, mv]
-        sym += 0.5 * float(np.sum(w * chain.grad(f, mv) * chain.grad(g, mv)))
-    return sym
+        tg = chain.targets[mv]
+        total += np.add.reduce(chain.pi * chain.rates[:, mv]
+                               * (f[..., tg] - f) * (g[..., tg] - g), axis=-1)
+    total *= 0.5
+    return total if total.ndim else float(total)
 
 
 def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
@@ -207,6 +213,20 @@ def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
     """
     r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
     out = np.add.reduce(chain.pi * e.eval(r), axis=-1)
+    return out if out.ndim else float(out)
+
+
+def entropy_second_derivative(chain: FiniteChain, e: ConvexEntropy, rho):
+    """pi[L phi'(rho) L rho + phi''(rho)(L rho)^2], which is d2/dt2 Ent
+    along the flow and the left side of the curvature inequality.
+
+    One density (a ``Density`` or a 1-D row) gives a float, a (K, S)
+    stack a (K,) array, each row with the bits of its one-density call.
+    """
+    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    Lr = chain.apply_generator(r)
+    Lf = chain.apply_generator(e.d1(r))
+    out = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -236,6 +236,8 @@ def _config_from_doc(doc) -> ExperimentConfig:
         t_end=get("t_end", lambda t: _check_positive("t_end", t)),
         starts=get("starts", lambda n: _check_count("starts", n)),
         dump_densities=doc.get("dump_densities", False), echo=doc)
+    if not cfg.alphas:
+        raise ConfigError("alpha must list at least one value")
     if not isinstance(cfg.dump_densities, bool):
         raise ConfigError("dump_densities must be true or false")
     if cfg.model is None and command not in _MODEL_FREE:
@@ -352,9 +354,8 @@ def _cmd_verify_lemmas(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_verify_bochner(cfg: ExperimentConfig) -> int:
-    spec = cfg.model
-    chain = models.build_model(spec)
-    bs = bochner.r_function(spec, chain)
+    chain = models.build_model(cfg.model)
+    bs = bochner.r_function(chain)
     tol = cfg.tol or 1e-10
     report = bochner.verify_assumption(chain, bs, tol=tol)
     # 20 densities, each with its chi and psi, drawn in this order

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bochner import entropy_production, entropy_second_derivative
-from .chain import Density, FiniteChain, entropy
+from .chain import (Density, FiniteChain, dirichlet_form, entropy,
+                    entropy_second_derivative)
 from .entropy import ConvexEntropy
 from .errors import DomainError, HypothesisError
 from .reporting import CheckReport, VerificationReport
@@ -85,7 +85,7 @@ def evolve(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
     dens = 1.0 + dev / d
     rho = np.maximum(dens, 1e-300)
     return Trajectory(times, dens, entropy(chain, e, rho),
-                      0.5 * entropy_production(chain, e, rho))
+                      dirichlet_form(chain, e.d1(rho), rho))
 
 
 def evolve_rk4(chain: FiniteChain, rho0: Density, t_end: float,

@@ -70,7 +70,7 @@ def dphi_kernel(G, a, w=1.0):
 class ConvexEntropy:
     """A smooth convex function phi with phi(1) = 0 and its derivatives.
 
-    ``eval``/``d1``/``d2``/``d3`` accept floats or numpy arrays (strictly
+    ``eval``/``d1``/``d2`` accept floats or numpy arrays (strictly
     positive) and return the same shape; ``d1_inv`` inverts phi' where
     defined.
     """
@@ -104,13 +104,6 @@ class ConvexEntropy:
             return 1.0 / s
         a = self.alpha
         return a * s ** (a - 2.0)
-
-    def d3(self, s):
-        s = _check_positive(s)
-        if self.kind == "log":
-            return -1.0 / s ** 2
-        a = self.alpha
-        return a * (a - 2.0) * s ** (a - 3.0)
 
     def d1_inv(self, y):
         """Inverse of phi' (domain-checked)."""
@@ -465,9 +458,6 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int,
 
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    d3_vals = entropy.d3(np.array([0.5, 1.0, 2.0, 10.0]))
-    if np.any(np.asarray(d3_vals) > 1e-12):
-        raise DomainError("concavity verifier requires phi''' <= 0")
     rng = np.random.default_rng(seed)
     mean = MeanFunction(entropy)
     report = VerificationReport()

@@ -376,13 +376,6 @@ def check_convexity(Vpp, lambda_conv: float) -> None:
             f"V'' >= {lambda_conv} fails: min sampled V'' = {np.min(vpp):.6g}")
 
 
-def erf(s):
-    """The Gauss error function 2/sqrt(pi) int_0^s e^{-t^2} dt."""
-    out = np.asarray(np.frompyfunc(math.erf, 1, 1)(np.asarray(s, dtype=float)),
-                     dtype=float)
-    return out if out.ndim else float(out)
-
-
 def phi_mielke(u: float) -> float:
     """Phi(u) = (3 erf(s) - erf(3s)) / (2 erf(s)) at u = s^2.
 

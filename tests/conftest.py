@@ -75,5 +75,4 @@ def chains(specs):
 
 @pytest.fixture(scope="session")
 def structures(specs, chains):
-    return {name: bl.r_function(specs[name], chains[name])
-            for name in specs}
+    return {name: bl.r_function(chains[name]) for name in specs}

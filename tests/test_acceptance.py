@@ -19,17 +19,6 @@ def _stamp(k, label, ok, extra=""):
     assert ok, f"criterion {k}: {label} {extra}"
 
 
-def simpson_erf(s, n=1_000_001):
-    if s == 0.0:
-        return 0.0
-    xs = np.linspace(0.0, s, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = xs[1] - xs[0]
-    return 2.0 / math.sqrt(math.pi) * h / 3.0 * float(np.sum(w * np.exp(-xs ** 2)))
-
-
 def test_criterion_01_theta_bounds():
     t0 = time.time()
     grid = np.arange(0.0, 10.0 + 1e-9, 0.5)
@@ -92,7 +81,7 @@ def _criterion3_models():
     out = {}
     for name, spec in specs.items():
         chain = bl.build_model(spec)
-        out[name] = (spec, chain, bl.r_function(spec, chain))
+        out[name] = (spec, chain, bl.r_function(chain))
     return out
 
 
@@ -151,7 +140,7 @@ def test_criterion_05_paper_constants_are_lower_bounds():
     margins = {}
     for spec in _criterion5_settings():
         chain = bl.build_model(spec)
-        bs = bl.r_function(spec, chain)
+        bs = bl.r_function(chain)
         for alpha in (1.1, 1.5, 2.0):
             bound = bl.paper_lambda(spec, alpha).value
             e = bl.power_entropy(alpha)
@@ -159,10 +148,10 @@ def test_criterion_05_paper_constants_are_lower_bounds():
             rhos = np.stack([
                 bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3]).values
                 for k in range(1000)])
-            # the ratio certified at each density: 2 x (Gamma sum) over the
-            # entropy production
+            # the ratio certified at each density: the Gamma sum over
+            # E(phi'(rho), rho)
             _, rhs = bl.proposition_sides(chain, bs, e, rhos)
-            ratios = 2.0 * rhs / bl.bochner.entropy_production(chain, e, rhos)
+            ratios = rhs / bl.dirichlet_form(chain, e.d1(rhos), rhos)
             margins[(spec.kind, alpha)] = float(ratios.min()) - bound
     worst = min(margins.values())
     elapsed = time.time() - t0
@@ -273,9 +262,6 @@ def test_criterion_09_oracle_equivalences():
             np.sum(chain.pi * fvec * fvec))
         ok = ok and abs(gap - oracle1) <= 1e-8 * max(1.0, gap)
         ok = ok and abs(gap - oracle2) <= 1e-8 * max(1.0, gap)
-    # error function against the quadrature oracle
-    for s in (0.25, 1.0, 2.0):
-        ok = ok and abs(bl.erf(s) - simpson_erf(s)) <= 1e-10
     elapsed = time.time() - t0
     _stamp(9, "independent oracle equivalences", ok, f"({elapsed:.0f}s)")
 
@@ -287,7 +273,7 @@ def test_criterion_10_negative_controls():
     spec = bl.ModelSpec("zero_range",
                         {"L": 3, "N": 3, "c_x": bl.linear_rate_table(3, 3)})
     chain = bl.build_model(spec)
-    bs = bl.r_function(spec, chain)
+    bs = bl.r_function(chain)
     val = np.array(bs.value)
     k = 4
     i, g, d = bs.eta[k], bs.gamma[k], bs.delta[k]

@@ -9,11 +9,11 @@ import beckner_lab as bl
 
 
 def certified_ratios(chain, bs, e, rhos):
-    """Largest lambda certified at each density, 2 x (Gamma sum) over the
-    production, from one stacked evaluation of both sums."""
+    """Largest lambda certified at each density, the Gamma sum over
+    E(phi'(rho), rho), from one stacked evaluation of both sums."""
     stack = np.stack(rhos)
     _, rhs = bl.proposition_sides(chain, bs, e, stack)
-    return 2.0 * rhs / bl.bochner.entropy_production(chain, e, stack)
+    return rhs / bl.dirichlet_form(chain, e.d1(stack), stack)
 
 
 def double_sum_oracle(chain, bs, chi, psi, beta):
@@ -133,13 +133,12 @@ class TestRFunction:
                     assert np.max(np.abs(gam[:, m1, m2])) == 0.0
 
     def test_random_transposition_values(self, rt3):
-        spec = bl.ModelSpec("random_transposition", {"n": 3})
-        bs = bl.r_function(spec, rt3)
+        bs = bl.r_function(rt3)
         # no disjoint transposition pairs exist for n = 3
         assert bs.nnz == 0
         spec4 = bl.ModelSpec("random_transposition", {"n": 4})
         rt4 = bl.build_model(spec4)
-        bs4 = bl.r_function(spec4, rt4)
+        bs4 = bl.r_function(rt4)
         n = 4
         assert np.allclose(bs4.value, 4.0 / (n ** 2 * (n - 1) ** 2))
         cc = rt4.rates[:, :, None] * rt4.rates[:, None, :]
@@ -151,9 +150,29 @@ class TestRFunction:
                     else 4.0 / (n ** 2 * (n - 1) ** 2)
                 assert np.allclose(gam[:, m1, m2], expected, atol=1e-15)
 
-    def test_dispatch_from_spec(self, specs, zr33):
-        bs = bl.r_function(specs["zero_range"], zr33)
+    def test_dispatch_from_spec(self, zr33):
+        bs = bl.r_function(zr33)
         assert bs.nnz > 0
+
+    def test_imported_chain_gives_the_same_structure(self, acceptance):
+        kinds = set()
+        for chain, bs in acceptance:
+            back = bl.chain_from_json(bl.chain_to_json(chain))
+            kinds.add(back.meta["model"])
+            bs_back = bl.r_function(back)
+            for name in ("eta", "gamma", "delta", "value"):
+                assert np.array_equal(getattr(bs, name),
+                                      getattr(bs_back, name)), name
+                assert getattr(bs, name).dtype == getattr(bs_back, name).dtype
+        assert kinds == {"birth_death", "zero_range", "bernoulli_laplace",
+                         "random_transposition", "fokker_planck_fv"}
+
+    @pytest.mark.parametrize("meta", [None, {"model": "two_state"}])
+    def test_chain_without_a_model_raises(self, rt3, meta):
+        bare = bl.FiniteChain(rt3.keys, rt3.move_names, rt3.targets,
+                              rt3.inverse, rt3.rates, rt3.pi, meta=meta)
+        with pytest.raises(bl.CapabilityError):
+            bl.r_function(bare)
 
 
 class TestAssumption:
@@ -183,7 +202,7 @@ class TestAssumption:
         assert names["adjointness"].witness is not None
 
     def test_empty_support_vacuous(self, rt3):
-        bs = bl.r_function(bl.ModelSpec("random_transposition", {"n": 3}), rt3)
+        bs = bl.r_function(rt3)
         rep = bl.verify_assumption(rt3, bs)
         assert rep.passed
 
@@ -210,9 +229,7 @@ class TestSummationByParts:
 
     def test_mean_weight_on_exclusion_model(self):
         chain = bl.build_bernoulli_laplace(4, 2, 1.0)
-        spec = bl.ModelSpec("bernoulli_laplace",
-                            {"L": 4, "N": 2, "lambda_x": 1.0})
-        bs = bl.r_function(spec, chain)
+        bs = bl.r_function(chain)
         rng = np.random.default_rng(1)
         rho = bl.random_density(chain, rng, 1.0)
         chi = rng.standard_normal(chain.n_states)
@@ -228,8 +245,7 @@ class TestSummationByParts:
         # theta of densities 1e10 apart in either order has the same bits
         a, b = [3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0]
         chain = bl.build_birth_death(a, b)
-        bs = bl.r_function(bl.ModelSpec("birth_death", {"a": a, "b": b}),
-                           chain)
+        bs = bl.r_function(chain)
         rho = bl.normalize_density(chain, np.array([1.0, 1e-10, 1.0, 1e-10]))
         rng = np.random.default_rng(4)
         chi, psi = rng.standard_normal((2, chain.n_states))
@@ -363,7 +379,7 @@ class TestCurvatureInequality:
         for _ in range(200):
             rho = bl.random_density(chain, rng2, 1.0)
             ent = bl.entropy(chain, e, rho)
-            prod = 0.5 * bl.bochner.entropy_production(chain, e, rho)
+            prod = bl.dirichlet_form(chain, e.d1(rho.values), rho.values)
             assert lam * ent <= prod + 1e-9 * prod
 
 
@@ -400,7 +416,7 @@ def acceptance():
     out = []
     for spec in _acceptance_specs():
         chain = bl.build_model(spec)
-        out.append((chain, bl.r_function(spec, chain)))
+        out.append((chain, bl.r_function(chain)))
     return out
 
 
@@ -466,7 +482,7 @@ def zr58():
     spec = bl.ModelSpec("zero_range", {"L": 5, "N": 8,
                                        "c_x": bl.linear_rate_table(5, 8)})
     chain = bl.build_model(spec)
-    return chain, bl.r_function(spec, chain)
+    return chain, bl.r_function(chain)
 
 
 def _without(bs, drop):
@@ -549,7 +565,7 @@ class TestSparseBuild:
         dense = chain.n_states * chain.n_moves ** 2 * 8
         tracemalloc.start()
         try:
-            bs = bl.r_function(spec, chain)
+            bs = bl.r_function(chain)
             bs.gamma_coo(chain)
             rep = bl.verify_assumption(chain, bs)
             _, peak = tracemalloc.get_traced_memory()

@@ -69,6 +69,14 @@ class TestDirichletForm:
                 sym = bl.dirichlet_form(chain, f, g)
                 adj = -float(np.sum(chain.pi * f * chain.apply_generator(g)))
                 assert sym == pytest.approx(adj, rel=1e-10, abs=1e-12)
+            # a (T, S) stack of pairs gives one value per row
+            F, G = np.random.default_rng(5).standard_normal(
+                (2, 7, chain.n_states))
+            sym = bl.dirichlet_form(chain, F, G)
+            adj = [-float(np.sum(chain.pi * f * chain.apply_generator(g)))
+                   for f, g in zip(F, G)]
+            assert sym.shape == (7,)
+            assert sym == pytest.approx(adj, rel=1e-10, abs=1e-12)
 
     def test_symmetry_and_positivity(self, bl52):
         rng = np.random.default_rng(3)

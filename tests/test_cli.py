@@ -610,6 +610,29 @@ class TestCommands:
                        "potential": {"kind": "quadratic", "coeff": 2.0}}},
             "cells must be strictly increasing")
 
+    @pytest.mark.parametrize("command,model", [
+        ("decay", {"model": "random_transposition", "n": 3}),
+        ("constants", {"model": "random_transposition", "n": 3}),
+        ("fokker-planck", {"model": "fokker_planck_fv", "n_cells": 16,
+                           "lambda": 4.0,
+                           "potential": {"kind": "quadratic", "coeff": 2.0}}),
+        ("theta-surface", None),
+    ], ids=["decay", "constants", "fokker-planck", "theta-surface"])
+    def test_empty_alpha_list_exits_before_writing(self, tmp_path, capsys,
+                                                   command, model):
+        # only a config document can give an empty list: --alpha needs a
+        # value
+        doc = {"command": command, "alpha": []}
+        if model is not None:
+            doc["model"] = model
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: alpha must list at least one value\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["theta-surface"],
         ["verify-lemmas", "--samples", "300"],

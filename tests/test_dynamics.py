@@ -144,7 +144,7 @@ class TestDerivativeIdentities:
                 Lf = chain.apply_generator(e.d1(np.maximum(r, 1e-300)))
                 loop.append(float(np.sum(chain.pi * (
                     Lf * Lr + e.d2(np.maximum(r, 1e-300)) * Lr * Lr))))
-            stacked = bl.bochner.entropy_second_derivative(
+            stacked = bl.chain.entropy_second_derivative(
                 chain, e, np.maximum(traj.densities[1:-1], 1e-300))
             assert stacked.tolist() == loop
             dt = times[1] - times[0]
@@ -305,22 +305,45 @@ def _reference_functionals(chain, e, dens):
     return np.array(ent), np.array(dir_)
 
 
+def _stacked_production(chain, e, r):
+    """pi[sum_g c grad_g phi'(rho) grad_g rho] on a (T, S) stack, one
+    per-row sum per move added in move order."""
+    f = e.d1(r)
+    total = np.zeros(r.shape[:-1])
+    for g in range(chain.n_moves):
+        tg = chain.targets[g]
+        total += np.add.reduce(chain.pi * chain.rates[:, g]
+                               * (f[..., tg] - f) * (r[..., tg] - r), axis=-1)
+    return total
+
+
 class TestStackedFunctionals:
     def test_rows_equal_one_density_calls(self, acceptance_chains):
         for k, chain in enumerate(acceptance_chains):
             stack = _density_stack(chain, k)
             for e in ENTROPIES:
                 ent = bl.entropy(chain, e, stack)
-                prod = bl.bochner.entropy_production(chain, e, stack)
+                prod = bl.dirichlet_form(chain, e.d1(stack), stack)
                 assert ent.shape == prod.shape == (len(stack),)
                 for i, row in enumerate(stack):
                     one = bl.entropy(chain, e, bl.Density(row))
                     assert type(one) is float
                     assert ent[i] == one == bl.entropy(chain, e, row)
-                    one = bl.bochner.entropy_production(chain, e,
-                                                        bl.Density(row))
+                    one = bl.dirichlet_form(chain, e.d1(row), row)
                     assert type(one) is float
                     assert prod[i] == one
+
+    def test_evolve_keeps_the_stacked_production(self, acceptance_chains):
+        # the stored values are 0.5 pi[sum_g c grad_g phi'(rho) grad_g rho]
+        # summed on the whole stack, bit for bit
+        times = np.linspace(0.0, 30.0, 41)
+        for k, chain in enumerate(acceptance_chains):
+            rho0 = bl.random_density(chain, np.random.default_rng(k), 1.0)
+            for e in ENTROPIES:
+                traj = bl.evolve(chain, e, rho0, times)
+                want = 0.5 * _stacked_production(
+                    chain, e, np.maximum(traj.densities, 1e-300))
+                assert traj.dirichlet_values.tolist() == want.tolist()
 
     def test_evolve_matches_per_sample_loop(self, acceptance_chains):
         times = np.linspace(0.0, 30.0, 41)

@@ -62,7 +62,7 @@ class TestRunExperiment:
     def test_inequality_reuses_the_trajectory_functionals(self, monkeypatch):
         import importlib
         from beckner_lab.fokker_planck import discrete_power_inequality
-        calls = {"entropy": 0, "entropy_production": 0}
+        calls = {"entropy": 0, "dirichlet_form": 0}
         for short in ("dynamics", "fokker_planck"):
             mod = importlib.import_module(f"beckner_lab.{short}")
             for name in calls:
@@ -71,7 +71,7 @@ class TestRunExperiment:
                     return _fn(*args)
                 monkeypatch.setattr(mod, name, counted)
         exp, = bl.run_fv_experiment(fv_spec(32), [1.5], seed=5)
-        assert calls == {"entropy": 1, "entropy_production": 1}
+        assert calls == {"entropy": 1, "dirichlet_form": 1}
         # the public function on the stored densities gives the same gap
         lhs, rhs = discrete_power_inequality(exp.chain, 1.5,
                                              exp.decay.trajectory.densities)

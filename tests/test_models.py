@@ -246,23 +246,6 @@ class TestFokkerPlanckChain:
 
 
 class TestErfAndMeshRate:
-    def test_erf_basics(self):
-        assert bl.erf(0.0) == 0.0
-        rng = np.random.default_rng(1)
-        for s in rng.uniform(0.0, 4.0, 20):
-            assert bl.erf(-s) == -bl.erf(s)
-
-    def test_erf_quadrature_oracle(self):
-        assert abs(bl.erf(1.0) - simpson_erf(1.0)) <= 1e-10
-        assert abs(bl.erf(0.25) - simpson_erf(0.25)) <= 1e-10
-
-    def test_erf_shape_and_type(self):
-        s = np.linspace(-6.0, 6.0, 24).reshape(4, 6)
-        out = bl.erf(s)
-        assert out.dtype == np.float64 and out.shape == s.shape
-        assert np.array_equal(out, [[math.erf(v) for v in row] for row in s])
-        assert type(bl.erf(0.5)) is float
-
     def test_lambda_h_second_order(self):
         lam = 4.0
         for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):

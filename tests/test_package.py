@@ -1,6 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface and its module layering."""
 
+import ast
 import inspect
+import pathlib
 
 import beckner_lab as bl
 
@@ -18,7 +20,7 @@ EXPORTED = [
     "build_model", "build_random_transposition", "build_zero_range",
     "chain_from_json", "chain_to_json", "constants_report",
     "derivative_identity_check", "dirichlet_decay_check", "dirichlet_form",
-    "entropy", "erf", "evolve", "evolve_rk4", "fit_decay_rate",
+    "entropy", "evolve", "evolve_rk4", "fit_decay_rate",
     "fv_condition_check", "identity_3id_check", "lambda_h",
     "linear_rate_table", "log_entropy", "mesh_refinement_study",
     "mm_infinity_rates", "normalize_density", "paper_lambda",
@@ -37,3 +39,25 @@ def exported_names():
 
 def test_exported_names_are_pinned():
     assert exported_names() == EXPORTED
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports, at any depth of its
+    source, read with ``ast``."""
+    path = pathlib.Path(bl.__file__).parent / f"{module}.py"
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_chain_functionals_need_no_bochner_module():
+    for module in ("dynamics", "fokker_planck", "chain", "models"):
+        assert "bochner" not in package_imports(module), module
+    assert "models" not in package_imports("bochner")
+    assert package_imports("bochner") == {"chain", "entropy", "errors",
+                                          "reporting"}
