@@ -126,6 +126,8 @@ def _check_positive(name: str, t) -> float:
 
 def _check_cells(cells) -> list[int]:
     cells = [int(c) for c in cells]
+    if not cells:
+        raise ConfigError("cells must list at least one mesh")
     if any(c2 <= c1 for c1, c2 in zip(cells, cells[1:])):
         raise ConfigError("cells must be strictly increasing")
     return cells

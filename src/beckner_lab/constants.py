@@ -19,11 +19,11 @@ estimates advance in lockstep as the rows of one array, a block of rows
 each, ordered by quotient kind.  Each lockstep round makes one
 evaluation of value, density and gradient for all running rows, and the
 array keeps only the rows still running; each row gets the bits it would
-get if its start ran alone, unless a converged row of its own block
-dominates it: then it retires with the bits of its lone run cut at that
-iteration.  Linearization rays rho = 1 + eps f_gap are always folded in,
-which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or below
-2 lambda_P.
+get if its start ran alone, unless the least value its own block has
+reached leads it by more than 1e-3 relative: then it retires with the
+bits of its lone run cut at that iteration.  Linearization rays
+rho = 1 + eps f_gap are always folded in, which pins lambda_B(2) =
+2 lambda_P and keeps every estimate at or below 2 lambda_P.
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
@@ -228,7 +228,7 @@ class OptimizerOptions:
 
 
 # start statuses; "gradient" and "stalled" count as converged, "maxiter"
-# and "dominated" (retired below its block's best converged value) do not
+# and "dominated" (retired behind its block's lead) do not
 STATUSES = ("gradient", "stalled", "maxiter", "dominated")
 
 _MEMORY = 10        # curvature pairs kept per start
@@ -339,33 +339,32 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
     direction, step, iteration count, stall anchor and status, so until
     it stops it follows exactly the path it follows alone.  The rows
     with stack id r form blocks r // ``block`` (one block without it),
-    and each block keeps its incumbent: the least value of its rows that
-    stopped converged.  A round tries one step per running row with one
-    evaluation of value, density and gradient for all of them.  A trial
-    with a finite gradient that meets the Armijo test (c1 = 1e-4) is
-    accepted, and the row's next iteration starts at once: its stopping
-    tests run and it gets a new direction; otherwise the step shrinks to
-    the minimizer of the interpolating quadratic, clamped to [0.1, 0.5]
-    of the step.  Without pairs a row steps along -g, first scaled by
-    1/max(1, |g|_inf); a quasi-Newton direction starts at unit step and
-    gives way to -g if it does not descend.  The evaluator sees each
-    trial stack with its rows' ids, so a stacked quotient evaluates every
-    row with its own kind and alpha.  The state arrays hold the running
-    rows only: a row's results are written out when it stops, and its
-    state is dropped.
+    and each block keeps its lead: the least value any of its rows has
+    reached, taken at the first evaluation and after every accepted step.
+    A round tries one step per running row with one evaluation of value,
+    density and gradient for all of them.  A trial with a finite gradient
+    that meets the Armijo test (c1 = 1e-4) is accepted, and the row's
+    next iteration starts at once: its stopping tests run and it gets a
+    new direction; otherwise the step shrinks to the minimizer of the
+    interpolating quadratic, clamped to [0.1, 0.5] of the step.  Without
+    pairs a row steps along -g, first scaled by 1/max(1, |g|_inf); a
+    quasi-Newton direction starts at unit step and gives way to -g if it
+    does not descend.  The evaluator sees each trial stack with its rows'
+    ids, so a stacked quotient evaluates every row with its own kind and
+    alpha.  The state arrays hold the running rows only: a row's results
+    are written out when it stops, and its state is dropped.
 
     Statuses, in order of precedence: "gradient" (gradient test met),
     "stalled" (the predicted decrease of the line search, an accepted
     step's gain or 25 iterations' progress fell below floating-point
     resolution; the iterate is then the best the arithmetic supports and
     counts as converged), "maxiter" (``max_iter`` iterations ran out) and
-    "dominated": after at least 50 iterations (two stall windows), a row
-    with a quasi-Newton direction d whose model minimum val + g.d / 2 is
-    not below its block's incumbent retires, as in multi-level
-    single-linkage (Rinnooy Kan & Timmer 1987).  A dominated row holds
-    the iterate its run alone has when cut at that many iterations, and
-    since other blocks never touch the incumbent, a block gets the same
-    bits stacked or alone.
+    "dominated": a row that starts an iteration with ``_MEMORY`` or more
+    iterations done and more than 1e-3 max(1, |val|) above its block's
+    lead retires, as in multi-level single-linkage (Rinnooy Kan & Timmer
+    1987).  It holds the iterate its run alone has when cut there, and
+    since other blocks never touch the lead, a block gets the same bits
+    stacked or alone.
     """
     U = np.array(U0, dtype=float)
     K, n = U.shape
@@ -374,9 +373,10 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
     iters = np.empty(K, dtype=int)
     live = np.arange(K)                     # stack ids of the running rows
     size = block or K                       # stack id // size: the block
-    best = np.full(K, math.inf)             # incumbent per block
+    lead = np.full(K, math.inf)             # least value per block
     with np.errstate(all="ignore"):         # inf/nan iterates are rejected
         val, rho, G = quot.evaluate(U, live)
+        np.fmin.at(lead, live // size, val)
         pairs = _Pairs(K, n)
         D, gd, step = np.empty((K, n)), np.empty(K), np.empty(K)  # d, g.d
         its, anchor = np.zeros(K, dtype=int), val.copy()
@@ -402,10 +402,9 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
             # a predicted decrease below float resolution ends the row
             stop = ~(step * np.abs(gd) >= 1e-15 * np.fmax(1.0, np.abs(val)))
             maxed = it >= max_iter
-            # a row past two stall windows whose quasi-Newton model
-            # minimum cannot beat its block's incumbent retires
-            dom = ((it >= 50) & qn & ~bad & ~stop[top]
-                   & (v + 0.5 * dg >= best[live[top] // size]))
+            # a row with a full memory left behind by its block's lead retires
+            dom = ((it >= _MEMORY) & ~stop[top]
+                   & (v - lead[live[top] // size] > 1e-3 * scale))
             stop[top] |= done | stall | maxed | dom
             if stop.any():
                 code = np.ones(len(live), dtype=int)    # index in STATUSES
@@ -416,8 +415,6 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
                                                          code)
                 gnorm[out] = np.abs(G[stop]).max(axis=1)
                 trials[out], iters[out] = rounds, its[stop]
-                conv = code < 2                 # gradient or stalled
-                np.fmin.at(best, out[conv] // size, val[stop][conv])
                 keep = ~stop
                 live, U, val, rho, G, D, gd, step, its, anchor = (
                     x[keep] for x in (live, U, val, rho, G, D, gd, step, its,
@@ -444,6 +441,7 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
             U[top], val[top], rho[top], G[top] = (U_try[top], v[top],
                                                   rho_try[top], G_try[top])
             its[top] += 1
+            np.fmin.at(lead, live[top] // size, v[top])
             flat = flat[top]
     return _Descent(value, rho_out, gnorm, [STATUSES[c] for c in status],
                     trials, iters)

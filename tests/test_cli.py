@@ -633,6 +633,22 @@ class TestCommands:
             "config error: alpha must list at least one value\n"
         assert not out.exists()
 
+    def test_empty_cells_list_exits_before_writing(self, tmp_path, capsys):
+        # a refinement study over no mesh would pass vacuously; only a
+        # config document can give an empty list
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "fokker-planck", "alpha": [1.5], "cells": [],
+            "model": {"model": "fokker_planck_fv", "n_cells": 16,
+                      "lambda": 4.0,
+                      "potential": {"kind": "quadratic", "coeff": 2.0}}}))
+        out = tmp_path / "out"
+        assert main(["fokker-planck", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: cells must list at least one mesh\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["theta-surface"],
         ["verify-lemmas", "--samples", "300"],
