@@ -16,14 +16,17 @@ normalization by projection), from multistart initializations built from
 the spectral-gap eigenvector and random log-Gaussian fields.
 :func:`constants_report` is the one way to request the three: its
 estimates advance in lockstep as the rows of one array, a block of rows
-each, ordered by quotient kind.  Each lockstep round makes one
-evaluation of value, density and gradient for all running rows, and the
-array keeps only the rows still running; each row gets the bits it would
-get if its start ran alone, unless the least value its own block has
-reached leads it by more than 1e-3 relative: then it retires with the
-bits of its lone run cut at that iteration.  Linearization rays
-rho = 1 + eps f_gap are always folded in, which pins lambda_B(2) =
-2 lambda_P and keeps every estimate at or below 2 lambda_P.
+each in the order requested (every alpha, then mlsi, then lsi), and the
+mlsi estimate also records the alpha -> 1 limit as one evaluation of the
+power-entropy quotient at alpha = 1 + 1e-4 at its minimizer.  Each
+lockstep round makes one evaluation of value, density and gradient for
+all running rows, and the array keeps only the rows still running; each
+row gets the bits it would get if its start ran alone, unless the
+least value its own block has reached leads it by more than 1e-3
+relative: then it retires with the bits of its lone run cut at that
+iteration.  Linearization rays rho = 1 + eps f_gap are always folded
+in, which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or
+below 2 lambda_P.
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
@@ -82,7 +85,7 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]       # one product per row
 
 
-_KINDS = ("beckner", "mlsi", "lsi")     # the order of a descent's blocks
+_KINDS = ("beckner", "mlsi", "lsi")     # a row's kind is its index here
 
 
 class _Quotient:
@@ -473,67 +476,57 @@ class ConstantEstimate:
     convergence: dict = field(default_factory=dict)
 
 
-_NEAR_ONE = 1.0 + 1e-4     # alpha of the mlsi continuity estimate
+_NEAR_ONE = 1.0 + 1e-4     # alpha of the mlsi continuity reading
 
 
 def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
               ) -> list[ConstantEstimate]:
     """One estimate per (kind, alpha) spec, all descended as one stack.
 
-    Every spec owns a block of ``opts.starts`` rows started from the same
-    fields, so each row gets the bits its estimate's own descent gives.
-    Every mlsi spec is followed by a power-entropy block at
-    alpha = 1 + 1e-4, whose candidates add the mlsi minimizer and whose
-    value and relative gap go to the mlsi convergence record (the power
-    family tends to the log case as alpha -> 1).  The stack orders the
-    blocks by kind (beckner, mlsi, lsi), so a round evaluates each kind on
-    one run of rows.  The blocks are then finished in spec order: the
-    rays join the candidates, the best is rechecked, and the first block
-    with no converged start raises.  A stack over ``STACK_MAX_BYTES``
-    raises :class:`SizeError` before any start is drawn.
+    Every spec owns a block of ``opts.starts`` rows, in spec order,
+    started from the same fields, so each row gets the bits its
+    estimate's own descent gives.  The blocks are finished in spec order:
+    the rays join the candidates, the best is rechecked, and the first
+    block with no converged start raises.  Each mlsi estimate records the
+    power-entropy quotient at alpha = 1 + 1e-4 evaluated at its minimizer
+    and its relative gap to the mlsi value (the power family tends to the
+    log case as alpha -> 1); both read nan where that entropy vanishes.  A
+    stack over ``STACK_MAX_BYTES`` raises :class:`SizeError` before any
+    start is drawn.
     """
-    stack, checks = [], set()      # checks: the continuity blocks
-    for spec in specs:
-        stack.append(spec)
-        if spec[0] == "mlsi":
-            checks.add(len(stack))
-            stack.append(("beckner", _NEAR_ONE))
     # a row holds its pairs (2 _MEMORY floats per state, R^{-1} and Y Y^T)
     # and about twenty working arrays of one float per state
     K, S = opts.starts, chain.n_states
-    need = 8 * len(stack) * K * ((2 * _MEMORY + 20) * S + 2 * _MEMORY ** 2)
+    need = 8 * len(specs) * K * ((2 * _MEMORY + 20) * S + 2 * _MEMORY ** 2)
     if need > STACK_MAX_BYTES:
         raise SizeError(
             f"{K} starts need about {need / 2 ** 20:.0f} MiB of descent "
             f"stack, over the cap of {STACK_MAX_BYTES / 2 ** 20:.0f} MiB")
     f_gap = poincare_eigenvector(chain)
     starts, rays = _start_fields(chain, f_gap, opts), _gap_rays(chain, f_gap)
-    order = sorted(range(len(stack)), key=lambda i: _KINDS.index(stack[i][0]))
-    quot = _Quotient(chain, specs=[stack[i] for i in order], block=K)
-    run = _descend(quot, np.tile(starts, (len(stack), 1)), opts.max_iter,
+    quot = _Quotient(chain, specs=specs, block=K)
+    run = _descend(quot, np.tile(starts, (len(specs), 1)), opts.max_iter,
                    opts.tol, K)
     ests = []
-    for i, (kind, alpha) in enumerate(stack):
-        near, j = i in checks, order.index(i)   # j: the block in the stack
-        est = _finish(chain, quot, j * K, run.block(slice(j * K, (j + 1) * K)),
-                      kind, alpha, np.vstack([rays, ests[-1].minimizer.values])
-                      if near else rays)
-        if near:
-            mlsi = ests[-1]
-            rel = abs(est.value - mlsi.value) / max(abs(mlsi.value), 1e-300)
-            mlsi.convergence["alpha_to_one_gap"] = rel
-            mlsi.convergence["alpha_to_one_value"] = est.value
-        else:
-            ests.append(est)
+    for i, (kind, alpha) in enumerate(specs):
+        est = _finish(chain, quot, i * K, run.block(slice(i * K, (i + 1) * K)),
+                      kind, alpha, rays)
+        if kind == "mlsi":
+            (num,), (den,) = _Quotient(chain, "beckner", _NEAR_ONE).parts(
+                est.minimizer.values[None, :])
+            val = float(num / den) if den > 0.0 else math.nan
+            est.convergence["alpha_to_one_gap"] = (
+                abs(val - est.value) / max(abs(est.value), 1e-300))
+            est.convergence["alpha_to_one_value"] = val
+        ests.append(est)
     return ests
 
 
 def _finish(chain, quot, first, run: _Descent, kind, alpha,
             rays) -> ConstantEstimate:
     """The estimate of one block of the stack, whose first row has stack
-    id ``first``: its starts' results and the densities ``rays`` (the gap
-    rays, and for a continuity block the mlsi minimizer), the best of them
-    rechecked directly."""
+    id ``first``: its starts' results and the gap rays ``rays``, the best
+    of them rechecked directly."""
     finite = np.isfinite(run.value)
     candidates = [(float(v), rho)
                   for v, rho in zip(run.value[finite], run.rho[finite])]
@@ -601,12 +594,14 @@ def constants_report(chain: FiniteChain, alphas,
                      opts: OptimizerOptions | None = None) -> ConstantsTable:
     """One row per alpha plus the log-case constants and their orderings.
 
-    Every estimate (each alpha, mlsi with its continuity check, lsi) runs
-    in one stacked descent.  All quotient kinds are cross-evaluated on the
-    union of minimizers, so the pointwise relations (the log-production
-    dominates four times the square-root production, every quotient
-    linearizes to 2 lambda_P) transfer to the reported estimates.  The
-    orderings allow a slack of 1e-6.
+    Every estimate (each alpha, then mlsi and lsi) runs in one stacked
+    descent, one block each in that order, so every kind is one run of
+    rows; mlsi's alpha -> 1 reading gives ``mlsi_continuity_gap``.  All
+    quotient kinds are cross-evaluated on the union of minimizers, so the
+    pointwise relations (the log-production dominates four times the
+    square-root production, every quotient linearizes to 2 lambda_P)
+    transfer to the reported estimates.  The orderings allow a slack of
+    1e-6.
     """
     tol = 1e-6
     opts = opts or OptimizerOptions()
@@ -614,23 +609,19 @@ def constants_report(chain: FiniteChain, alphas,
     distinct = list(dict.fromkeys(alphas))
     for a in distinct:
         check_alpha(a)
-    ests = _estimate(chain, [("beckner", a) for a in distinct]
-                     + [("mlsi", None), ("lsi", None)], opts)
-    est_m, est_l = ests[-2:]
+    specs = [("beckner", a) for a in distinct] + [("mlsi", None),
+                                                  ("lsi", None)]
+    ests = _estimate(chain, specs, opts)
 
     # every quotient at every pooled minimizer, in one evaluation
     pool = np.array([e.minimizer.values for e in ests])
-    folds = [("mlsi", None), ("lsi", None)] + [("beckner", a)
-                                               for a in distinct]
-    num, den = _Quotient(chain, specs=folds, block=len(pool)).parts(
-        np.tile(pool, (len(folds), 1)))
+    num, den = _Quotient(chain, specs=specs, block=len(pool)).parts(
+        np.tile(pool, (len(specs), 1)))
     if np.any(den <= 0.0):
         raise DomainError("entropy vanished at the evaluation point")
-    vals = (num / den).reshape(len(folds), -1).tolist()
-    lam_m = min([est_m.value] + vals[0])
-    lam_l = min([est_l.value] + vals[1])
-    beckner = {a: min([e.value] + v)
-               for a, e, v in zip(distinct, ests, vals[2:])}
+    vals = (num / den).reshape(len(specs), -1).tolist()
+    *lam_b, lam_m, lam_l = [min([e.value] + v) for e, v in zip(ests, vals)]
+    beckner = dict(zip(distinct, lam_b))
 
     references = {}
     rows = []
@@ -651,7 +642,7 @@ def constants_report(chain: FiniteChain, alphas,
 
     return ConstantsTable(
         rows=rows, lambda_p=lam_p, lambda_m=lam_m, lambda_l=lam_l,
-        mlsi_continuity_gap=est_m.convergence["alpha_to_one_gap"],
+        mlsi_continuity_gap=ests[-2].convergence["alpha_to_one_gap"],
         references=references,
         ordering_pass=global_ok and all(r.ordering_pass for r in rows),
         estimates=ests)

@@ -207,8 +207,8 @@ def build_bernoulli_laplace(L: int, N: int, lambda_x) -> FiniteChain:
     (lambda_x / L) eta_x (1 - eta_y).  States are stored as integer
     bitmasks with N set bits.
     """
-    if not 0 < N <= L:
-        raise DomainError("need 0 < N <= L")
+    if not 0 < N < L:
+        raise DomainError("need 0 < N < L")
     lam = np.asarray(lambda_x, dtype=float)
     if lam.ndim == 0:
         lam = np.full(L, float(lam))

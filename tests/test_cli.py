@@ -453,6 +453,22 @@ class TestCommands:
             "error: V'' >= 10.0 fails: min sampled V'' = 4\n"
         assert not (tmp_path / output).exists()
 
+    def test_one_state_exclusion_exits(self, tmp_path, capsys):
+        # N = L leaves one configuration: no decay to fit, nothing to check
+        argv = ["decay", "--model", "bernoulli_laplace", "--L", "2", "--N",
+                "2"]
+        assert main(argv + ["--out", str(tmp_path / "flags")]) == 1
+        assert capsys.readouterr().err == "error: need 0 < N < L\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "decay", "model": {"model": "bernoulli_laplace",
+                                          "L": 2, "N": 2, "lambda": 1.0}}))
+        assert main(["decay", "--config", str(cfg),
+                     "--out", str(tmp_path / "doc")]) == 1
+        assert capsys.readouterr().err == "error: need 0 < N < L\n"
+        for out in ("flags", "doc"):
+            assert not (tmp_path / out / "trajectory_alpha1_5.csv").exists()
+
     @pytest.mark.parametrize("lam", ["inf", "nan"])
     def test_nonfinite_lambda_exit_code(self, tmp_path, capsys, lam):
         assert main(["fokker-planck", "--model", "fokker_planck_fv",

@@ -219,6 +219,44 @@ class TestLogCaseConstants:
         est = alone(rt4, "mlsi")
         assert est.convergence["alpha_to_one_gap"] <= 1e-2
 
+    @pytest.mark.parametrize("chain_name", ["zr33", "bl52", "rt4"])
+    def test_alpha_to_one_reading_is_one_evaluation(self, zr33, bl52, rt4,
+                                                    chain_name):
+        # the power quotient at alpha = 1 + 1e-4, evaluated once at the
+        # mlsi minimizer: no descent of its own
+        chain = {"zr33": zr33, "bl52": bl52, "rt4": rt4}[chain_name]
+        table = bl.constants_report(chain, [1.5],
+                                    opts=OptimizerOptions(starts=8))
+        est = table.estimates[-2]
+        num, den = _Quotient(chain, "beckner", 1.0 + 1e-4).parts(
+            est.minimizer.values[None, :])
+        value = est.convergence["alpha_to_one_value"]
+        assert value == num[0] / den[0]
+        assert est.convergence["alpha_to_one_gap"] == \
+            abs(value - est.value) / abs(est.value)
+        assert table.mlsi_continuity_gap == \
+            est.convergence["alpha_to_one_gap"]
+
+    def test_two_state_reports_complete(self):
+        # the descent walks to within rounding of the flat density, where
+        # the alpha -> 1 reading's entropy can vanish: it reads nan there
+        # and the report still completes
+        chain = bl.build_birth_death([1, 0], [0, 1])
+        quot = _Quotient(chain, "beckner", 1.0 + 1e-4)
+        flat = 0
+        for seed in range(20):
+            table = bl.constants_report(chain, [1.5],
+                                        opts=OptimizerOptions(seed=seed))
+            est = table.estimates[-2]
+            (num,), (den,) = quot.parts(est.minimizer.values[None, :])
+            if den > 0.0:
+                assert est.convergence["alpha_to_one_value"] == num / den
+            else:
+                flat += 1
+                assert np.isnan(est.convergence["alpha_to_one_value"]), seed
+                assert np.isnan(table.mlsi_continuity_gap), seed
+        assert flat > 0
+
     def test_near_flat_quotient_linearizes(self, zr33):
         f = poincare_eigenvector(zr33)
         rho = bl.normalize_density(zr33, 1.0 + 1e-5 * f)
@@ -253,6 +291,21 @@ class TestConstantsReport:
             assert np.array_equal(est.minimizer.values, one.minimizer.values)
             assert est.convergence == one.convergence, est.name
         assert "alpha_to_one_value" in table.estimates[3].convergence
+
+    def test_one_block_per_reported_estimate(self, zr33, monkeypatch):
+        runs = []
+
+        def recorded(*args):
+            runs.append(_descend(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(constants, "_descend", recorded)
+        opts = OptimizerOptions(starts=8)
+        table = bl.constants_report(zr33, [1.1, 1.5, 2.0], opts=opts)
+        run, = runs
+        assert len(run.status) == 5 * opts.starts
+        assert run.evaluations == sum(e.convergence["evaluations"]
+                                      for e in table.estimates)
 
     def test_alpha_order_keeps_estimate_bytes(self, zr33):
         opts = OptimizerOptions(starts=8)
@@ -378,6 +431,24 @@ def lockstep(zr33, rt4):
         return cache[key]
 
     return get
+
+
+class TestTrapChainConstants:
+    """BD(K) with a(n) = K - n and b(n) = n counts the ones among K
+    independent symmetric two-state chains, whose constants tensorize:
+    lambda_P = 2, lambda_B(alpha) = lambda_M = 4 and lambda_L = 1 at every
+    K.  The estimates sit within flat-limit noise of the sharp values:
+    over seeds 0 to 9 the worst relative gap was 2.1e-8 (alpha = 1.1,
+    K = 2, seed 8), so the bound is 1e-7."""
+
+    @pytest.mark.parametrize("K", [2, 4, 8, 12, 24])
+    def test_exact_constants(self, K):
+        chain = bl.build_birth_death(*bl.mm_infinity_rates(K))
+        table = bl.constants_report(chain, [1.1, 1.5, 2.0])
+        assert abs(table.lambda_p - 2.0) <= 1e-14 * 2.0
+        for value, sharp in [(r.beckner_hat, 4.0) for r in table.rows] + [
+                (table.lambda_m, 4.0), (table.lambda_l, 1.0)]:
+            assert abs(value - sharp) <= 1e-7 * sharp, (value, sharp)
 
 
 class TestOneEntropyPath:

@@ -118,8 +118,11 @@ class TestBernoulliLaplace:
         assert np.max(np.abs(pi - chain.pi)) <= 1e-10
 
     def test_overfilled_rejected(self):
-        with pytest.raises(DomainError):
-            bl.build_bernoulli_laplace(3, 4, 1.0)
+        # N = L leaves a single configuration, on which every check is
+        # vacuous
+        for L, N in [(3, 4), (3, 3)]:
+            with pytest.raises(DomainError, match="need 0 < N < L"):
+                bl.build_bernoulli_laplace(L, N, 1.0)
 
 
 class TestRandomTransposition:
