@@ -14,19 +14,17 @@ Minimization runs L-BFGS with an Armijo line search on the
 log-parameterization rho = exp(u)/pi[exp(u)] (positivity for free,
 normalization by projection), from multistart initializations built from
 the spectral-gap eigenvector and random log-Gaussian fields.
-:func:`constants_report` is the one way to request the three: its
+:func:`constants_report` is the one way to request the three.  Its
 estimates advance in lockstep as the rows of one array, a block of rows
-each in the order requested (every alpha, then mlsi, then lsi), and the
-mlsi estimate also records the alpha -> 1 limit as one evaluation of the
-power-entropy quotient at alpha = 1 + 1e-4 at its minimizer.  Each
-lockstep round makes one evaluation of value, density and gradient for
-all running rows, and the array keeps only the rows still running; each
-row gets the bits it would get if its start ran alone, unless the
-least value its own block has reached leads it by more than 1e-3
-relative: then it retires with the bits of its lone run cut at that
-iteration.  Linearization rays rho = 1 + eps f_gap are always folded
-in, which pins lambda_B(2) = 2 lambda_P and keeps every estimate at or
-below 2 lambda_P.
+each (every alpha, then mlsi, then lsi); each round makes one evaluation
+of value, density and gradient for the rows still running, and each row
+gets the bits of its start run alone, unless the least value its block
+has reached leads it by more than 1e-3 relative: then it retires with
+the bits of its lone run cut there.  Every quotient at a fixed density
+(the linearization rays rho = 1 + eps f_gap, which pin lambda_B(2) =
+2 lambda_P and keep every estimate at or below it, the rechecks, the
+mlsi estimate's alpha -> 1 reading and the pooled fold) comes from one
+evaluator: every spec at every density of a stack, in one evaluation.
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
@@ -184,22 +182,32 @@ class _Quotient:
         return num / den, rho, G
 
 
+def _fixed_parts(chain: FiniteChain, specs, rho):
+    """Numerator and denominator of spec i at density j of the (n, S)
+    stack ``rho`` as entry (i, j), in one evaluation with the bits of the
+    one-row ``_Quotient``.  Warnings are off, as each caller applies its
+    own rule to an entropy that is not positive, and may do so later."""
+    with np.errstate(all="ignore"):
+        num, den = _Quotient(chain, specs=specs, block=len(rho)).parts(
+            np.tile(rho, (len(specs), 1)))
+    return num.reshape(len(specs), -1), den.reshape(len(specs), -1)
+
+
 def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
                    rho):
     """Direct evaluation of the named quotient at a density.
 
-    One ``Density`` gives a float; a (K, S) stack of strictly positive
-    pi-mean-one rows gives a (K,) array, each row with the bits of its
-    one-density call.
+    One ``Density`` or 1-D row gives a float; a (K, S) stack of strictly
+    positive pi-mean-one rows gives a (K,) array, each row with the bits
+    of its one-density call.  Raises when any entropy is not positive.
     """
     if kind == "beckner":
         check_alpha(alpha)
-    one = isinstance(rho, Density)
-    num, den = _Quotient(chain, kind, alpha).parts(
-        rho.values[None, :] if one else np.asarray(rho, dtype=float))
+    rho = np.asarray(rho.values if isinstance(rho, Density) else rho, float)
+    (num,), (den,) = _fixed_parts(chain, [(kind, alpha)], np.atleast_2d(rho))
     if not np.all(den > 0.0):       # a row off (0, inf) gives a nan
         raise DomainError("entropy vanished at the evaluation point")
-    return float(num[0] / den[0]) if one else num / den
+    return float(num[0] / den[0]) if rho.ndim == 1 else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +484,19 @@ class ConstantEstimate:
     convergence: dict = field(default_factory=dict)
 
 
-_NEAR_ONE = 1.0 + 1e-4     # alpha of the mlsi continuity reading
-
-
 def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
               ) -> list[ConstantEstimate]:
     """One estimate per (kind, alpha) spec, all descended as one stack.
 
     Every spec owns a block of ``opts.starts`` rows, in spec order,
     started from the same fields, so each row gets the bits its
-    estimate's own descent gives.  The blocks are finished in spec order:
-    the rays join the candidates, the best is rechecked, and the first
-    block with no converged start raises.  Each mlsi estimate records the
-    power-entropy quotient at alpha = 1 + 1e-4 evaluated at its minimizer
-    and its relative gap to the mlsi value (the power family tends to the
-    log case as alpha -> 1); both read nan where that entropy vanishes.  A
-    stack over ``STACK_MAX_BYTES`` raises :class:`SizeError` before any
-    start is drawn.
+    estimate's own descent gives.  The gap rays join every block's
+    candidates, each best is rechecked at itself and rescaled to pi-mean
+    one, all by :func:`_fixed_parts`, and the blocks are finished in spec
+    order.  Each mlsi estimate records the power quotient at alpha =
+    1 + 1e-4 at its minimizer and its relative gap to the mlsi value, nan
+    where that entropy is not positive.  A stack over ``STACK_MAX_BYTES``
+    raises :class:`SizeError` before any start is drawn.
     """
     # a row holds its pairs (2 _MEMORY floats per state, R^{-1} and Y Y^T)
     # and about twenty working arrays of one float per state
@@ -507,59 +511,58 @@ def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
     quot = _Quotient(chain, specs=specs, block=K)
     run = _descend(quot, np.tile(starts, (len(specs), 1)), opts.max_iter,
                    opts.tol, K)
+    blocks = [run.block(slice(i * K, (i + 1) * K)) for i in range(len(specs))]
+    best = []       # (value, density) per block: the first least candidate
+    for blk, num, den in zip(blocks, *_fixed_parts(chain, specs, rays)):
+        cands = [(float(v), rho) for v, rho in zip(blk.value, blk.rho)
+                 if math.isfinite(v)]
+        cands += [(float(n / d), rho) for n, d, rho in zip(num, den, rays)
+                  if d > 0.0 and math.isfinite(n)]
+        best.append(min(cands, key=lambda c: c[0]))
+    mins = np.array([rho for _, rho in best])
+    own = [_fixed_parts(chain, specs, R) for R in (
+        mins, mins / _rowsum(chain.pi * mins)[:, None])]
     ests = []
     for i, (kind, alpha) in enumerate(specs):
-        est = _finish(chain, quot, i * K, run.block(slice(i * K, (i + 1) * K)),
-                      kind, alpha, rays)
+        est = _finish(blocks[i], kind, alpha, *best[i],
+                      [p[i, i] for parts in own for p in parts])
         if kind == "mlsi":
-            (num,), (den,) = _Quotient(chain, "beckner", _NEAR_ONE).parts(
-                est.minimizer.values[None, :])
-            val = float(num / den) if den > 0.0 else math.nan
-            est.convergence["alpha_to_one_gap"] = (
-                abs(val - est.value) / max(abs(est.value), 1e-300))
-            est.convergence["alpha_to_one_value"] = val
+            num, den = (p.item() for p in _fixed_parts(
+                chain, [("beckner", 1.0 + 1e-4)], mins[i:i + 1]))
+            val = num / den if den > 0.0 else math.nan
+            est.convergence.update(alpha_to_one_gap=abs(val - est.value) / max(
+                abs(est.value), 1e-300), alpha_to_one_value=val)
         ests.append(est)
     return ests
 
 
-def _finish(chain, quot, first, run: _Descent, kind, alpha,
-            rays) -> ConstantEstimate:
-    """The estimate of one block of the stack, whose first row has stack
-    id ``first``: its starts' results and the gap rays ``rays``, the best
-    of them rechecked directly."""
-    finite = np.isfinite(run.value)
-    candidates = [(float(v), rho)
-                  for v, rho in zip(run.value[finite], run.rho[finite])]
+def _finish(run: _Descent, kind, alpha, val, rho, own) -> ConstantEstimate:
+    """The estimate of one block from its results, its best candidate
+    (val, rho) and its quotient's parts ``own`` at rho and rho rescaled;
+    raises if no start converged, then if either entropy is not positive."""
     best_gnorm = float(np.fmin.reduce(run.gnorm, initial=math.inf))
     status_counts = {s: run.status.count(s) for s in STATUSES}
     n_conv = status_counts["gradient"] + status_counts["stalled"]
-    # spread of the final values over the converged starts
-    v = run.value[finite & np.isin(run.status, STATUSES[:2])]
-    spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
-              if v.size else math.nan)
-    nums, dens = quot.parts(rays, np.full(len(rays), first))
-    for num, den, rho in zip(nums, dens, rays):
-        if den > 0.0 and math.isfinite(num):
-            candidates.append((float(num / den), rho))
-
     if n_conv == 0:
-        best = min(candidates, key=lambda c: c[0])
         raise NumericalError(
             f"no start converged (best gradient norm {best_gnorm:.3g}); "
-            f"best quotient found {best[0]:.17g}")
-
-    val, rho = min(candidates, key=lambda c: c[0])
+            f"best quotient found {val:.17g}")
     minimizer = Density(rho)
-    # direct re-evaluation and scale-invariance certificate
-    recheck = quotient_value(chain, kind, alpha, minimizer)
-    rescaled = Density(rho / float(np.sum(chain.pi * rho)))
-    invariance = abs(quotient_value(chain, kind, alpha, rescaled) - recheck)
+    num, den, num_scaled, den_scaled = own
+    if not (den > 0.0 and den_scaled > 0.0):
+        raise DomainError("entropy vanished at the evaluation point")
+    recheck = float(num / den)      # its quotient re-evaluated at rho
+    # spread of the final values over the converged starts
+    v = run.value[np.isfinite(run.value) & np.isin(run.status, STATUSES[:2])]
+    spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
+              if v.size else math.nan)
     return ConstantEstimate(
         name=kind, value=val, minimizer=minimizer, alpha=alpha,
         convergence={"converged_starts": n_conv, "starts": len(run.status),
                      "best_gradient_norm": best_gnorm,
                      "value_recheck_gap": abs(recheck - val),
-                     "renormalization_gap": invariance,
+                     "renormalization_gap": abs(
+                         float(num_scaled / den_scaled) - recheck),
                      "status_counts": status_counts, "value_spread": spread,
                      "evaluations": run.evaluations, "rounds": run.rounds})
 
@@ -595,13 +598,12 @@ def constants_report(chain: FiniteChain, alphas,
     """One row per alpha plus the log-case constants and their orderings.
 
     Every estimate (each alpha, then mlsi and lsi) runs in one stacked
-    descent, one block each in that order, so every kind is one run of
-    rows; mlsi's alpha -> 1 reading gives ``mlsi_continuity_gap``.  All
-    quotient kinds are cross-evaluated on the union of minimizers, so the
-    pointwise relations (the log-production dominates four times the
-    square-root production, every quotient linearizes to 2 lambda_P)
-    transfer to the reported estimates.  The orderings allow a slack of
-    1e-6.
+    descent, one block each in that order; mlsi's alpha -> 1 reading
+    gives ``mlsi_continuity_gap``.  One fixed-density evaluation then
+    takes every quotient at every estimate's minimizer, so the pointwise
+    relations (the log-production dominates four times the square-root
+    production, every quotient linearizes to 2 lambda_P) transfer to the
+    reported estimates.  The orderings allow a slack of 1e-6.
     """
     tol = 1e-6
     opts = opts or OptimizerOptions()
@@ -615,16 +617,14 @@ def constants_report(chain: FiniteChain, alphas,
 
     # every quotient at every pooled minimizer, in one evaluation
     pool = np.array([e.minimizer.values for e in ests])
-    num, den = _Quotient(chain, specs=specs, block=len(pool)).parts(
-        np.tile(pool, (len(specs), 1)))
+    num, den = _fixed_parts(chain, specs, pool)
     if np.any(den <= 0.0):
         raise DomainError("entropy vanished at the evaluation point")
-    vals = (num / den).reshape(len(specs), -1).tolist()
+    vals = (num / den).tolist()
     *lam_b, lam_m, lam_l = [min([e.value] + v) for e, v in zip(ests, vals)]
     beckner = dict(zip(distinct, lam_b))
 
-    references = {}
-    rows = []
+    references, rows = {}, []
     global_ok = (4.0 * lam_l <= lam_m + tol) and (lam_m <= 2.0 * lam_p + tol)
     for a in alphas:
         val = beckner[a]

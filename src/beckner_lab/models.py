@@ -81,6 +81,8 @@ def build_birth_death(a, b) -> FiniteChain:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n_max = len(a) - 1
+    if len(a) < 2:      # one level: no move, and every check is vacuous
+        raise DomainError("need at least two levels")
     if len(b) != len(a):
         raise DomainError("rate sequences must cover 0..n_max")
     if not all(np.all(np.isfinite(r)) and np.all(r >= 0.0) for r in (a, b)):

@@ -469,6 +469,28 @@ class TestCommands:
         for out in ("flags", "doc"):
             assert not (tmp_path / out / "trajectory_alpha1_5.csv").exists()
 
+    @pytest.mark.parametrize("command", ["verify-bochner", "decay",
+                                         "constants", "export-chain"])
+    def test_one_level_ladder_exits(self, tmp_path, capsys, command):
+        # K = 0 leaves one level, on which every check passes vacuously;
+        # K = -1 leaves none
+        for K in ("0", "-1"):
+            out = tmp_path / f"K{K}"
+            assert main([command, "--model", "birth_death", "--K", K,
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", "error: need at least two "
+                                               "levels\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": command,
+            "model": {"model": "birth_death", "a": [0.0], "b": [0.0]}}))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "doc")]) == 1
+        assert capsys.readouterr() == ("", "error: need at least two levels\n")
+        for out in ("K0", "K-1", "doc"):
+            assert sorted(os.listdir(tmp_path / out)) == \
+                ["effective_config.json"]
+
     @pytest.mark.parametrize("lam", ["inf", "nan"])
     def test_nonfinite_lambda_exit_code(self, tmp_path, capsys, lam):
         assert main(["fokker-planck", "--model", "fokker_planck_fv",

@@ -1,15 +1,17 @@
 """Spectral gap and variational constant estimation."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import beckner_lab as bl
-from beckner_lab import DegeneracyError, constants
+from beckner_lab import DegeneracyError, NumericalError, constants
 from beckner_lab.chain import DENSITY_FLOOR
 from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
-                                   _estimate, _gap_rays, _Quotient,
-                                   _start_fields, poincare_eigenvector,
-                                   quotient_value)
+                                   _estimate, _fixed_parts, _gap_rays,
+                                   _Quotient, _start_fields,
+                                   poincare_eigenvector, quotient_value)
 
 
 def alone(chain, kind, alpha=None, opts=OptimizerOptions()):
@@ -449,6 +451,109 @@ class TestTrapChainConstants:
         for value, sharp in [(r.beckner_hat, 4.0) for r in table.rows] + [
                 (table.lambda_m, 4.0), (table.lambda_l, 1.0)]:
             assert abs(value - sharp) <= 1e-7 * sharp, (value, sharp)
+
+
+@functools.cache
+def walker_report(L):
+    """The report of one walker on L sites, BL(L, 1)."""
+    return bl.constants_report(bl.build_bernoulli_laplace(L, 1, 1.0),
+                               [1.1, 1.5])
+
+
+def _known_failure(L, N, raises, reason):
+    return pytest.param(L, N, marks=pytest.mark.xfail(
+        strict=True, raises=raises, reason=reason))
+
+
+class TestLinearZeroRangeConstants:
+    """ZR(L, N) with c_x(n) = n moves N independent walkers, each BL(L, 1).
+    The log-case constants tensorize and a product density is symmetric,
+    so the sharp lambda_M and lambda_L equal BL(L, 1)'s at every N, and
+    each sharp lambda_B(alpha) is at least BL(L, 1)'s (Bobkov & Tetali
+    2006).  At the default options the estimates agree to 4.8e-12
+    relative (lambda_L of ZR(5,4)), and each lambda_B(alpha) stays 2.5e-3
+    to 3.3e-2 above the walker's."""
+
+    @pytest.mark.parametrize("L,N", [
+        (3, 2), (3, 3), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2),
+        (5, 3), (5, 4),
+        _known_failure(3, 8, NumericalError,
+                       "the alpha = 1.1 block's lead sits on the flat "
+                       "plateau 2 lambda_P and retires every other start: "
+                       "no start converged"),
+        _known_failure(5, 6, NumericalError,
+                       "the mlsi block's lead ends at maxiter with best "
+                       "gradient 4.7e-7: no start converged"),
+        _known_failure(4, 6, AssertionError,
+                       "lambda_L reads 3.27e-7 high: one start ends at "
+                       "maxiter short of the minimum (max_iter 6400 brings "
+                       "the gap to 1.4e-11)")])
+    def test_walker_constants(self, L, N):
+        one = walker_report(L)
+        table = bl.constants_report(
+            bl.build_zero_range(L, N, bl.linear_rate_table(L, N)), [1.1, 1.5])
+        for got, want in ((table.lambda_m, one.lambda_m),
+                          (table.lambda_l, one.lambda_l)):
+            assert abs(got - want) <= 1e-9 * want, (got, want)
+        for row, walker in zip(table.rows, one.rows):
+            assert row.beckner_hat >= walker.beckner_hat * (1.0 - 1e-9), \
+                (row.alpha, row.beckner_hat, walker.beckner_hat)
+
+
+class TestFixedDensityEvaluator:
+    """One evaluation gives every spec at every fixed density, each entry
+    with the bits of its one-row quotient."""
+
+    def test_entries_equal_one_row(self, zr33, rt4):
+        rng = np.random.default_rng(8)
+        for chain in (zr33, rt4):
+            f = poincare_eigenvector(chain)
+            # random densities, then ever closer to the flat density, where
+            # the entropies round to zero or below, and the flat density
+            R = [bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3]).values
+                 for k in range(9)]
+            R += [bl.normalize_density(chain, 1.0 + eps * f).values
+                  for eps in (1e-6, 1e-8, 1e-10, 1e-12)]
+            R = np.array(R + [np.ones(chain.n_states)])
+            num, den = _fixed_parts(chain, MIXED_SPECS, R)
+            assert num.shape == den.shape == (len(MIXED_SPECS), len(R))
+            positive = den > 0.0
+            assert positive.any() and not positive.all()
+            for i, (kind, alpha) in enumerate(MIXED_SPECS):
+                quot = _Quotient(chain, kind, alpha)
+                for j, rho in enumerate(R):
+                    one = quot.parts(rho[None, :])
+                    assert np.array_equal(one, (num[i, j:j + 1],
+                                                den[i, j:j + 1])), (i, j)
+                    if positive[i, j]:
+                        assert quotient_value(chain, kind, alpha, rho) == \
+                            num[i, j] / den[i, j]
+                    else:
+                        with pytest.raises(bl.DomainError,
+                                           match="entropy vanished"):
+                            quotient_value(chain, kind, alpha, rho)
+
+    def test_report_evaluates_fixed_densities_five_times(self, rt4,
+                                                         monkeypatch):
+        # the gap rays, the rechecks at the minimizers and at the rescaled
+        # minimizers, the alpha -> 1 reading and the pooled fold
+        calls = dict.fromkeys(("__init__", "parts", "evaluate"), 0)
+
+        def counted(name):
+            method = getattr(_Quotient, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(_Quotient, name, counted(name))
+        bl.constants_report(rt4, [1.1, 1.5, 2.0])
+        # each descent evaluation makes one parts call of its own
+        assert calls["parts"] - calls["evaluate"] == 5
+        # the descent stack's quotient, and one per fixed-density evaluation
+        assert calls["__init__"] == 6
 
 
 class TestOneEntropyPath:

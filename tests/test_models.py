@@ -57,6 +57,14 @@ class TestBirthDeath:
             bl.build_birth_death([1.0, 2.0], [0.0, 1.0])   # a(n_max) != 0
 
 
+    @pytest.mark.parametrize("rates", [([], []), ([0.0], [0.0]),
+                                       bl.mm_infinity_rates(0),
+                                       bl.mm_infinity_rates(-1)])
+    def test_fewer_than_two_levels_rejected(self, rates):
+        # one level has no move, so every check on it is vacuous
+        with pytest.raises(DomainError, match="need at least two levels"):
+            bl.build_birth_death(*rates)
+
 class TestZeroRange:
     def test_two_sites_one_particle(self):
         chain = bl.build_zero_range(2, 1, np.array([0.0, 1.0]))
