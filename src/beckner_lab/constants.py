@@ -21,10 +21,11 @@ of value, density and gradient for the rows still running, and each row
 gets the bits of its start run alone, unless the least value its block
 has reached leads it by more than 1e-3 relative: then it retires with
 the bits of its lone run cut there.  Every quotient at a fixed density
-(the linearization rays rho = 1 + eps f_gap, which pin lambda_B(2) =
-2 lambda_P and keep every estimate at or below it, the rechecks, the
-mlsi estimate's alpha -> 1 reading and the pooled fold) comes from one
-evaluator: every spec at every density of a stack, in one evaluation.
+comes from one evaluator, every spec at every density of a stack, in two
+evaluations: the linearization rays rho = 1 + eps f_gap (which pin
+lambda_B(2) = 2 lambda_P and keep every estimate at or below it), then
+every quotient at every minimizer (the rechecks, the mlsi estimate's
+alpha -> 1 reading and the pooled fold).
 
 The estimates bracket the sharp constants from above only away from the
 flat density: near it the O((rho - 1)^2) denominator is formed from
@@ -129,6 +130,8 @@ class _Quotient:
         """(kind, slice, alpha column of a beckner run) for each run of
         consecutive rows of one kind among the rows of specs ``spec``."""
         code = self.codes[spec]
+        if not len(code):       # an empty column has no runs
+            return
         cut = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(),
                len(code)]
         for lo, hi in zip(cut[:-1], cut[1:]):
@@ -199,11 +202,17 @@ def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
 
     One ``Density`` or 1-D row gives a float; a (K, S) stack of strictly
     positive pi-mean-one rows gives a (K,) array, each row with the bits
-    of its one-density call.  Raises when any entropy is not positive.
+    of its one-density call.  Raises when ``rho`` is not one row or one
+    stack of rows over the chain's states, or when any entropy is not
+    positive.
     """
     if kind == "beckner":
         check_alpha(alpha)
     rho = np.asarray(rho.values if isinstance(rho, Density) else rho, float)
+    S = chain.n_states
+    if rho.ndim not in (1, 2) or rho.shape[-1] != S:
+        raise DomainError(f"rho must be one row or a (K, {S}) stack of "
+                          f"densities, got shape {rho.shape}")
     (num,), (den,) = _fixed_parts(chain, [(kind, alpha)], np.atleast_2d(rho))
     if not np.all(den > 0.0):       # a row off (0, inf) gives a nan
         raise DomainError("entropy vanished at the evaluation point")
@@ -484,87 +493,77 @@ class ConstantEstimate:
     convergence: dict = field(default_factory=dict)
 
 
-def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions
-              ) -> list[ConstantEstimate]:
-    """One estimate per (kind, alpha) spec, all descended as one stack.
+def _estimate(chain: FiniteChain, specs, opts: OptimizerOptions):
+    """One estimate per (kind, alpha) spec, all descended as one stack,
+    and the parts of spec i at estimate j's minimizer as entry (i, j).
 
     Every spec owns a block of ``opts.starts`` rows, in spec order,
     started from the same fields, so each row gets the bits its
-    estimate's own descent gives.  The gap rays join every block's
-    candidates, each best is rechecked at itself and rescaled to pi-mean
-    one, all by :func:`_fixed_parts`, and the blocks are finished in spec
-    order.  Each mlsi estimate records the power quotient at alpha =
-    1 + 1e-4 at its minimizer and its relative gap to the mlsi value, nan
-    where that entropy is not positive.  A stack over ``STACK_MAX_BYTES``
-    raises :class:`SizeError` before any start is drawn.
+    estimate's own descent gives.  Two fixed-density evaluations follow:
+    the gap rays join every block's candidates, then every quotient is
+    taken at every block's best as is and rescaled to pi-mean one, with
+    the power quotient at alpha = 1 + 1e-4 (mlsi's alpha -> 1 reading,
+    nan where its entropy is not positive).  Blocks finish in spec order,
+    raising if no start converged, then if either recheck entropy is not
+    positive.  A stack over ``STACK_MAX_BYTES`` raises
+    :class:`SizeError` before any start is drawn.
     """
     # a row holds its pairs (2 _MEMORY floats per state, R^{-1} and Y Y^T)
     # and about twenty working arrays of one float per state
-    K, S = opts.starts, chain.n_states
-    need = 8 * len(specs) * K * ((2 * _MEMORY + 20) * S + 2 * _MEMORY ** 2)
+    K, S, n = opts.starts, chain.n_states, len(specs)
+    need = 8 * n * K * ((2 * _MEMORY + 20) * S + 2 * _MEMORY ** 2)
     if need > STACK_MAX_BYTES:
         raise SizeError(
             f"{K} starts need about {need / 2 ** 20:.0f} MiB of descent "
             f"stack, over the cap of {STACK_MAX_BYTES / 2 ** 20:.0f} MiB")
     f_gap = poincare_eigenvector(chain)
     starts, rays = _start_fields(chain, f_gap, opts), _gap_rays(chain, f_gap)
-    quot = _Quotient(chain, specs=specs, block=K)
-    run = _descend(quot, np.tile(starts, (len(specs), 1)), opts.max_iter,
-                   opts.tol, K)
-    blocks = [run.block(slice(i * K, (i + 1) * K)) for i in range(len(specs))]
+    run = _descend(_Quotient(chain, specs=specs, block=K),
+                   np.tile(starts, (n, 1)), opts.max_iter, opts.tol, K)
+    blocks = [run.block(slice(i * K, (i + 1) * K)) for i in range(n)]
     best = []       # (value, density) per block: the first least candidate
     for blk, num, den in zip(blocks, *_fixed_parts(chain, specs, rays)):
         cands = [(float(v), rho) for v, rho in zip(blk.value, blk.rho)
                  if math.isfinite(v)]
-        cands += [(float(n / d), rho) for n, d, rho in zip(num, den, rays)
-                  if d > 0.0 and math.isfinite(n)]
+        cands += [(float(p / q), rho) for p, q, rho in zip(num, den, rays)
+                  if q > 0.0 and math.isfinite(p)]
         best.append(min(cands, key=lambda c: c[0]))
+    # column j (n + j): block j's best (rescaled); row n: alpha -> 1
     mins = np.array([rho for _, rho in best])
-    own = [_fixed_parts(chain, specs, R) for R in (
-        mins, mins / _rowsum(chain.pi * mins)[:, None])]
+    mins = np.vstack((mins, mins / _rowsum(chain.pi * mins)[:, None]))
+    num, den = _fixed_parts(chain, [*specs, ("beckner", 1.0 + 1e-4)], mins)
     ests = []
-    for i, (kind, alpha) in enumerate(specs):
-        est = _finish(blocks[i], kind, alpha, *best[i],
-                      [p[i, i] for parts in own for p in parts])
+    for i, ((kind, alpha), blk, (val, rho)) in enumerate(
+            zip(specs, blocks, best)):
+        best_gnorm = float(np.fmin.reduce(blk.gnorm, initial=math.inf))
+        status_counts = {s: blk.status.count(s) for s in STATUSES}
+        n_conv = status_counts["gradient"] + status_counts["stalled"]
+        if n_conv == 0:
+            raise NumericalError(
+                f"no start converged (best gradient norm {best_gnorm:.3g}); "
+                f"best quotient found {val:.17g}")
+        minimizer = Density(rho)
+        if not (den[i, i] > 0.0 and den[i, n + i] > 0.0):
+            raise DomainError("entropy vanished at the evaluation point")
+        recheck = float(num[i, i] / den[i, i])  # its quotient re-evaluated
+        # spread of the final values over the converged starts
+        v = blk.value[np.isfinite(blk.value)
+                      & np.isin(blk.status, STATUSES[:2])]
+        spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
+                  if v.size else math.nan)
+        conv = {"converged_starts": n_conv, "starts": len(blk.status),
+                "best_gradient_norm": best_gnorm,
+                "value_recheck_gap": abs(recheck - val),
+                "renormalization_gap": abs(
+                    float(num[i, n + i] / den[i, n + i]) - recheck),
+                "status_counts": status_counts, "value_spread": spread,
+                "evaluations": blk.evaluations, "rounds": blk.rounds}
         if kind == "mlsi":
-            num, den = (p.item() for p in _fixed_parts(
-                chain, [("beckner", 1.0 + 1e-4)], mins[i:i + 1]))
-            val = num / den if den > 0.0 else math.nan
-            est.convergence.update(alpha_to_one_gap=abs(val - est.value) / max(
-                abs(est.value), 1e-300), alpha_to_one_value=val)
-        ests.append(est)
-    return ests
-
-
-def _finish(run: _Descent, kind, alpha, val, rho, own) -> ConstantEstimate:
-    """The estimate of one block from its results, its best candidate
-    (val, rho) and its quotient's parts ``own`` at rho and rho rescaled;
-    raises if no start converged, then if either entropy is not positive."""
-    best_gnorm = float(np.fmin.reduce(run.gnorm, initial=math.inf))
-    status_counts = {s: run.status.count(s) for s in STATUSES}
-    n_conv = status_counts["gradient"] + status_counts["stalled"]
-    if n_conv == 0:
-        raise NumericalError(
-            f"no start converged (best gradient norm {best_gnorm:.3g}); "
-            f"best quotient found {val:.17g}")
-    minimizer = Density(rho)
-    num, den, num_scaled, den_scaled = own
-    if not (den > 0.0 and den_scaled > 0.0):
-        raise DomainError("entropy vanished at the evaluation point")
-    recheck = float(num / den)      # its quotient re-evaluated at rho
-    # spread of the final values over the converged starts
-    v = run.value[np.isfinite(run.value) & np.isin(run.status, STATUSES[:2])]
-    spread = (float((v.max() - v.min()) / max(1.0, abs(v.min())))
-              if v.size else math.nan)
-    return ConstantEstimate(
-        name=kind, value=val, minimizer=minimizer, alpha=alpha,
-        convergence={"converged_starts": n_conv, "starts": len(run.status),
-                     "best_gradient_norm": best_gnorm,
-                     "value_recheck_gap": abs(recheck - val),
-                     "renormalization_gap": abs(
-                         float(num_scaled / den_scaled) - recheck),
-                     "status_counts": status_counts, "value_spread": spread,
-                     "evaluations": run.evaluations, "rounds": run.rounds})
+            one = float(num[n, i] / den[n, i]) if den[n, i] > 0.0 else math.nan
+            conv.update(alpha_to_one_gap=abs(one - val)
+                        / max(abs(val), 1e-300), alpha_to_one_value=one)
+        ests.append(ConstantEstimate(kind, val, minimizer, alpha, conv))
+    return ests, num[:n, :n], den[:n, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +598,12 @@ def constants_report(chain: FiniteChain, alphas,
 
     Every estimate (each alpha, then mlsi and lsi) runs in one stacked
     descent, one block each in that order; mlsi's alpha -> 1 reading
-    gives ``mlsi_continuity_gap``.  One fixed-density evaluation then
-    takes every quotient at every estimate's minimizer, so the pointwise
-    relations (the log-production dominates four times the square-root
-    production, every quotient linearizes to 2 lambda_P) transfer to the
-    reported estimates.  The orderings allow a slack of 1e-6.
+    gives ``mlsi_continuity_gap``.  Each constant is the least of its
+    estimate and its quotient at every estimate's minimizer, from the
+    evaluation that rechecks them, so the pointwise relations (the
+    log-production dominates four times the square-root production,
+    every quotient linearizes to 2 lambda_P) transfer to the reported
+    estimates.  The orderings allow a slack of 1e-6.
     """
     tol = 1e-6
     opts = opts or OptimizerOptions()
@@ -613,11 +613,9 @@ def constants_report(chain: FiniteChain, alphas,
         check_alpha(a)
     specs = [("beckner", a) for a in distinct] + [("mlsi", None),
                                                   ("lsi", None)]
-    ests = _estimate(chain, specs, opts)
+    ests, num, den = _estimate(chain, specs, opts)
 
-    # every quotient at every pooled minimizer, in one evaluation
-    pool = np.array([e.minimizer.values for e in ests])
-    num, den = _fixed_parts(chain, specs, pool)
+    # every quotient at every pooled minimizer
     if np.any(den <= 0.0):
         raise DomainError("entropy vanished at the evaluation point")
     vals = (num / den).tolist()

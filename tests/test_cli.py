@@ -253,7 +253,7 @@ class TestCommands:
         entries = report["convergence"]
         chain = build_random_transposition(3)
         opts = OptimizerOptions(starts=8, seed=5)
-        alone = [_estimate(chain, [spec], opts)[0]
+        alone = [_estimate(chain, [spec], opts)[0][0]
                  for spec in (("beckner", 1.5), ("beckner", 2.0),
                               ("mlsi", None), ("lsi", None))]
         assert [(e["name"], e["alpha"]) for e in entries] == [

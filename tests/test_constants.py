@@ -16,7 +16,7 @@ from beckner_lab.constants import (STATUSES, OptimizerOptions, _descend,
 
 def alone(chain, kind, alpha=None, opts=OptimizerOptions()):
     """The estimate of one (kind, alpha) descended as a stack of its own."""
-    return _estimate(chain, [(kind, alpha)], opts)[0]
+    return _estimate(chain, [(kind, alpha)], opts)[0][0]
 
 
 def complete_graph_chain(m, r):
@@ -195,6 +195,21 @@ class TestBecknerConstant:
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(bl.DomainError, match="entropy vanished"):
             quotient_value(rt4, "mlsi", None, rows)
+
+    @pytest.mark.parametrize("kind,alpha", [("mlsi", None), ("lsi", None),
+                                            ("beckner", 1.5)])
+    def test_quotient_value_of_an_empty_stack_is_empty(self, rt4, kind,
+                                                       alpha):
+        val = quotient_value(rt4, kind, alpha, np.empty((0, rt4.n_states)))
+        assert isinstance(val, np.ndarray) and val.shape == (0,)
+
+    def test_quotient_value_checks_the_shape(self, rt4):
+        rng = np.random.default_rng(3)
+        rho = bl.random_density(rt4, rng, 1.0).values
+        for bad in (np.append(rho, 1.0), np.tile(rho, (2, 2, 1)),
+                    np.float64(1.0)):
+            with pytest.raises(bl.DomainError, match="one row or a"):
+                quotient_value(rt4, "mlsi", None, bad)
 
 
 class TestLogCaseConstants:
@@ -533,10 +548,29 @@ class TestFixedDensityEvaluator:
                                            match="entropy vanished"):
                             quotient_value(chain, kind, alpha, rho)
 
-    def test_report_evaluates_fixed_densities_five_times(self, rt4,
-                                                         monkeypatch):
-        # the gap rays, the rechecks at the minimizers and at the rescaled
-        # minimizers, the alpha -> 1 reading and the pooled fold
+    @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
+    def test_fold_and_rechecks_are_one_row_quotients(self, zr33, rt4,
+                                                     chain_name):
+        chain = {"zr33": zr33, "rt4": rt4}[chain_name]
+        table = bl.constants_report(chain, [1.1, 1.5, 2.0])
+        ests = table.estimates
+        folds = [min([est.value] + [quotient_value(chain, est.name, est.alpha,
+                                                   e.minimizer) for e in ests])
+                 for est in ests]
+        assert [row.beckner_hat for row in table.rows] + [
+            table.lambda_m, table.lambda_l] == folds
+        for est in ests:
+            rho = est.minimizer.values
+            recheck = quotient_value(chain, est.name, est.alpha, rho)
+            scaled = quotient_value(chain, est.name, est.alpha,
+                                    rho / np.sum(chain.pi * rho))
+            assert est.convergence["value_recheck_gap"] == \
+                abs(recheck - est.value)
+            assert est.convergence["renormalization_gap"] == \
+                abs(scaled - recheck)
+
+    def test_report_evaluates_fixed_densities_twice(self, rt4, monkeypatch):
+        # the gap rays, then every quotient at every minimizer
         calls = dict.fromkeys(("__init__", "parts", "evaluate"), 0)
 
         def counted(name):
@@ -551,9 +585,9 @@ class TestFixedDensityEvaluator:
             monkeypatch.setattr(_Quotient, name, counted(name))
         bl.constants_report(rt4, [1.1, 1.5, 2.0])
         # each descent evaluation makes one parts call of its own
-        assert calls["parts"] - calls["evaluate"] == 5
+        assert calls["parts"] - calls["evaluate"] == 2
         # the descent stack's quotient, and one per fixed-density evaluation
-        assert calls["__init__"] == 6
+        assert calls["__init__"] == 3
 
 
 class TestOneEntropyPath:
@@ -763,7 +797,7 @@ class TestDominatedStarts:
             f_gap = poincare_eigenvector(chain)
             starts = _start_fields(chain, f_gap, opts)
             rays = _gap_rays(chain, f_gap)
-            for est, (kind, alpha) in zip(_estimate(chain, specs, opts),
+            for est, (kind, alpha) in zip(_estimate(chain, specs, opts)[0],
                                           specs):
                 # no start retired: each start run alone, and the rays
                 quot = _Quotient(chain, kind, alpha)
