@@ -18,9 +18,9 @@ from .constants import (ConstantEstimate, OptimizerOptions, constants_report,
 from .dynamics import (DecayFit, DecayReport, Trajectory,
                        derivative_identity_check, dirichlet_decay_check,
                        evolve, evolve_rk4, fit_decay_rate, run_decay)
-from .entropy import (ConvexEntropy, MeanFunction, big_theta,
-                      big_theta_lower_bound, log_entropy, power_entropy,
-                      theta_surface, verify_concavity, verify_theta_identities)
+from .entropy import (ConvexEntropy, big_theta, big_theta_lower_bound,
+                      log_entropy, power_entropy, theta_surface,
+                      verify_concavity, verify_theta_identities)
 from .errors import (BecknerLabError, CapabilityError, ConfigError,
                      DegeneracyError, DomainError, HypothesisError,
                      NumericalError, ReversibilityError, SizeError)

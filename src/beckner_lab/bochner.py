@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Density, FiniteChain, entropy_second_derivative
-from .entropy import ConvexEntropy, MeanFunction
+from .chain import FiniteChain, entropy_second_derivative
+from .entropy import ConvexEntropy
 from .errors import CapabilityError, DomainError
 from .reporting import CheckReport, VerificationReport
 
@@ -303,7 +303,7 @@ def bochner_identity_check(chain: FiniteChain, bs: BochnerStructure,
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    r = np.asarray(rho, float)
     ii, gg, dd, vv = bs.eta, bs.gamma, bs.delta, bs.value
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
@@ -312,9 +312,8 @@ def bochner_identity_check(chain: FiniteChain, bs: BochnerStructure,
     def at(f, idx):
         return np.take(f, idx, axis=-1)
 
-    theta = MeanFunction(e).theta
-    b_here = theta(at(r, ii), at(r, d_eta))
-    b_moved = theta(at(r, g_eta), at(r, dg_eta))
+    b_here = e.theta(at(r, ii), at(r, d_eta))
+    b_moved = e.theta(at(r, g_eta), at(r, dg_eta))
     w = chain.pi[ii] * vv
     grad_d_chi = at(chi, d_eta) - at(chi, ii)
     grad_g_psi = at(psi, g_eta) - at(psi, ii)
@@ -357,7 +356,7 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    r = np.asarray(rho, float)
     stack = np.atleast_2d(r)
     if bs.nnz == 0:
         return np.zeros(len(stack)) if r.ndim == 2 else 0.0
@@ -366,7 +365,6 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
         bs.nnz, size=take, replace=False) for k in range(len(stack))])
     ii, gg, dd = bs.eta[sel], bs.gamma[sel], bs.delta[sel]
 
-    mean = MeanFunction(e)
     psi = e.d1(stack)
     g_eta = chain.targets[gg, ii]
     d_eta = chain.targets[dd, ii]
@@ -376,9 +374,9 @@ def identity_3id_check(chain: FiniteChain, bs: BochnerStructure,
     def at(f, idx):
         return np.take_along_axis(f, idx, axis=-1)
 
-    hat = mean.theta(at(stack, ii), at(stack, d_eta))
-    hat_g = mean.theta(at(stack, g_eta), at(stack, gd_eta))
-    hat_dg = mean.theta(at(stack, g_eta), at(stack, dg_eta))
+    hat = e.theta(at(stack, ii), at(stack, d_eta))
+    hat_g = e.theta(at(stack, g_eta), at(stack, gd_eta))
+    hat_dg = e.theta(at(stack, g_eta), at(stack, dg_eta))
 
     grad_d_psi = at(psi, d_eta) - at(psi, ii)
     grad_d_psi_g = at(psi, dg_eta) - at(psi, g_eta)
@@ -414,7 +412,7 @@ def proposition_sides(chain: FiniteChain, bs: BochnerStructure,
     One density (a ``Density`` or a 1-D row) gives two floats, a (K, S)
     stack two (K,) arrays, each row with the bits of its one-density call.
     """
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    r = np.asarray(rho, float)
     lhs = entropy_second_derivative(chain, e, r)
     f = e.d1(r)
     ii, gg, dd, gam = bs.gamma_coo(chain)

@@ -168,7 +168,8 @@ class Density:
     Only positivity is checked here, since a density carries no chain.
     The pi-mean is enforced by the consumers whose results depend on it:
     ``dynamics.evolve`` and ``fokker_planck.discrete_power_inequality``
-    raise ``DomainError`` when it is off one by more than 1e-9.
+    raise ``DomainError`` when it is off one by more than 1e-9.  It is
+    array-like: ``np.asarray(rho, float)`` is its read-only ``values``.
     """
     values: np.ndarray
 
@@ -178,6 +179,9 @@ class Density:
             raise DomainError("density must be strictly positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def entropy(chain: FiniteChain, e: ConvexEntropy, rho):
     (``np.add.reduce`` along the last axis), so it gets the bits of its
     one-density call.
     """
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    r = np.asarray(rho, float)
     out = np.add.reduce(chain.pi * e.eval(r), axis=-1)
     return out if out.ndim else float(out)
 
@@ -223,7 +227,7 @@ def entropy_second_derivative(chain: FiniteChain, e: ConvexEntropy, rho):
     One density (a ``Density`` or a 1-D row) gives a float, a (K, S)
     stack a (K,) array, each row with the bits of its one-density call.
     """
-    r = rho.values if isinstance(rho, Density) else np.asarray(rho, float)
+    r = np.asarray(rho, float)
     Lr = chain.apply_generator(r)
     Lf = chain.apply_generator(e.d1(r))
     out = np.add.reduce(chain.pi * (Lf * Lr + e.d2(r) * Lr * Lr), axis=-1)

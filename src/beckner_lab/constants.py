@@ -208,7 +208,7 @@ def quotient_value(chain: FiniteChain, kind: str, alpha: float | None,
     """
     if kind == "beckner":
         check_alpha(alpha)
-    rho = np.asarray(rho.values if isinstance(rho, Density) else rho, float)
+    rho = np.asarray(rho, float)
     S = chain.n_states
     if rho.ndim not in (1, 2) or rho.shape[-1] != S:
         raise DomainError(f"rho must be one row or a (K, {S}) stack of "

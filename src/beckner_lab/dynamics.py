@@ -73,8 +73,10 @@ def evolve(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a nonempty 1-D sequence")
-    if np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be nonnegative and strictly increasing")
+    if not (np.all(np.isfinite(times)) and np.all(times >= 0.0)
+            and np.all(np.diff(times) > 0.0)):
+        raise DomainError("times must be finite, nonnegative and strictly "
+                          "increasing")
     if abs(float(chain.pi @ rho0.values) - 1.0) > 1e-9:
         raise DomainError("rho0 must have pi-mean one (see normalize_density)")
     w, U, d = chain.symmetrized_spectrum()
@@ -150,12 +152,11 @@ def derivative_identity_check(chain: FiniteChain, e: ConvexEntropy,
 @dataclass(frozen=True)
 class DecayFit:
     rate: float                      # infimum of the instantaneous rate
-    slope: float                     # least-squares slope of log Ent
     diagnostics: dict
 
 
 def fit_decay_rate(traj: Trajectory) -> DecayFit:
-    """Infimum of -(d/dt) log Ent by central differences, plus LSQ slope.
+    """Infimum of -(d/dt) log Ent by central differences.
 
     Entropy samples below 1e-14 (converged to equilibrium) are excluded;
     the fit window is the longest contiguous run of the others, and one of
@@ -166,7 +167,7 @@ def fit_decay_rate(traj: Trajectory) -> DecayFit:
     t = traj.times
     ent = traj.entropy_values
     if np.all(ent <= ENTROPY_FLOOR):
-        return DecayFit(rate=math.inf, slope=math.inf,
+        return DecayFit(rate=math.inf,
                         diagnostics={"degenerate": True, "n_points": 0,
                                      "window_used": (float(t[0]), float(t[0])),
                                      "argmin_time": float(t[0])})
@@ -177,13 +178,10 @@ def fit_decay_rate(traj: Trajectory) -> DecayFit:
         raise DomainError("window holds fewer than 3 contiguous samples "
                           "above the entropy floor")
     tt = t[idx]
-    le = np.log(ent[idx])
     inst = traj.instantaneous_rate()[idx[1:-1]]
     k = int(np.argmin(inst))
-    slope = -float(np.polyfit(tt, le, 1)[0])
     return DecayFit(
         rate=float(np.min(inst)),
-        slope=slope,
         diagnostics={"n_points": int(len(idx)),
                      "window_used": (float(tt[0]), float(tt[-1])),
                      "argmin_time": float(tt[k + 1])})

@@ -1,26 +1,27 @@
 """Convex entropy generators and the two-point mean-function calculus.
 
-Two entropy kinds are built in, both normalized so phi(1) = 0:
+The entropies are one family of orders a in [1, 2], each normalized so
+phi(1) = 0:
 
-* ``log``    phi(s) = s(log s - 1) + 1                 (relative entropy)
-* ``power``  phi(s) = (s^a - s)/(a - 1) - s + 1,  1 < a <= 2,
+* a = 1        phi(s) = s(log s - 1) + 1               (relative entropy)
+* 1 < a <= 2   phi(s) = (s^a - s)/(a - 1) - s + 1,
 
-where the power family interpolates pointwise between the logarithmic
+where the power orders interpolate pointwise between the logarithmic
 entropy (a -> 1) and the variance (s - 1)^2 at a = 2.  phi and phi' are
 written once, as the kernels :func:`phi_kernel` and :func:`dphi_kernel`
-of the order a (1 for log), which ``ConvexEntropy`` and the constants
-quotient both call.
+of the order, which ``ConvexEntropy`` and the constants quotient both
+call.
 
 The central object is the mean function
 
     theta(s, t) = (s - t) / (phi'(s) - phi'(t)),   theta(s, s) = 1/phi''(s),
 
-the discrete surrogate of 1/phi'' (logarithmic mean for ``log``, power
-mean for ``power``, constant 1/2 at a = 2).  Its closed-form
-partial derivatives, a joint infimum functional over scaled second
-derivatives, and sampled verifiers for the mean function's structural
-identities (Euler-type homogeneity relation, concavity, tangent bound)
-live here as well.
+the discrete surrogate of 1/phi'' (logarithmic mean at a = 1, power
+mean above, constant 1/2 at a = 2), the entropy's ``theta``.  Its
+closed-form partial derivatives, a joint infimum functional over scaled
+second derivatives, and sampled verifiers for the mean function's
+structural identities (Euler-type homogeneity relation, concavity,
+tangent bound) live here as well.
 
 All evaluation paths are written against catastrophic cancellation:
 theta is the larger argument times a bounded ratio of expm1 terms of
@@ -41,7 +42,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# entropy kinds
+# the entropies
 # ---------------------------------------------------------------------------
 
 def phi_kernel(rho, L, D, a):
@@ -68,21 +69,22 @@ def dphi_kernel(G, a, w=1.0):
 
 @dataclass(frozen=True)
 class ConvexEntropy:
-    """A smooth convex function phi with phi(1) = 0 and its derivatives.
+    """The entropy phi of order a: the log entropy at a = 1, the power
+    entropy of exponent a in (1, 2]; any other order raises
+    :class:`DomainError`.  The order is stored as a float, since the
+    kernels take their log path only at a float 1.0.
 
     ``eval``/``d1``/``d2`` accept floats or numpy arrays (strictly
     positive) and return the same shape; ``d1_inv`` inverts phi' where
     defined.
     """
 
-    kind: str                 # "log" | "power"
-    alpha: float | None = None
+    order: float
 
     def __post_init__(self):
-        if self.kind not in ("log", "power"):
-            raise DomainError(f"unknown entropy kind {self.kind!r}")
-        if self.kind == "power":
-            check_alpha(self.alpha)
+        if self.order != 1.0:
+            check_alpha(self.order)
+        object.__setattr__(self, "order", float(self.order))
 
     # -- basic derivatives ---------------------------------------------------
 
@@ -90,51 +92,73 @@ class ConvexEntropy:
         """phi(s), by :func:`phi_kernel` at L = log s."""
         s = _check_positive(s)
         L = np.log(s)
-        return phi_kernel(s, L, np.expm1(L), _order(self))
+        return phi_kernel(s, L, np.expm1(L), self.order)
 
     def d1(self, s):
         L = np.log(_check_positive(s))
-        if self.kind == "log":
-            return dphi_kernel(L, 1.0)
-        return dphi_kernel(np.expm1((self.alpha - 1.0) * L), self.alpha)
+        a = self.order
+        return dphi_kernel(L if a == 1.0 else np.expm1((a - 1.0) * L), a)
 
     def d2(self, s):
         s = _check_positive(s)
-        if self.kind == "log":
-            return 1.0 / s
-        a = self.alpha
-        return a * s ** (a - 2.0)
+        a = self.order
+        return 1.0 / s if a == 1.0 else a * s ** (a - 2.0)
 
     def d1_inv(self, y):
         """Inverse of phi' (domain-checked)."""
         y = np.asarray(y, dtype=float)
-        if self.kind == "log":
+        a = self.order
+        if a == 1.0:
             return np.exp(y)
-        a = self.alpha
         base = 1.0 + (a - 1.0) * y / a
         if np.any(base <= 0.0):
             raise DomainError("value outside the range of phi' on (0, inf)")
         return base ** (1.0 / (a - 1.0))
 
+    # -- the mean function ---------------------------------------------------
+
+    def theta(self, s, t):
+        """theta(s, t) = (s - t)/(phi'(s) - phi'(t)), theta(s, s) =
+        1/phi''(s), the symmetric positive mean.
+
+        With M and m the larger and smaller argument and L = log(M/m),
+        theta = M^{2-a} cr_a(L)/a (:func:`_power_ratio`): both argument
+        orders run the same operations, so theta is symmetric bit for
+        bit, and it is accurate for every positive pair.
+        """
+        a = self.order
+        M, L = _ordered_log(_check_positive(s), _check_positive(t))
+        with np.errstate(invalid="ignore"):        # 0/0 at L = 0
+            cr = _power_ratio(a, L)
+        out = np.where(L > 0.0, cr, 1.0) * M ** (2.0 - a) / a
+        return out if out.ndim else float(out)
+
+    def theta_partials(self, s, t):
+        """(d theta/ds, d theta/dt), closed forms, cancellation-safe.
+
+        Both are nonnegative whenever phi''' <= 0.
+        """
+        return (_theta_partial1(self.order, s, t),
+                _theta_partial1(self.order, t, s))    # symmetry of theta
+
 
 def log_entropy() -> ConvexEntropy:
-    return ConvexEntropy("log")
+    return ConvexEntropy(1.0)
 
 
 def power_entropy(alpha: float) -> ConvexEntropy:
-    return ConvexEntropy("power", float(alpha))
+    check_alpha(alpha)
+    return ConvexEntropy(alpha)
 
 
 def check_alpha(alpha) -> None:
     """Raise :class:`DomainError` unless alpha is a number in (1, 2]."""
-    if alpha is None or not 1.0 < alpha <= 2.0:
+    try:
+        ok = 1.0 < alpha <= 2.0
+    except TypeError:                   # None, a string, ...
+        ok = False
+    if not ok:
         raise DomainError("alpha must lie in (1, 2]")
-
-
-def _order(entropy: ConvexEntropy) -> float:
-    """The power-family order a of phi: alpha, and 1 for log (the a -> 1
-    limit)."""
-    return 1.0 if entropy.kind == "log" else entropy.alpha
 
 
 def _check_positive(s):
@@ -145,39 +169,8 @@ def _check_positive(s):
 
 
 # ---------------------------------------------------------------------------
-# the mean function theta and its partial derivatives
+# the kernels of theta and of its partial derivatives
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeanFunction:
-    """theta(s, t) = (s - t)/(phi'(s) - phi'(t)), theta(s, s) = 1/phi''(s).
-
-    With M and m the larger and smaller argument and L = log(M/m),
-    theta = M^{2-a} cr_a(L)/a (:func:`_power_ratio`), a the order of the
-    entropy: both argument orders run the same operations, so theta is
-    symmetric bit for bit, and it is accurate for every positive pair.
-    """
-
-    entropy: ConvexEntropy
-
-    def theta(self, s, t):
-        """The symmetric positive mean theta(s, t)."""
-        a = _order(self.entropy)
-        M, L = _ordered_log(_check_positive(s), _check_positive(t))
-        with np.errstate(invalid="ignore"):        # 0/0 at L = 0
-            cr = _power_ratio(a, L)
-        out = np.where(L > 0.0, cr, 1.0) * M ** (2.0 - a) / a
-        return out if out.ndim else float(out)
-
-    def partials(self, s, t):
-        """(d theta/ds, d theta/dt), closed forms, cancellation-safe.
-
-        Both are nonnegative whenever phi''' <= 0.
-        """
-        d1 = _theta_partial1(self.entropy, s, t)
-        d2 = _theta_partial1(self.entropy, t, s)   # symmetry of theta
-        return d1, d2
-
 
 def _ordered_log(s, t):
     """max(s, t) and L = log(max/min) >= 0 of positive s and t, as
@@ -203,17 +196,16 @@ def _power_ratio(a, L):
     return (a - 1.0) * np.expm1(-L) / np.expm1((1.0 - a) * L)
 
 
-def _theta_partial1(e: ConvexEntropy, s, t):
-    """d/ds of theta(s, t).
+def _theta_partial1(a: float, s, t):
+    """d/ds of theta(s, t) for the entropy of order a.
 
     With c = a - 1, L = log(t/s) and E = expm1(c L)/c (L at c = 0, the
-    log kind), it is G/(a s^c E^2), G = expm1(L) - E.  G cancels near the
+    log entropy), it is G/(a s^c E^2), G = expm1(L) - E.  G cancels near the
     diagonal: it is summed by its series once |L| <= 1e-3; above that,
     c > 0 takes it as (c expm1(L) - expm1(c L))/c, which rounds less.
     """
     s, t = np.broadcast_arrays(_check_positive(s), _check_positive(t))
     L = np.where(t < s, -1.0, 1.0) * _ordered_log(s, t)[1]
-    a = _order(e)
     c = a - 1.0
     if c == 0.0:
         E, G = L, np.expm1(L) - L
@@ -265,11 +257,11 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
 
     A and B are finite nonnegative floats or arrays, broadcast together;
     a float pair gives a float, arrays give an array of their shape.  The
-    objective is jointly 0-homogeneous for every kind, so the search
+    objective is jointly 0-homogeneous for every order, so the search
     reduces to the ray (s, t) = (e^w, 1).  If A or B vanishes the infimum
-    equals the boundary limit (a-1)(A+B), a the order of the entropy
-    (alpha; 1 for log), and is returned analytically (it is not
-    attained); at a = 2 the objective is the constant A + B.
+    equals the boundary limit (a-1)(A+B), a the order of the entropy,
+    and is returned analytically (it is not attained); at a = 2 the
+    objective is the constant A + B.
 
     The other pairs run as one lockstep golden section
     (:func:`_ray_infimum`) on the closed-form bracket [0, log(M/m)/(2-a)],
@@ -278,7 +270,7 @@ def big_theta(entropy: ConvexEntropy, A, B, max_iter: int = 200):
     gets alone, and the result is M times a ratio, so it is 1-homogeneous.
     """
     A, B = _weights(A, B)
-    a = _order(entropy)
+    a = entropy.order
     ray = (A > 0.0) & (B > 0.0)
     out = np.where(ray, A + B, (a - 1.0) * (A + B))
     out[(A == 0.0) & (B == 0.0)] = 0.0
@@ -409,12 +401,12 @@ def verify_theta_identities(alpha: float, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     r, s, t, l1, l2 = (rng.uniform(1e-2, 1e2, size=samples)
                        for _ in range(5))
-    mean = MeanFunction(power_entropy(alpha))
-    th_st = mean.theta(s, t)
-    d1, d2 = mean.partials(s, t)
+    e = power_entropy(alpha)
+    th_st = e.theta(s, t)
+    d1, d2 = e.theta_partials(s, t)
 
     res_i = np.abs(s * d1 + t * d2 - (2.0 - alpha) * th_st) / th_st
-    lhs_ii = 2.0 ** (alpha - 1.0) * r * (d1 + d2) - mean.theta(r, s) - mean.theta(r, t)
+    lhs_ii = 2.0 ** (alpha - 1.0) * r * (d1 + d2) - e.theta(r, s) - e.theta(r, t)
     slack_ii = lhs_ii + 2.0 ** (alpha - 1.0) * th_st
     lhs_iii = l1 * d1 * (s - t) - l2 * d2 * (s - t)
     slack_iii = (2.0 - alpha) * np.abs(l1 - l2) * th_st - lhs_iii
@@ -448,8 +440,8 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int,
 
     Checks (a) to (c) allow a slack of 1e-9.
 
-    Y is the power mean of exponent a - 1 (a the order of the entropy:
-    alpha, 1 for log), homogeneous of degree one, and
+    Y is the power mean of exponent a - 1 (a the order of the entropy;
+    the geometric mean at a = 1), homogeneous of degree one, and
     with c = m(1-m)(2-a) Y^{3-2a}
 
         Y12 = c (st)^{a-2},  Y11 = -c s^{a-3} t^{a-1},  Y22 = -c s^{a-1} t^{a-3}.
@@ -459,21 +451,21 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int,
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    mean = MeanFunction(entropy)
+    theta = entropy.theta
     report = VerificationReport()
     tol_exact = 1e-9
 
     # (a) midpoint concavity
     s1, t1, s2, t2 = (rng.uniform(1e-2, 1e2, size=samples) for _ in range(4))
-    mid = mean.theta(0.5 * (s1 + s2), 0.5 * (t1 + t2))
-    slack = mid - 0.5 * (mean.theta(s1, t1) + mean.theta(s2, t2))
+    mid = theta(0.5 * (s1 + s2), 0.5 * (t1 + t2))
+    slack = mid - 0.5 * (theta(s1, t1) + theta(s2, t2))
     report.add(_worst("midpoint_concavity", slack, tol_exact,
                       s1=s1, t1=t1, s2=s2, t2=t2))
 
     # (b) tangent inequality
     u, v, s, t = (rng.uniform(1e-2, 1e2, size=samples) for _ in range(4))
-    d1, d2 = mean.partials(s, t)
-    slack_b = d1 * (u - s) + d2 * (v - t) - (mean.theta(u, v) - mean.theta(s, t))
+    d1, d2 = entropy.theta_partials(s, t)
+    slack_b = d1 * (u - s) + d2 * (v - t) - (theta(u, v) - theta(s, t))
     report.add(_worst("tangent_inequality", slack_b, tol_exact,
                       u=u, v=v, s=s, t=t))
 
@@ -484,7 +476,7 @@ def verify_concavity(entropy: ConvexEntropy, m_grid, samples: int,
     m = np.asarray(m_grid, dtype=float)[:, None]
     if np.any((m <= 0.0) | (m >= 1.0)):
         raise DomainError("m_grid values must lie in (0, 1)")
-    a = _order(entropy)
+    a = entropy.order
     Y0 = _interpolant_Y(entropy, s, t, m)
     c = m * (1.0 - m) * (2.0 - a) * Y0 ** (3.0 - 2.0 * a)
     Y12 = c * (s * t) ** (a - 2.0)

@@ -146,6 +146,14 @@ def _rate_table(c_x, L: int, N: int) -> np.ndarray:
     return arr
 
 
+def _site_pairs(L: int):
+    """The moves x -> y, x != y, of L sites: pairs, names and reverses."""
+    pairs = [(x, y) for x in range(L) for y in range(L) if x != y]
+    index = {p: m for m, p in enumerate(pairs)}
+    return pairs, [f"{x}->{y}" for x, y in pairs], np.array(
+        [index[y, x] for x, y in pairs], dtype=np.intp)
+
+
 def build_zero_range(L: int, N: int, c_x) -> FiniteChain:
     """Zero-range process: particle hops x -> y at rate c_x(eta_x)/L.
 
@@ -163,8 +171,7 @@ def build_zero_range(L: int, N: int, c_x) -> FiniteChain:
     keys = list(_occupations(L, N))
     idx = {k: i for i, k in enumerate(keys)}
     occ = np.array(keys, dtype=np.intp)
-    names = [f"{x}->{y}" for x in range(L) for y in range(L) if x != y]
-    pairs = [(x, y) for x in range(L) for y in range(L) if x != y]
+    pairs, names, inverse = _site_pairs(L)
 
     targets = np.empty((len(pairs), n_states), dtype=np.intp)
     rates = np.zeros((n_states, len(pairs)))
@@ -178,7 +185,6 @@ def build_zero_range(L: int, N: int, c_x) -> FiniteChain:
             else:
                 targets[m, i] = i
             rates[i, m] = table[x, k[x]] / L
-    inverse = np.array([pairs.index((y, x)) for (x, y) in pairs], dtype=np.intp)
 
     log_w = np.zeros(n_states)
     log_c = np.zeros_like(table)
@@ -227,8 +233,7 @@ def build_bernoulli_laplace(L: int, N: int, lambda_x) -> FiniteChain:
     for i, c in enumerate(combos):
         occ[i, list(c)] = 1
 
-    names = [f"{x}->{y}" for x in range(L) for y in range(L) if x != y]
-    pairs = [(x, y) for x in range(L) for y in range(L) if x != y]
+    pairs, names, inverse = _site_pairs(L)
     targets = np.empty((len(pairs), n_states), dtype=np.intp)
     rates = np.zeros((n_states, len(pairs)))
     for m, (x, y) in enumerate(pairs):
@@ -238,7 +243,6 @@ def build_bernoulli_laplace(L: int, N: int, lambda_x) -> FiniteChain:
                 rates[i, m] = lam[x] / L
             else:
                 targets[m, i] = i
-    inverse = np.array([pairs.index((y, x)) for (x, y) in pairs], dtype=np.intp)
 
     log_site = occ * np.log(1.0 / (1.0 + lam)) \
         + (1 - occ) * np.log(lam / (1.0 + lam))

@@ -41,7 +41,7 @@ def double_sum_oracle(chain, bs, chi, psi, beta):
 def _theta_table(e, rho):
     """The (S, S) table of theta(rho(x), rho(y)) for the oracle."""
     r = rho.values
-    return np.asarray(bl.MeanFunction(e).theta(r[:, None], r[None, :]))
+    return np.asarray(e.theta(r[:, None], r[None, :]))
 
 
 def dense_r(chain):
@@ -439,6 +439,31 @@ class TestStackedChecks:
                     chain, bs, bl.Density(r), e, seed=7 + k)
                 assert (lhs[k], rhs[k]) == bl.proposition_sides(
                     chain, bs, e, bl.Density(r))
+
+    @pytest.mark.parametrize("order", [1.0, 1.5, 2.0])
+    def test_a_density_gives_the_bits_of_its_values(self, acceptance, order):
+        # a Density converts itself, so each functional that takes one
+        # density gives it the bits of its values
+        from beckner_lab.chain import entropy_second_derivative
+        from beckner_lab.constants import quotient_value
+        e = bl.ConvexEntropy(order)
+        kind, alpha = ("mlsi", None) if order == 1.0 else ("beckner", order)
+        for chain, bs in acceptance:
+            rho, chi, psi = _draws(chain, 5, k=2)
+            d = bl.Density(rho[1])
+            v = d.values
+            assert bl.entropy(chain, e, d) == bl.entropy(chain, e, v)
+            assert entropy_second_derivative(chain, e, d) == \
+                entropy_second_derivative(chain, e, v)
+            got = bl.bochner_identity_check(chain, bs, chi[1], psi[1], d, e)
+            want = bl.bochner_identity_check(chain, bs, chi[1], psi[1], v, e)
+            assert (got.gap, got.scale) == (want.gap, want.scale)
+            assert bl.identity_3id_check(chain, bs, d, e, seed=3) == \
+                bl.identity_3id_check(chain, bs, v, e, seed=3)
+            assert bl.proposition_sides(chain, bs, e, d) == \
+                bl.proposition_sides(chain, bs, e, v)
+            assert quotient_value(chain, kind, alpha, d) == \
+                quotient_value(chain, kind, alpha, v)
 
     def test_empty_support_rows(self, acceptance):
         chain, bs = acceptance[3]

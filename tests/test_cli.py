@@ -135,6 +135,23 @@ class TestCommands:
             outs.append((d / "trajectory_alpha1_5.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_decay_at_a_tiny_horizon_fails_cleanly(self, tmp_path):
+        # at t_end = 1e-200 the entropy does not move: the fit reads a
+        # zero rate and the verdict is an ordinary FAIL.  A subprocess
+        # sees what LAPACK itself prints on stdout.
+        import beckner_lab
+        src = os.path.dirname(os.path.dirname(beckner_lab.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "beckner_lab.cli", "decay", "--model",
+             "zero_range", "--L", "3", "--N", "3", "--t-end", "1e-200",
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert done.returncode == 1
+        for stream in (done.stdout, done.stderr):
+            assert "Traceback" not in stream and "DLASCL" not in stream
+        assert "FAIL (fitted -0)" in done.stdout
+
     def test_theta_surface_figure_grid(self, tmp_path):
         status = main(["theta-surface", "--alpha", "1.8", "--grid", "0:3:0.5",
                        "--out", str(tmp_path)])

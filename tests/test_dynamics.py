@@ -82,6 +82,9 @@ class TestEvolve:
             bl.evolve(rt3, bl.log_entropy(), rho0, [0.0, 0.0])
         with pytest.raises(DomainError):
             bl.evolve(rt3, bl.log_entropy(), rho0, [-1.0, 1.0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="times must be finite"):
+                bl.evolve(rt3, bl.log_entropy(), rho0, [0.0, bad])
 
     def test_unnormalized_start_rejected(self, rt3):
         # propagation pins the mass at one, so a start off it is an error
@@ -170,7 +173,6 @@ class TestFitDecay:
                          np.linspace(0.0, 1.0, 101))
         fit = bl.fit_decay_rate(traj)
         assert fit.rate == pytest.approx(2.0 * 2.0, rel=1e-9)
-        assert fit.slope == pytest.approx(4.0, rel=1e-9)
 
     def test_transposition_walk_bound(self, rt4):
         rng = np.random.default_rng(7)

@@ -1,4 +1,4 @@
-"""Entropy kinds, the mean function, its partials, and the infimum map."""
+"""Entropy orders, the mean function, its partials, and the infimum map."""
 
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -77,7 +77,7 @@ def reference_ray_infimum(a, A, B, max_iter=200):
 
 def reference_big_theta(entropy, A, B):
     """``reference_ray_infimum`` per pair of positive weights."""
-    a = 1.0 if entropy.kind == "log" else entropy.alpha
+    a = entropy.order
     return np.array([reference_ray_infimum(a, x, y)[0]
                      for x, y in zip(A, B)])
 
@@ -85,7 +85,7 @@ def reference_big_theta(entropy, A, B):
 def decimal_big_theta(a, A, B, digits=40):
     """Independent oracle: a golden section in ``digits``-digit decimal
     arithmetic on the ray objective c (e^w - 1)/(e^{cw} - 1) (A e^{(a-2)w}
-    + B), c = a - 1 ((e^w - 1)/w (A e^{-w} + B) at a = 1, the log kind),
+    + B), c = a - 1 ((e^w - 1)/w (A e^{-w} + B) at a = 1, the log entropy),
     between 0 and log(A/B)/(2 - a), until the bracket is 1e-16 relative
     wide; the exponent range is unbounded, so nothing overflows."""
     with localcontext() as ctx:
@@ -140,7 +140,8 @@ def decimal_theta(a, s, t, partial=False, digits=60):
 
 
 def entropy_of_order(a):
-    """The entropy of order a: the log kind at a = 1, else the power kind."""
+    """The entropy of order a by its named constructor: ``log_entropy()``
+    at a = 1, else ``power_entropy(a)``."""
     return bl.log_entropy() if a == 1.0 else bl.power_entropy(a)
 
 
@@ -165,6 +166,87 @@ def fv_cells(n):
     A, B = a[:-1] - a[1:], b[1:] - b[:-1]
     cells = (a[:-1] > 0.0) & (A > 0.0) & (B > 0.0)
     return A[cells], B[cells]
+
+
+def same_bits(got, want):
+    """got and want hold the same float bits in the same shape."""
+    return (np.shape(got) == np.shape(want)
+            and np.asarray(got, float).tobytes()
+            == np.asarray(want, float).tobytes())
+
+
+# points from far below to far above one, near one, and a pair on the
+# diagonal, with their partners in both orders
+ORDER_S = np.array([1e-3, 0.3, 1.0, 1.0 + 1e-9, 1.0 + 1e-4, 2.5, 7e5, 4.0])
+ORDER_T = np.array([2.0, 0.3 + 1e-12, 5.0, 1.0, 1.0, 0.1, 3.0, 4.0])
+
+
+class TestOrder:
+    """An entropy is its order: order 1 runs the log entropy's operations,
+    an int order the float order's, and any other order is refused."""
+
+    @pytest.mark.parametrize("order", [1.0, 1])
+    def test_order_one_is_the_log_entropy(self, order):
+        e = bl.ConvexEntropy(order)
+        assert e == bl.log_entropy() and e.order == 1.0
+        pts = [(ORDER_S, ORDER_T)] + list(zip(ORDER_S.tolist(),
+                                              ORDER_T.tolist()))
+        for s, t in pts:
+            L = np.log(s)
+            assert same_bits(e.eval(s), s * L - np.expm1(L)), s
+            assert same_bits(e.d1(s), L), s
+            assert same_bits(e.d2(s), 1.0 / np.asarray(s)), s
+            assert same_bits(e.d1_inv(L), np.exp(L)), s
+            # theta = M (1 - e^{-L})/L, L = log(M/m), and 1/phi'' = s on
+            # the diagonal
+            M, m = np.maximum(s, t), np.minimum(s, t)
+            Lm = np.log1p((M - m) / m)
+            with np.errstate(invalid="ignore"):
+                want = np.where(Lm > 0.0, -np.expm1(-Lm) / Lm, 1.0) * M
+            assert same_bits(e.theta(s, t), want), (s, t)
+            # d theta/ds = (expm1(L) - L)/L^2 at L = log(t/s), its series
+            # sum_{k>=2} L^k/k! near the diagonal, and 1/2 on it
+            for u, v, d in zip((s, t), (t, s), e.theta_partials(s, t)):
+                Lt = np.where(v < u, -1.0, 1.0) * np.log1p(
+                    (np.maximum(u, v) - np.minimum(u, v))
+                    / np.minimum(u, v))
+                acc = 0.0
+                for k in range(9, 1, -1):
+                    acc = 1.0 / math.factorial(k) + Lt * acc
+                G = np.where(np.abs(Lt) <= 1e-3, acc * Lt * Lt,
+                             np.expm1(Lt) - Lt)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    want = np.where(Lt == 0.0, 0.5, G / Lt ** 2)
+                assert same_bits(d, want if np.ndim(d) else float(want))
+        A = np.array([0.0, 1.0, 3.0, 1e-6, 2.0])
+        B = np.array([0.0, 0.0, 0.25, 1.0, 2.0])
+        ref = [0.0, 0.0] + [reference_ray_infimum(1.0, x, y)[0]
+                            for x, y in zip(A[2:], B[2:])]
+        assert same_bits(bl.big_theta(e, A, B), ref)
+        assert all(same_bits(bl.big_theta(e, x, y), r)
+                   for x, y, r in zip(A.tolist(), B.tolist(), ref))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_int_order_gives_the_float_bits(self, order):
+        e, f = bl.ConvexEntropy(order), bl.ConvexEntropy(float(order))
+        assert type(e.order) is float and e == f
+        pts = [(ORDER_S, ORDER_T)] + list(zip(ORDER_S.tolist(),
+                                              ORDER_T.tolist()))
+        for s, t in pts:
+            for name in ("eval", "d1", "d2"):
+                assert same_bits(getattr(e, name)(s), getattr(f, name)(s))
+            assert same_bits(e.d1_inv(f.d1(s)), f.d1_inv(f.d1(s)))
+            assert same_bits(e.theta(s, t), f.theta(s, t))
+            for got, want in zip(e.theta_partials(s, t),
+                                 f.theta_partials(s, t)):
+                assert same_bits(got, want)
+            assert same_bits(bl.big_theta(e, s, t), bl.big_theta(f, s, t))
+
+    @pytest.mark.parametrize("bad", [0.5, 2.5, math.nan, "x", None,
+                                     math.inf, 1.0 - 1e-16])
+    def test_other_orders_are_refused(self, bad):
+        with pytest.raises(DomainError):
+            bl.ConvexEntropy(bad)
 
 
 class TestPhi:
@@ -195,9 +277,9 @@ class TestPhi:
             with localcontext() as ctx:
                 ctx.prec = 60
                 S = Decimal(s)
-                if e.kind == "log":
+                if e.order == 1.0:
                     return float(S * S.ln() - (S - 1))
-                a = Decimal(e.alpha)
+                a = Decimal(e.order)
                 return float(((a * S.ln()).exp() - 1 - a * (S - 1)) / (a - 1))
 
         kinds = (bl.power_entropy(1.2), bl.power_entropy(1.5),
@@ -240,17 +322,16 @@ class TestPhi:
 
 class TestTheta:
     def test_closed_form_values(self):
-        m2 = bl.MeanFunction(bl.power_entropy(2.0))
-        assert m2.theta(7.0, 2.0) == pytest.approx(0.5, abs=1e-15)
-        m15 = bl.MeanFunction(bl.power_entropy(1.5))
-        assert m15.theta(4.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-        mlog = bl.MeanFunction(bl.log_entropy())
-        assert mlog.theta(math.e, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+        e2 = bl.power_entropy(2.0)
+        assert e2.theta(7.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+        e15 = bl.power_entropy(1.5)
+        assert e15.theta(4.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        elog = bl.log_entropy()
+        assert elog.theta(math.e, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_near_diagonal_matches_curvature(self):
         e = bl.power_entropy(1.3)
-        m = bl.MeanFunction(e)
-        got = m.theta(0.7, 0.7 + 1e-14)
+        got = e.theta(0.7, 0.7 + 1e-14)
         assert got == pytest.approx(1.0 / e.d2(0.7), rel=1e-8)
 
     def test_symmetry_and_diagonal(self):
@@ -258,11 +339,10 @@ class TestTheta:
         s = rng.uniform(1e-2, 1e2, 500)
         t = rng.uniform(1e-2, 1e2, 500)
         for e in (bl.log_entropy(), bl.power_entropy(1.4), bl.power_entropy(1.9)):
-            m = bl.MeanFunction(e)
-            a = np.asarray(m.theta(s, t))
-            b = np.asarray(m.theta(t, s))
+            a = np.asarray(e.theta(s, t))
+            b = np.asarray(e.theta(t, s))
             assert np.max(np.abs(a - b) / a) <= 1e-12
-            d = np.asarray(m.theta(s, s))
+            d = np.asarray(e.theta(s, s))
             assert np.max(np.abs(d - 1.0 / e.d2(s)) / d) <= 1e-10
 
     def test_power_homogeneity(self):
@@ -270,13 +350,13 @@ class TestTheta:
         s = rng.uniform(0.1, 10.0, 200)
         t = rng.uniform(0.1, 10.0, 200)
         for alpha in (1.2, 1.5, 1.8):
-            m = bl.MeanFunction(bl.power_entropy(alpha))
+            e = bl.power_entropy(alpha)
             for lam in (1e-2, 0.1, 10.0, 1e2):
-                lhs = np.asarray(m.theta(lam * s, lam * t))
-                rhs = lam ** (2.0 - alpha) * np.asarray(m.theta(s, t))
+                lhs = np.asarray(e.theta(lam * s, lam * t))
+                rhs = lam ** (2.0 - alpha) * np.asarray(e.theta(s, t))
                 assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-10
-                d1l, d2l = m.partials(lam * s, lam * t)
-                d1, d2 = m.partials(s, t)
+                d1l, d2l = e.theta_partials(lam * s, lam * t)
+                d1, d2 = e.theta_partials(s, t)
                 sc = lam ** (1.0 - alpha)
                 assert np.max(np.abs(np.asarray(d1l) - sc * np.asarray(d1))
                               / (np.abs(sc * np.asarray(d1)) + 1e-30)) <= 1e-10
@@ -284,9 +364,9 @@ class TestTheta:
                               / (np.abs(sc * np.asarray(d2)) + 1e-30)) <= 1e-10
 
     def test_domain_error(self):
-        m = bl.MeanFunction(bl.log_entropy())
+        e = bl.log_entropy()
         with pytest.raises(DomainError):
-            m.theta(-1.0, 2.0)
+            e.theta(-1.0, 2.0)
 
 
 def theta_pairs(max_exp):
@@ -314,26 +394,26 @@ class TestThetaOracle:
 
     @pytest.mark.parametrize("a", [1.0, 1.001, 1.01, 1.5, 1.9, 1.9999])
     def test_theta(self, a):
-        m = bl.MeanFunction(entropy_of_order(a))
+        e = entropy_of_order(a)
         s, t = theta_pairs(300)
-        got = m.theta(s, t)
+        got = e.theta(s, t)
         half = [decimal_theta(a, x, y) for x, y in zip(s, t[:len(s) // 2])]
         want = np.array(half + half)        # the second half is swapped
         rel = np.abs(got - want) / want
         assert rel.max() <= 1e-14, (s[np.argmax(rel)], t[np.argmax(rel)])
-        assert np.array_equal(got, m.theta(t, s))
-        assert all(m.theta(x, y) == m.theta(y, x) for x, y in zip(s, t))
+        assert np.array_equal(got, e.theta(t, s))
+        assert all(e.theta(x, y) == e.theta(y, x) for x, y in zip(s, t))
 
     # near alpha = 2 the error is set by the 1e-3 series switch
     @pytest.mark.parametrize("a,tol", [
         (1.0, 1e-12), (1.001, 1e-12), (1.01, 1e-12), (1.5, 1e-12),
         (1.9, 4e-12), (1.9999, 3e-9)])
     def test_partials(self, a, tol):
-        m = bl.MeanFunction(entropy_of_order(a))
+        e = entropy_of_order(a)
         s, t = theta_pairs(150)
-        d1, d2 = m.partials(s, t)
+        d1, d2 = e.theta_partials(s, t)
         assert np.all(np.isfinite(d1))
-        assert np.array_equal(d2, m.partials(t, s)[0])
+        assert np.array_equal(d2, e.theta_partials(t, s)[0])
         want = np.array([decimal_theta(a, x, y, partial=True)
                          for x, y in zip(s, t)])
         rel = np.abs(d1 - want) / np.abs(want)
@@ -342,52 +422,51 @@ class TestThetaOracle:
 
 class TestThetaPartials:
     def test_quadratic_is_constant(self):
-        m = bl.MeanFunction(bl.power_entropy(2.0))
-        d1, d2 = m.partials(5.0, 0.3)
+        e = bl.power_entropy(2.0)
+        d1, d2 = e.theta_partials(5.0, 0.3)
         assert d1 == 0.0 and d2 == 0.0
 
     def test_finite_difference_oracle(self):
-        m = bl.MeanFunction(bl.power_entropy(1.5))
+        e = bl.power_entropy(1.5)
         h = 1e-6
-        d1, d2 = m.partials(2.0, 1.0)
-        fd1 = (m.theta(2.0 + h, 1.0) - m.theta(2.0 - h, 1.0)) / (2 * h)
-        fd2 = (m.theta(2.0, 1.0 + h) - m.theta(2.0, 1.0 - h)) / (2 * h)
+        d1, d2 = e.theta_partials(2.0, 1.0)
+        fd1 = (e.theta(2.0 + h, 1.0) - e.theta(2.0 - h, 1.0)) / (2 * h)
+        fd2 = (e.theta(2.0, 1.0 + h) - e.theta(2.0, 1.0 - h)) / (2 * h)
         assert abs(d1 - fd1) <= 1e-6
         assert abs(d2 - fd2) <= 1e-6
 
     def test_second_order_convergence(self):
-        m = bl.MeanFunction(bl.log_entropy())
-        d1, _ = m.partials(2.0, 1.0)
+        e = bl.log_entropy()
+        d1, _ = e.theta_partials(2.0, 1.0)
 
         def resid(h):
-            fd = (m.theta(2.0 + h, 1.0) - m.theta(2.0 - h, 1.0)) / (2 * h)
+            fd = (e.theta(2.0 + h, 1.0) - e.theta(2.0 - h, 1.0)) / (2 * h)
             return abs(fd - d1)
 
         r1, r2 = resid(1e-3), resid(5e-4)
         assert r1 / r2 == pytest.approx(4.0, rel=0.2)
 
     def test_scaling_example(self):
-        m = bl.MeanFunction(bl.power_entropy(1.5))
-        d1, _ = m.partials(2.0, 1.0)
-        d1s, _ = m.partials(8.0, 4.0)
+        e = bl.power_entropy(1.5)
+        d1, _ = e.theta_partials(2.0, 1.0)
+        d1s, _ = e.theta_partials(8.0, 4.0)
         assert d1s == pytest.approx(4.0 ** (1.0 - 1.5) * d1, rel=1e-12)
 
     def test_symmetry_relation(self):
         rng = np.random.default_rng(2)
-        m = bl.MeanFunction(bl.power_entropy(1.7))
+        e = bl.power_entropy(1.7)
         s = rng.uniform(0.1, 10, 100)
         t = rng.uniform(0.1, 10, 100)
-        d1, d2 = m.partials(s, t)
-        d1r, _ = m.partials(t, s)
+        d1, d2 = e.theta_partials(s, t)
+        d1r, _ = e.theta_partials(t, s)
         assert np.allclose(np.asarray(d2), np.asarray(d1r), rtol=0, atol=0)
 
     def test_nonnegative_when_phi3_nonpositive(self):
         rng = np.random.default_rng(3)
         for e in (bl.log_entropy(), bl.power_entropy(1.3)):
-            m = bl.MeanFunction(e)
             s = rng.uniform(1e-2, 1e2, 300)
             t = rng.uniform(1e-2, 1e2, 300)
-            d1, d2 = m.partials(s, t)
+            d1, d2 = e.theta_partials(s, t)
             assert np.all(np.asarray(d1) >= 0.0)
             assert np.all(np.asarray(d2) >= 0.0)
 
@@ -674,8 +753,8 @@ class TestIdentityVerifiers:
         assert rep.passed
 
     def test_equal_arguments_trivial(self):
-        m = bl.MeanFunction(bl.power_entropy(1.5))
-        d1, d2 = m.partials(3.0, 3.0)
+        e = bl.power_entropy(1.5)
+        d1, d2 = e.theta_partials(3.0, 3.0)
         lhs = 2.0 * d1 * (3.0 - 3.0) - 1.0 * d2 * (3.0 - 3.0)
         assert lhs == 0.0
 
@@ -700,10 +779,10 @@ class TestIdentityVerifiers:
         assert rep.passed
 
     def test_tangent_equality_at_base_point(self):
-        m = bl.MeanFunction(bl.log_entropy())
+        e = bl.log_entropy()
         s, t = 2.0, 2.0
-        d1, d2 = m.partials(s, t)
-        lhs = m.theta(s, t) - m.theta(s, t)
+        d1, d2 = e.theta_partials(s, t)
+        lhs = e.theta(s, t) - e.theta(s, t)
         rhs = d1 * 0.0 + d2 * 0.0
         assert lhs == rhs == 0.0
 

@@ -12,7 +12,7 @@ EXPORTED = [
     "BecknerLabError", "BochnerStructure", "CapabilityError", "ConfigError",
     "ConstantEstimate", "ConvexEntropy", "DecayFit", "DecayReport",
     "DegeneracyError", "Density", "DomainError", "FVExperiment",
-    "FiniteChain", "HypothesisError", "MeanFunction", "ModelSpec",
+    "FiniteChain", "HypothesisError", "ModelSpec",
     "NumericalError", "OptimizerOptions", "PaperConstant", "RefinementTable",
     "ReversibilityError", "SizeError", "Trajectory", "big_theta",
     "big_theta_lower_bound", "bochner_identity_check",
