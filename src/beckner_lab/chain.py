@@ -180,8 +180,9 @@ class Density:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
+    def __array__(self, dtype=None, copy=None):    # numpy < 2 passes no copy
+        v = self.values.astype(float if dtype is None else dtype, copy=False)
+        return v.copy() if copy else v
 
 
 # ---------------------------------------------------------------------------

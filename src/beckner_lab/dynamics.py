@@ -67,8 +67,8 @@ def evolve(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
     projected out before and after, and 1 is added back, so
     pi[rho_t] = 1 to rounding at every t.  Eigenvector round-off can
     therefore not leak into the stationary mode and drift the mass.
-    rho0 must have pi-mean one, as ``Density`` requires; one that is off
-    by more than 1e-9 is rejected rather than silently renormalized.
+    rho0 (a ``Density`` or a plain row) must be positive with pi-mean one;
+    one off it by more than 1e-9 is rejected, not silently renormalized.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -77,10 +77,12 @@ def evolve(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
             and np.all(np.diff(times) > 0.0)):
         raise DomainError("times must be finite, nonnegative and strictly "
                           "increasing")
-    if abs(float(chain.pi @ rho0.values) - 1.0) > 1e-9:
-        raise DomainError("rho0 must have pi-mean one (see normalize_density)")
+    rho0 = np.asarray(rho0, dtype=float)
+    if not (np.all(rho0 > 0.0) and abs(float(chain.pi @ rho0) - 1.0) <= 1e-9):
+        raise DomainError("rho0 must be strictly positive with pi-mean one "
+                          "(see normalize_density)")
     w, U, d = chain.symmetrized_spectrum()
-    y0 = d * (rho0.values - 1.0)
+    y0 = d * (rho0 - 1.0)
     y0 -= (d @ y0) * d
     dev = (np.exp(-np.outer(times, w)) * (U.T @ y0)) @ U.T    # (T, S)
     dev -= np.outer(dev @ d, d)
@@ -99,7 +101,7 @@ def evolve_rk4(chain: FiniteChain, rho0: Density, t_end: float,
     if abs(steps * dt - t_end) > 1e-12 * max(1.0, t_end):
         steps += 1
         dt = t_end / steps
-    rho = rho0.values.copy()
+    rho = np.array(rho0, dtype=float)
     L = chain.apply_generator
     for _ in range(steps):
         k1 = L(rho)

@@ -250,6 +250,21 @@ class TestDensity:
         with pytest.raises(DomainError):
             bl.normalize_density(rt3, np.zeros(rt3.n_states))
 
+    def test_array_protocol(self, rt3):
+        # np.asarray gives the read-only values themselves; a cast or an
+        # explicit copy gives a new array, with or without copy passed
+        rho = bl.normalize_density(rt3, np.arange(1.0, rt3.n_states + 1))
+        assert np.asarray(rho, float) is rho.values
+        assert rho.__array__() is rho.values
+        assert rho.__array__(float) is rho.values
+        cast = rho.__array__(np.float32)
+        assert cast.dtype == np.float32
+        assert np.array_equal(cast, rho.values.astype(np.float32))
+        copied = rho.__array__(copy=True)
+        assert copied is not rho.values and copied.flags.writeable
+        assert np.array_equal(copied, rho.values)
+        assert np.array_equal(np.array(rho), rho.values)
+
     def test_positivity_enforced(self):
         with pytest.raises(DomainError):
             bl.Density(np.array([1.0, 0.0]))

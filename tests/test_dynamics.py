@@ -86,6 +86,28 @@ class TestEvolve:
             with pytest.raises(DomainError, match="times must be finite"):
                 bl.evolve(rt3, bl.log_entropy(), rho0, [0.0, bad])
 
+    def test_a_row_gives_the_bits_of_its_density(self, acceptance_chains):
+        e = bl.power_entropy(1.5)
+        for k, chain in enumerate(acceptance_chains):
+            rho0 = bl.random_density(chain, np.random.default_rng(k), 1.0)
+            row = np.array(rho0.values)
+            one = bl.evolve(chain, e, rho0, [0.0, 0.3, 1.0])
+            two = bl.evolve(chain, e, row, [0.0, 0.3, 1.0])
+            for name in ("densities", "entropy_values", "dirichlet_values"):
+                assert np.array_equal(getattr(one, name), getattr(two, name))
+            assert np.array_equal(bl.evolve_rk4(chain, rho0, 0.01, 1e-3),
+                                  bl.evolve_rk4(chain, row, 0.01, 1e-3))
+            a = bl.run_decay(chain, e, rho0, 0.1, t_end=1.0, n_points=5)
+            b = bl.run_decay(chain, e, row, 0.1, t_end=1.0, n_points=5)
+            assert a.fit.rate == b.fit.rate and a.certified == b.certified
+
+    def test_nonpositive_start_rejected(self, rt3):
+        for bad in (0.0, -1.0, math.nan):
+            row = np.ones(rt3.n_states)
+            row[0] = bad
+            with pytest.raises(DomainError, match="strictly positive"):
+                bl.evolve(rt3, bl.log_entropy(), row, [0.0, 1.0])
+
     def test_unnormalized_start_rejected(self, rt3):
         # propagation pins the mass at one, so a start off it is an error
         with pytest.raises(DomainError):
