@@ -101,18 +101,17 @@ class TestEvolve:
             b = bl.run_decay(chain, e, row, 0.1, t_end=1.0, n_points=5)
             assert a.fit.rate == b.fit.rate and a.certified == b.certified
 
-    def test_nonpositive_start_rejected(self, rt3):
-        for bad in (0.0, -1.0, math.nan):
-            row = np.ones(rt3.n_states)
-            row[0] = bad
-            with pytest.raises(DomainError, match="strictly positive"):
-                bl.evolve(rt3, bl.log_entropy(), row, [0.0, 1.0])
-
     def test_unnormalized_start_rejected(self, rt3):
         # propagation pins the mass at one, so a start off it is an error
         with pytest.raises(DomainError):
             bl.evolve(rt3, bl.log_entropy(),
                       bl.Density(np.full(rt3.n_states, 2.0)), [0.0, 1.0])
+        # so is a plain row that is not strictly positive
+        for bad in (0.0, -1.0, math.nan):
+            row = np.ones(rt3.n_states)
+            row[0] = bad
+            with pytest.raises(DomainError, match="strictly positive"):
+                bl.evolve(rt3, bl.log_entropy(), row, [0.0, 1.0])
 
 
 class TestDerivativeIdentities:
