@@ -90,15 +90,15 @@ _KINDS = ("beckner", "mlsi", "lsi")     # a row's kind is its index here
 class _Quotient:
     """Quotients on a (K, S) stack of densities, one per row.
 
-    ``_Quotient(chain, kind, alpha)`` evaluates one quotient on every row.
-    ``_Quotient(chain, specs=[(kind, alpha), ...], block=n)`` evaluates a
-    stack of blocks: the row with id r in the descent stack evaluates
-    ``specs[r // n]``; without ``block`` all rows form one block.  Each
-    kind keeps one formula, run on every run of consecutive rows of that
-    kind as slice views; the beckner formula takes alpha as a per-row
-    column.  Terms the kinds share (log rho, rho - 1, the product with Q,
-    the log-kind entropy and its derivative, the projection) are computed
-    once for all rows.
+    ``_Quotient(chain, specs, block)`` evaluates a stack of blocks, specs
+    a list of (kind, alpha): the row with id r in the descent stack
+    evaluates ``specs[r // block]``; without ``block`` all rows form one
+    block, so ``_Quotient(chain, [(kind, alpha)])`` evaluates one quotient
+    on every row.  Each kind keeps one formula, run on every run of
+    consecutive rows of that kind as slice views; the beckner formula
+    takes alpha as a per-row column.  Terms the kinds share (log rho,
+    rho - 1, the product with Q, the log-kind entropy and its derivative,
+    the projection) are computed once for all rows.
 
     Every row gets the bits it would get in a stack of its own: products
     with Q run as one matrix-vector product per row (a single matrix
@@ -109,10 +109,8 @@ class _Quotient:
     ``entropy(chain, e, rho)`` bit for bit.
     """
 
-    def __init__(self, chain: FiniteChain, kind: str | None = None,
-                 alpha: float | None = None, *, specs=(),
-                 block: int | None = None):
-        self.specs = list(specs) or [(kind, alpha)]
+    def __init__(self, chain: FiniteChain, specs, block: int | None = None):
+        self.specs = list(specs)
         for k, _ in self.specs:
             if k not in _KINDS:
                 raise DomainError(f"unknown quotient kind {k!r}")
@@ -289,12 +287,6 @@ def _rowdot(A, B):
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
-def _where(mask):
-    """The rows where ``mask`` holds: every row as a slice (so indexing
-    gives views), or their indices."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 class _Pairs:
     """Each row's last ``_MEMORY`` curvature pairs (s, y) for the compact
     form of the L-BFGS matrix (Byrd, Nocedal & Schnabel 1994):
@@ -304,7 +296,7 @@ class _Pairs:
     of the newest pair.  Pairs sit in a ring of slots; R^{-1}, Y Y^T and D
     are kept in slot order and bordered as a pair arrives, and dropping
     the oldest pair clears its slot, so no round refactors a matrix.
-    ``rows`` below select rows by index or by slice.
+    Directions cover the whole stack; a new pair goes to the rows of a mask.
     """
 
     def __init__(self, K: int, n: int):
@@ -319,29 +311,26 @@ class _Pairs:
         self.W, self.Ri, self.YY, self.sy, self.count = (
             x[keep] for x in (self.W, self.Ri, self.YY, self.sy, self.count))
 
-    def add(self, rows, s, y, sy):
-        """Store pair (s[j], y[j]), s.y = sy[j], in the j-th row of
-        ``rows``."""
+    def add(self, keep, s, y, sy):
+        """Store pair (s[k], y[k]), s.y = sy[k], in each row k where
+        ``keep`` holds."""
         m, W, Ri, YY = _MEMORY, self.W, self.Ri, self.YY
-        if not len(y):
-            return
-        r = np.arange(len(W))[rows]
+        r = np.flatnonzero(keep)
+        s, y, sy = s[r], y[r], sy[r]
         o = self.count[r] % m               # the oldest slot, or a free one
         W[r, o] = W[r, m + o] = Ri[r, o] = Ri[r, :, o] = 0.0
-        b = _matvec(W[rows], y)             # S y over Y y
-        Ri[r, :, o] = -_matvec(Ri[rows], b[:, :m]) / sy[:, None]
+        b = _matvec(W[r], y)                # S y over Y y
+        Ri[r, :, o] = -_matvec(Ri[r], b[:, :m]) / sy[:, None]
         Ri[r, o, o] = 1.0 / sy
         YY[r, o] = YY[r, :, o] = b[:, m:]   # row and column o of Y Y^T
         YY[r, o, o], self.sy[r, o] = _rowdot(y, y), sy
         W[r, o], W[r, m + o] = s, y
         self.count[r] += 1
 
-    def directions(self, rows, G):
-        """-H g for the rows ``rows``, g in G (nan for a row without
-        pairs)."""
-        m, W, Ri = _MEMORY, self.W[rows], self.Ri[rows]
-        YY, sy = self.YY[rows], self.sy[rows]
-        k, new = np.arange(len(G)), (self.count[rows] - 1) % m
+    def directions(self, G):
+        """-H g for each row g of G (nan for a row without pairs)."""
+        m, W, Ri, YY, sy = _MEMORY, self.W, self.Ri, self.YY, self.sy
+        k, new = np.arange(len(G)), (self.count - 1) % m
         gamma = (sy[k, new] / YY[k, new, new])[:, None]
         q = _matvec(W, G)                   # S g over Y g
         t = _matvec(Ri, q[:, :m])
@@ -369,10 +358,17 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
     interpolating quadratic, clamped to [0.1, 0.5] of the step.  Without
     pairs a row steps along -g, first scaled by 1/max(1, |g|_inf); a
     quasi-Newton direction starts at unit step and gives way to -g if it
-    does not descend.  The evaluator sees each trial stack with its rows'
-    ids, so a stacked quotient evaluates every row with its own kind and
-    alpha.  The state arrays hold the running rows only: a row's results
-    are written out when it stops, and its state is dropped.
+    does not descend.  Every running row goes through every test of a
+    round: ``fresh`` marks the rows starting an iteration (every row at
+    first, then those whose trial was accepted) and masks the stopping
+    tests, the stall anchor and the new direction, g.d and step, so a row
+    in its line search keeps its direction and step (the direction
+    computed for it is thrown away); the trial is merged by the acceptance
+    mask.  Masks select exact values, so no row's bits depend on another.
+    The evaluator sees each trial stack with its rows' ids, so a stacked
+    quotient evaluates every row with its own kind and alpha.  The state
+    arrays hold the running rows only: a row's results are written out
+    when it stops, and its state is dropped.
 
     Statuses, in order of precedence: "gradient" (gradient test met),
     "stalled" (the predicted decrease of the line search, an accepted
@@ -401,40 +397,37 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
         D, gd, step = np.empty((K, n)), np.empty(K), np.empty(K)  # d, g.d
         its, anchor = np.zeros(K, dtype=int), val.copy()
         # the rows starting an iteration, and whether their step gained
-        # nothing; every row at first
-        top, flat, rounds = slice(None), False, 0
+        # nothing; every row starts one at first
+        fresh, flat, rounds = np.ones(K, dtype=bool), False, 0
         while True:
-            v, g, it = val[top], G[top], its[top]
-            gmax = np.abs(g).max(axis=1)
-            scale = np.fmax(1.0, np.abs(v))         # max(1, |val|)
-            check = it % 25 == 24
-            done = gmax <= gtol * scale
-            stall = flat | (check & (anchor[top] - v <= 1e-13 * scale))
-            anchor[top] = np.where(check, v, anchor[top])
-            qn = pairs.count[top] > 0
-            d = np.where(qn[:, None], pairs.directions(top, g), -g)
-            dg = _rowdot(g, d)
+            gmax = np.abs(G).max(axis=1)
+            scale = np.fmax(1.0, np.abs(val))         # max(1, |val|)
+            check = fresh & (its % 25 == 24)
+            done = fresh & (gmax <= gtol * scale)
+            stall = (fresh & flat) | (check & (anchor - val <= 1e-13 * scale))
+            anchor = np.where(check, val, anchor)
+            qn = pairs.count > 0
+            d = np.where(qn[:, None], pairs.directions(G), -G)
+            dg = _rowdot(G, d)
             bad = ~(dg < 0.0)
-            if bad.any():
-                d[bad], dg[bad] = -g[bad], -_rowdot(g[bad], g[bad])
-            D[top], gd[top] = d, dg
-            step[top] = np.where(qn, 1.0, 1.0 / np.fmax(1.0, gmax))
+            d[bad], dg[bad] = -G[bad], -_rowdot(G[bad], G[bad])
+            D, gd = np.where(fresh[:, None], d, D), np.where(fresh, dg, gd)
+            step = np.where(fresh, np.where(qn, 1.0, 1.0 / np.fmax(1.0, gmax)),
+                            step)
             # a predicted decrease below float resolution ends the row
-            stop = ~(step * np.abs(gd) >= 1e-15 * np.fmax(1.0, np.abs(val)))
-            maxed = it >= max_iter
+            stop = ~(step * np.abs(gd) >= 1e-15 * scale)
+            maxed = fresh & (its >= max_iter)
             # a row with a full memory left behind by its block's lead retires
-            dom = ((it >= _MEMORY) & ~stop[top]
-                   & (v - lead[live[top] // size] > 1e-3 * scale))
-            stop[top] |= done | stall | maxed | dom
+            dom = (fresh & (its >= _MEMORY) & ~stop
+                   & (val - lead[live // size] > 1e-3 * scale))
+            stop |= done | stall | maxed | dom
             if stop.any():
-                code = np.ones(len(live), dtype=int)    # index in STATUSES
-                code[top] = np.select((done, stall, maxed, dom), (0, 1, 2, 3),
-                                      1)
-                out, code = live[stop], code[stop]
-                value[out], rho_out[out], status[out] = (val[stop], rho[stop],
-                                                         code)
-                gnorm[out] = np.abs(G[stop]).max(axis=1)
-                trials[out], iters[out] = rounds, its[stop]
+                code = np.select((done, stall, maxed, dom), (0, 1, 2, 3), 1)
+                out = live[stop]                # code indexes STATUSES
+                value[out], rho_out[out], gnorm[out] = (val[stop], rho[stop],
+                                                        gmax[stop])
+                status[out], trials[out], iters[out] = (code[stop], rounds,
+                                                        its[stop])
                 keep = ~stop
                 live, U, val, rho, G, D, gd, step, its, anchor = (
                     x[keep] for x in (live, U, val, rho, G, D, gd, step, its,
@@ -449,20 +442,18 @@ def _descend(quot: _Quotient, U0, max_iter: int, gtol: float,
                   & np.isfinite(G_try).all(axis=1))
             ds, dy = U_try - U, G_try - G
             sy = _rowdot(ds, dy)
-            new = _where(ok & (sy > 1e-12 * np.sqrt(_rowdot(ds, ds)
-                                                    * _rowdot(dy, dy))))
-            pairs.add(new, ds[new], dy[new], sy[new])
+            pairs.add(ok & (sy > 1e-12 * np.sqrt(_rowdot(ds, ds)
+                                                 * _rowdot(dy, dy))),
+                      ds, dy, sy)
             flat = val - v <= 1e-16 * np.fmax(1.0, np.abs(val))
             # a rejected row: minimizer of the quadratic through val, gd
             # and the trial
             quad = -gd * step * step / (2.0 * (v - val - step * gd))
             step = np.fmin(np.fmax(quad, 0.1 * step), 0.5 * step)
-            top = _where(ok)
-            U[top], val[top], rho[top], G[top] = (U_try[top], v[top],
-                                                  rho_try[top], G_try[top])
-            its[top] += 1
-            np.fmin.at(lead, live[top] // size, v[top])
-            flat = flat[top]
+            U, rho, G = (np.where(ok[:, None], new, old) for new, old in
+                         ((U_try, U), (rho_try, rho), (G_try, G)))
+            val, its, fresh = np.where(ok, v, val), its + ok, ok
+            np.fmin.at(lead, live // size, np.where(ok, v, math.inf))
     return _Descent(value, rho_out, gnorm, [STATUSES[c] for c in status],
                     trials, iters)
 

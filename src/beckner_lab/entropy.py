@@ -203,19 +203,31 @@ def _theta_partial1(a: float, s, t):
     log entropy), it is G/(a s^c E^2), G = expm1(L) - E.  G cancels near the
     diagonal: it is summed by its series once |L| <= 1e-3; above that,
     c > 0 takes it as (c expm1(L) - expm1(c L))/c, which rounds less.
+    Far from the diagonal G or a s^c E^2 overflows, or the latter
+    underflows: where L > 0 and one of them is not a finite positive
+    number, e^L is factored out of G and e^{cL} out of E, G = e^L g and
+    E = e^{cL} e, and the partial is g exp((1 - 2c) L - c log s - 2 log e)/a,
+    inf only where it overflows.
     """
     s, t = np.broadcast_arrays(_check_positive(s), _check_positive(t))
     L = np.where(t < s, -1.0, 1.0) * _ordered_log(s, t)[1]
     c = a - 1.0
-    if c == 0.0:
-        E, G = L, np.expm1(L) - L
-    else:
-        em = np.expm1(c * L)
-        E, G = em / c, (c * np.expm1(L) - em) / c
-    G = np.where(np.abs(L) <= 1e-3, _series_g(L, c), G)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = G / (a * s ** c * E ** 2)
-    out = np.where(L == 0.0, (2.0 - a) * s ** -c / (2.0 * a), val)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if c == 0.0:
+            E, G = L, np.expm1(L) - L
+        else:
+            em = np.expm1(c * L)
+            E, G = em / c, (c * np.expm1(L) - em) / c
+        G = np.where(np.abs(L) <= 1e-3, _series_g(L, c), G)
+        den = a * s ** c * E ** 2
+        val = G / den
+        far = (L > 0.0) & ~(np.isfinite(G) & (den > 0.0) & (den < np.inf))
+        if np.any(far):
+            e = L if c == 0.0 else -np.expm1(-c * L) / c
+            g = -np.expm1(-L) - e * np.exp((c - 1.0) * L)
+            x = (1.0 - 2.0 * c) * L - c * np.log(s) - 2.0 * np.log(e)
+            val = np.where(far, g / a * np.exp(x), val)
+        out = np.where(L == 0.0, (2.0 - a) * s ** -c / (2.0 * a), val)
     return out if out.ndim else float(out)
 
 

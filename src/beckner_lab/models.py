@@ -139,6 +139,8 @@ def _rate_table(c_x, L: int, N: int) -> np.ndarray:
     if arr.shape != (L, N + 1):
         raise DomainError(
             f"rate table must have shape ({L}, {N + 1}) or ({N + 1},)")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("site rates c_x must be finite")
     if np.any(arr[:, 0] != 0.0):
         raise DomainError("site rates must vanish at occupancy 0")
     if N >= 1 and np.any(arr[:, 1:] <= 0.0):
@@ -222,6 +224,8 @@ def build_bernoulli_laplace(L: int, N: int, lambda_x) -> FiniteChain:
         lam = np.full(L, float(lam))
     if lam.shape != (L,) or np.any(lam <= 0.0):
         raise DomainError("intensities must be positive, one per site")
+    if not np.all(np.isfinite(lam)):
+        raise DomainError("intensities lambda_x must be finite")
     n_states = math.comb(L, N)
     if n_states > STATE_CAP:
         raise SizeError(f"{n_states} configurations exceed cap {STATE_CAP}")
@@ -558,8 +562,8 @@ def potential_from_config(cfg: dict):
 
 def linear_rate_table(L: int, N: int, c: float = 1.0) -> np.ndarray:
     """Zero-range rates c_x(n) = c n, identical across sites."""
-    if c <= 0.0:
-        raise ConfigError("linear rate coefficient must be positive")
+    if not 0.0 < c < math.inf:
+        raise ConfigError("linear rate coefficient c must be finite and > 0")
     return np.tile(c * np.arange(N + 1, dtype=float), (L, 1))
 
 

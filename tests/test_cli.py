@@ -486,6 +486,34 @@ class TestCommands:
         for out in ("flags", "doc"):
             assert not (tmp_path / out / "trajectory_alpha1_5.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_rate_parameters_are_named(self, tmp_path, capsys,
+                                                 bad):
+        # each was refused under another condition's name: a nonzero rate
+        # at occupancy 0, or a non-finite invariant measure
+        assert main(["decay", "--model", "zero_range", "--L", "3", "--N", "3",
+                     "--c", bad, "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: linear rate coefficient c must be finite and > 0\n")
+        assert not (tmp_path / "c").exists()
+        lam = "error: intensities lambda_x must be finite\n"
+        assert main(["decay", "--model", "bernoulli_laplace", "--L", "5",
+                     "--N", "2", "--lambda-x", bad,
+                     "--out", str(tmp_path / "lam")]) == 1
+        assert capsys.readouterr().err == lam
+        cfg = tmp_path / "run.json"
+        for model, want in (
+                ({"model": "bernoulli_laplace", "L": 5, "N": 2,
+                  "lambda": [1.0, float(bad), 1.0, 1.0, 1.0]}, lam),
+                ({"model": "zero_range", "L": 3, "N": 3,
+                  "rates": {"kind": "table",
+                            "values": [0.0, 1.0, float(bad), 3.0]}},
+                 "error: site rates c_x must be finite\n")):
+            cfg.write_text(json.dumps({"command": "decay", "model": model}))
+            assert main(["decay", "--config", str(cfg),
+                         "--out", str(tmp_path / "doc")]) == 1
+            assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize("command", ["verify-bochner", "decay",
                                          "constants", "export-chain"])
     def test_one_level_ladder_exits(self, tmp_path, capsys, command):

@@ -125,7 +125,7 @@ class TestBecknerConstant:
     def test_value_spread_over_converged_starts(self, rt4):
         opts = OptimizerOptions(starts=8)
         est = alone(rt4, "beckner", 1.5, opts)
-        run = _descend(_Quotient(rt4, "beckner", 1.5),
+        run = _descend(_Quotient(rt4, [("beckner", 1.5)]),
                        _start_fields(rt4, poincare_eigenvector(rt4), opts),
                        opts.max_iter, opts.tol)
         conv = np.isin(run.status, ["gradient", "stalled"])
@@ -245,7 +245,7 @@ class TestLogCaseConstants:
         table = bl.constants_report(chain, [1.5],
                                     opts=OptimizerOptions(starts=8))
         est = table.estimates[-2]
-        num, den = _Quotient(chain, "beckner", 1.0 + 1e-4).parts(
+        num, den = _Quotient(chain, [("beckner", 1.0 + 1e-4)]).parts(
             est.minimizer.values[None, :])
         value = est.convergence["alpha_to_one_value"]
         assert value == num[0] / den[0]
@@ -259,7 +259,7 @@ class TestLogCaseConstants:
         # the alpha -> 1 reading's entropy can vanish: it reads nan there
         # and the report still completes
         chain = bl.build_birth_death([1, 0], [0, 1])
-        quot = _Quotient(chain, "beckner", 1.0 + 1e-4)
+        quot = _Quotient(chain, [("beckner", 1.0 + 1e-4)])
         flat = 0
         for seed in range(20):
             table = bl.constants_report(chain, [1.5],
@@ -432,7 +432,15 @@ SHORT_MAX_ITER = 8
 
 
 @pytest.fixture(scope="module")
-def lockstep(zr33, rt4):
+def fv16():
+    """The finite-volume chain of V = 2 x^2 on 16 cells: stiff line
+    searches, with many rejected trials."""
+    return bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2, 16,
+                                     4.0)
+
+
+@pytest.fixture(scope="module")
+def lockstep(zr33, rt4, fv16):
     """(quotient, starts, 32-start lockstep descent) per chain, case and
     iteration limit."""
     cache = {}
@@ -440,8 +448,8 @@ def lockstep(zr33, rt4):
     def get(chain_name, kind, alpha, max_iter=400):
         key = (chain_name, kind, alpha, max_iter)
         if key not in cache:
-            chain = {"zr33": zr33, "rt4": rt4}[chain_name]
-            quot = _Quotient(chain, kind, alpha)
+            chain = {"zr33": zr33, "rt4": rt4, "fv16": fv16}[chain_name]
+            quot = _Quotient(chain, [(kind, alpha)])
             starts = _start_fields(chain, poincare_eigenvector(chain),
                                    OptimizerOptions())
             cache[key] = quot, starts, _descend(quot, starts, max_iter, 1e-8)
@@ -535,7 +543,7 @@ class TestFixedDensityEvaluator:
             positive = den > 0.0
             assert positive.any() and not positive.all()
             for i, (kind, alpha) in enumerate(MIXED_SPECS):
-                quot = _Quotient(chain, kind, alpha)
+                quot = _Quotient(chain, [(kind, alpha)])
                 for j, rho in enumerate(R):
                     one = quot.parts(rho[None, :])
                     assert np.array_equal(one, (num[i, j:j + 1],
@@ -602,7 +610,7 @@ class TestOneEntropyPath:
         for chain in (rt4, bd8):
             R = np.array([bl.random_density(chain, rng, (0.1, 1.0, 3.0)[k % 3])
                           .values for k in range(12)])
-            den = _Quotient(chain, kind, alpha).parts(R)[1]
+            den = _Quotient(chain, [(kind, alpha)]).parts(R)[1]
             assert np.array_equal(den, bl.entropy(chain, e, R))
 
 
@@ -618,7 +626,7 @@ class TestLockstepDescent:
     """Every start of a stacked descent gets the bits it gets alone, or
     when its block retires it, the bits of its run alone cut there."""
 
-    @pytest.mark.parametrize("chain_name", ["zr33", "rt4"])
+    @pytest.mark.parametrize("chain_name", ["zr33", "rt4", "fv16"])
     @pytest.mark.parametrize("kind,alpha", LOCKSTEP_CASES)
     def test_rows_equal_single_start_runs(self, lockstep, chain_name, kind,
                                           alpha):
@@ -662,7 +670,7 @@ class TestLockstepDescent:
                                                   alpha):
         rng = np.random.default_rng(3)
         for chain in (zr33, rt4):
-            quot = _Quotient(chain, kind, alpha)
+            quot = _Quotient(chain, [(kind, alpha)])
             U = rng.standard_normal((32, chain.n_states)) * \
                 np.repeat([0.1, 1.0, 3.0, 10.0], 8)[:, None]
             val, rho, G = quot.evaluate(U)
@@ -691,7 +699,7 @@ class TestLockstepDescent:
             assert np.array_equal(sub[2], G[mask])
             for k in range(48):
                 kind, alpha = MIXED_SPECS[k // 8]
-                one_quot = _Quotient(chain, kind, alpha)
+                one_quot = _Quotient(chain, [(kind, alpha)])
                 one = one_quot.evaluate(U[k:k + 1])
                 assert one[0][0] == val[k], k
                 assert np.array_equal(one[2][0], G[k]), k
@@ -717,7 +725,7 @@ class TestLockstepDescent:
             assert np.array_equal(num / den, val, equal_nan=True)
             for j, k in enumerate(ids):
                 kind, alpha = MIXED_SPECS[k // 8]
-                one_quot = _Quotient(chain, kind, alpha)
+                one_quot = _Quotient(chain, [(kind, alpha)])
                 with np.errstate(all="ignore"):
                     one = one_quot.evaluate(U[j:j + 1])
                     parts = one_quot.parts(rho[j:j + 1])
@@ -764,7 +772,7 @@ class TestLockstepDescent:
     def test_lsi_gradient_finite_at_tiny_density(self, zr33):
         # sqrt(rho) - 1 rounds to -1 below rho ~ 1e-32, so the gradient
         # must divide by sqrt(rho) itself
-        quot = _Quotient(zr33, "lsi", None)
+        quot = _Quotient(zr33, [("lsi", None)])
         U = np.zeros((1, zr33.n_states))
         U[0, 0] = np.log(1e-34)
         val, rho, G = quot.evaluate(U)
@@ -778,7 +786,7 @@ class TestDominatedStarts:
     run to their own end put it."""
 
     def test_retirement_keeps_the_estimate(self, zr33, bl52, rt3, rt4, bd12,
-                                           monkeypatch):
+                                           fv16, monkeypatch):
         specs = [("beckner", 1.1), ("beckner", 1.5), ("beckner", 2.0),
                  ("mlsi", None), ("lsi", None)]
         opts = OptimizerOptions(starts=8)
@@ -789,8 +797,6 @@ class TestDominatedStarts:
             return runs[-1]
 
         monkeypatch.setattr(constants, "_descend", recorded)
-        fv16 = bl.build_fokker_planck_fv(lambda x: 2.0 * np.asarray(x) ** 2,
-                                         16, 4.0)
         for chain in (zr33, bl52, rt3, rt4, bd12, fv16,
                       bl.build_birth_death([1, 0], [0, 3]),
                       bl.build_birth_death([1, 0], [0, 1])):
@@ -800,7 +806,7 @@ class TestDominatedStarts:
             for est, (kind, alpha) in zip(_estimate(chain, specs, opts)[0],
                                           specs):
                 # no start retired: each start run alone, and the rays
-                quot = _Quotient(chain, kind, alpha)
+                quot = _Quotient(chain, [(kind, alpha)])
                 ends = [descend(quot, u[None], opts.max_iter, opts.tol)
                         .value[0] for u in starts]
                 ref = np.nanmin(ends + list(quotient_value(chain, kind, alpha,

@@ -139,6 +139,24 @@ def decimal_theta(a, s, t, partial=False, digits=60):
                      else theta)
 
 
+def decimal_theta_partial(a, s, t, digits=80):
+    """d theta/ds = (1 - theta phi''(s))/(phi'(s) - phi'(t)) in
+    ``digits``-digit decimal, with phi'(s) - phi'(t) taken whole as
+    (a/c)(s^c - t^c), c = a - 1 (log s - log t at a = 1), and x^c as
+    exp(c log x): no 1 is subtracted, so two tiny arguments keep their
+    digits."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+        a, s, t = Decimal(a), Decimal(s), Decimal(t)
+        c = a - 1
+        if c == 0:
+            dphi, d2 = s.ln() - t.ln(), 1 / s
+        else:
+            sc = (c * s.ln()).exp()
+            dphi, d2 = a * (sc - (c * t.ln()).exp()) / c, a * sc / s
+        return float((1 - (s - t) / dphi * d2) / dphi)
+
+
 def entropy_of_order(a):
     """The entropy of order a by its named constructor: ``log_entropy()``
     at a = 1, else ``power_entropy(a)``."""
@@ -419,12 +437,35 @@ class TestThetaOracle:
         rel = np.abs(d1 - want) / np.abs(want)
         assert rel.max() <= tol, (s[np.argmax(rel)], t[np.argmax(rel)])
 
+    # ratios 10^k, 0 < |k| <= 300, from 1 and from the bottom of the
+    # range, and the pair (1e-300, 1e300); the worst error, 1.3e-13 at
+    # alpha = 1.99, (1, 1e234), is exp's at an argument near -528
+    @pytest.mark.parametrize("a", [1.0, 1.001, 1.01, 1.1, 1.5, 1.9, 1.99])
+    def test_partials_far_from_the_diagonal(self, a):
+        k = np.arange(1.0, 301.0)
+        s = np.concatenate([np.ones(600), np.full(301, 1e-300)])
+        t = np.concatenate([10.0 ** k, 10.0 ** -k, 10.0 ** (k - 300.0),
+                            [1e300]])
+        got = entropy_of_order(a).theta_partials(s, t)
+        for d, (x, y) in zip(got, ((s, t), (t, s))):
+            want = np.array([decimal_theta_partial(a, p, q)
+                             for p, q in zip(x, y)])
+            over = want == np.inf           # the true value overflows
+            assert np.array_equal(d == np.inf, over)
+            assert np.all(want[~over] > 0.0)
+            rel = np.abs(d[~over] - want[~over]) / want[~over]
+            assert rel.max() <= 2e-13, (x[~over][np.argmax(rel)],
+                                        y[~over][np.argmax(rel)])
+        assert np.array_equal(got[1],
+                              entropy_of_order(a).theta_partials(t, s)[0])
+
 
 class TestThetaPartials:
     def test_quadratic_is_constant(self):
         e = bl.power_entropy(2.0)
-        d1, d2 = e.theta_partials(5.0, 0.3)
-        assert d1 == 0.0 and d2 == 0.0
+        for s, t in ((5.0, 0.3), (1e-300, 1e300), (1e-320, 2e-320)):
+            d1, d2 = e.theta_partials(s, t)
+            assert d1 == 0.0 and d2 == 0.0, (s, t)
 
     def test_finite_difference_oracle(self):
         e = bl.power_entropy(1.5)

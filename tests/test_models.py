@@ -104,6 +104,18 @@ class TestZeroRange:
         with pytest.raises(SizeError):
             bl.build_zero_range(30, 30, bl.linear_rate_table(30, 30))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rates_rejected(self, bad):
+        # a NaN or infinite rate would surface as a non-finite invariant
+        # measure, or as a nonzero rate at occupancy 0
+        with pytest.raises(bl.ConfigError,
+                           match="coefficient c must be finite"):
+            bl.linear_rate_table(3, 3, bad)
+        for row in ([0.0, 1.0, bad, 3.0], [bad, 1.0, 2.0, 3.0]):
+            with pytest.raises(DomainError, match="site rates c_x must be "
+                                                  "finite"):
+                bl.build_zero_range(3, 3, row)
+
 
 class TestBernoulliLaplace:
     def test_two_sites(self):
@@ -124,6 +136,13 @@ class TestBernoulliLaplace:
         pi = np.real(v[:, k])
         pi = pi / pi.sum()
         assert np.max(np.abs(pi - chain.pi)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_intensities_rejected(self, bad):
+        for lam in (bad, [1.0, bad, 1.0, 1.0]):
+            with pytest.raises(DomainError, match="intensities lambda_x must "
+                                                  "be finite"):
+                bl.build_bernoulli_laplace(4, 2, lam)
 
     def test_overfilled_rejected(self):
         # N = L leaves a single configuration, on which every check is
