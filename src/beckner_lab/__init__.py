@@ -15,9 +15,9 @@ from .chain import (Density, FiniteChain, chain_from_json, chain_to_json,
                     random_density)
 from .constants import (ConstantEstimate, OptimizerOptions, constants_report,
                         spectral_gap)
-from .dynamics import (DecayFit, DecayReport, Trajectory,
-                       derivative_identity_check, dirichlet_decay_check,
-                       evolve, evolve_rk4, fit_decay_rate, run_decay)
+from .dynamics import (DecayReport, Trajectory, derivative_identity_check,
+                       dirichlet_decay_check, evolve, evolve_rk4,
+                       fit_decay_rate, run_decay)
 from .entropy import (ConvexEntropy, big_theta, big_theta_lower_bound,
                       log_entropy, power_entropy, theta_surface,
                       verify_concavity, verify_theta_identities)

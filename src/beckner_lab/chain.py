@@ -85,16 +85,15 @@ class FiniteChain:
         if self.inverse.shape != (G,) or np.any(self.inverse < 0) \
                 or np.any(self.inverse >= G):
             raise DomainError("inverse table must list one move per move")
-        # inverse consistency wherever the rate is positive
-        for g in range(G):
-            ginv = self.inverse[g]
-            active = self.rates[:, g] > 0.0
-            back = self.targets[ginv][self.targets[g][active]]
-            if not np.array_equal(back, np.flatnonzero(active)):
-                bad = np.flatnonzero(active)[back != np.flatnonzero(active)][0]
-                raise DomainError(
-                    f"inverse of move {self.move_names[g]!r} fails at state "
-                    f"{self.keys[bad]!r}")
+        # inverse consistency wherever the rate is positive; the witness is
+        # the first failure in move-then-state order
+        bad = np.argwhere((self.targets[self.inverse[:, None], self.targets]
+                           != np.arange(S)) & (self.rates.T > 0.0))
+        if len(bad):
+            g, i = bad[0]
+            raise DomainError(
+                f"inverse of move {self.move_names[g]!r} fails at state "
+                f"{self.keys[i]!r}")
         # detailed balance pi(eta) c(eta, g) = pi(g eta) c(g eta, g^{-1}) to
         # 1e-10 of the largest flow; a zero-rate move that fixes its state
         # carries no constraint

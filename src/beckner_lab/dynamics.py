@@ -151,13 +151,7 @@ def derivative_identity_check(chain: FiniteChain, e: ConvexEntropy,
     return report
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    rate: float                      # infimum of the instantaneous rate
-    diagnostics: dict
-
-
-def fit_decay_rate(traj: Trajectory) -> DecayFit:
+def fit_decay_rate(traj: Trajectory) -> float:
     """Infimum of -(d/dt) log Ent by central differences.
 
     Entropy samples below 1e-14 (converged to equilibrium) are excluded;
@@ -166,31 +160,20 @@ def fit_decay_rate(traj: Trajectory) -> DecayFit:
     equilibrium has nothing to fit and returns an infinite rate (every
     decay bound holds vacuously).
     """
-    t = traj.times
     ent = traj.entropy_values
     if np.all(ent <= ENTROPY_FLOOR):
-        return DecayFit(rate=math.inf,
-                        diagnostics={"degenerate": True, "n_points": 0,
-                                     "window_used": (float(t[0]), float(t[0])),
-                                     "argmin_time": float(t[0])})
+        return math.inf
     # the longest contiguous run, for the differencing
     idx = np.flatnonzero(ent > ENTROPY_FLOOR)
     idx = max(np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1), key=len)
     if len(idx) < 3:
         raise DomainError("window holds fewer than 3 contiguous samples "
                           "above the entropy floor")
-    tt = t[idx]
-    inst = traj.instantaneous_rate()[idx[1:-1]]
-    k = int(np.argmin(inst))
-    return DecayFit(
-        rate=float(np.min(inst)),
-        diagnostics={"n_points": int(len(idx)),
-                     "window_used": (float(tt[0]), float(tt[-1])),
-                     "argmin_time": float(tt[k + 1])})
+    return float(np.min(traj.instantaneous_rate()[idx[1:-1]]))
 
 
 def dirichlet_decay_check(traj: Trajectory,
-                          lambda_paper: float) -> VerificationReport:
+                          lambda_paper: float) -> CheckReport:
     """Pairwise production decay along the trajectory:
 
         E(phi'(rho_t), rho_t) <= exp(-lambda (t - s)) E(phi'(rho_s), rho_s)
@@ -198,7 +181,7 @@ def dirichlet_decay_check(traj: Trajectory,
     for every sampled s < t, with slack 1e-9 x scale.  All pairs are
     evaluated as one masked (T, T) array, in blocks of whole rows s when
     T^2 exceeds ``_PAIR_BLOCK``; the witness is the first worst pair in
-    (s, t) order.
+    (s, t) order, kept only on a failure.
     """
     tol = 1e-9
     dval = traj.dirichlet_values
@@ -220,11 +203,8 @@ def dirichlet_decay_check(traj: Trajectory,
             worst = float(gap.flat[k])
             witness = {"s": float(t[s0 + k // T]), "t": float(t[k % T])}
     passed = worst <= tol * scale
-    report = VerificationReport()
-    report.add(CheckReport("dirichlet_exponential_decay", passed,
-                           worst / scale, tol,
-                           witness=None if passed else witness))
-    return report
+    return CheckReport("dirichlet_exponential_decay", passed, worst / scale,
+                       tol, witness=None if passed else witness)
 
 
 def entropy_bound_check(traj: Trajectory, rate: float) -> CheckReport:
@@ -246,10 +226,10 @@ def entropy_bound_check(traj: Trajectory, rate: float) -> CheckReport:
 class DecayReport:
     """Full decay experiment: trajectory, fitted rate, bound, verdict."""
     trajectory: Trajectory
-    fit: DecayFit
+    rate: float                     # fit_decay_rate of the trajectory
     lambda_paper: float
     entropy_bound: CheckReport
-    dirichlet_bound: VerificationReport
+    dirichlet_bound: CheckReport
     certified: bool
 
 
@@ -271,10 +251,10 @@ def run_decay(chain: FiniteChain, e: ConvexEntropy, rho0: Density,
         t_end = 5.0 / max(lambda_paper, 1e-6)
     times = np.linspace(0.0, t_end, n_points)
     traj = evolve(chain, e, rho0, times)
-    fit = fit_decay_rate(traj)
+    rate = fit_decay_rate(traj)
     ent_check = entropy_bound_check(traj, lambda_paper)
     dir_check = dirichlet_decay_check(traj, lambda_paper)
-    certified = (fit.rate >= lambda_paper - tol and ent_check.passed
+    certified = (rate >= lambda_paper - tol and ent_check.passed
                  and dir_check.passed)
-    return DecayReport(traj, fit, lambda_paper, ent_check, dir_check,
+    return DecayReport(traj, rate, lambda_paper, ent_check, dir_check,
                        certified)

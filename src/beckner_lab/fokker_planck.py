@@ -199,15 +199,15 @@ def run_fv_experiment(spec: ModelSpec, alphas, rho0: Density | None = None,
         e = power_entropy(alpha)
         times = np.linspace(0.0, math.log(1e6) / rate, 41)
         traj = evolve(chain, e, rho0, times)
-        fit = fit_decay_rate(traj)
+        fitted = fit_decay_rate(traj)
 
         checks = VerificationReport()
         ent_check = entropy_bound_check(traj, rate)
         checks.add(ent_check)
-        rate_ok = bool(fit.rate >= rate - 1e-6)
+        rate_ok = bool(fitted >= rate - 1e-6)
         checks.add(CheckReport("fitted_rate_vs_mesh_bound", rate_ok,
-                               float(max(0.0, rate - fit.rate)), 1e-6,
-                               witness={"fitted": fit.rate, "bound": rate}))
+                               float(max(0.0, rate - fitted)), 1e-6,
+                               witness={"fitted": fitted, "bound": rate}))
 
         # evolve keeps Ent and E(phi'(rho), rho) = P/2 of each density
         lhs, rhs = _power_sides(chain, alpha, lh, traj.entropy_values,
@@ -222,10 +222,10 @@ def run_fv_experiment(spec: ModelSpec, alphas, rho0: Density | None = None,
 
         # production decay is certified only at the per-cell rate
         dir_check = dirichlet_decay_check(traj, alpha * lh)
-        for c in fv_condition_check(chain, alpha).checks + dir_check.checks:
+        for c in fv_condition_check(chain, alpha).checks + [dir_check]:
             checks.add(c)
-        decay = DecayReport(traj, fit, rate, ent_check, dir_check,
-                            rate_ok and ent_check.passed)
+        decay = DecayReport(traj, fitted, rate, ent_check, dir_check,
+                            rate_ok and ent_check.passed and dir_check.passed)
         experiments.append(FVExperiment(m["n_cells"], m["h"], alpha, chain,
                                         lh, decay, checks))
     return experiments

@@ -195,6 +195,17 @@ class TestReversibility:
             bl.FiniteChain([0, 1], ["swap"], [[1, 0]], inverse,
                            [[1.0], [1.0]], [0.5, 0.5])
 
+    def test_inverse_witness_is_first_by_move_then_state(self):
+        # on the 3-cycle each move is declared its own inverse; move 'a'
+        # has rate 0 at state 0, so the first failure by move is ('a', 1)
+        # and the first by state would be (0, 'b')
+        cycle = [[1, 2, 0], [2, 0, 1]]
+        rates = [[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(DomainError,
+                           match=r"^inverse of move 'a' fails at state 1$"):
+            bl.FiniteChain([0, 1, 2], ["a", "b"], cycle, [0, 1], rates,
+                           [1 / 3, 1 / 3, 1 / 3])
+
     def test_pointwise_balance_agrees_with_random_f(self, chains, bd8):
         # the construction check and the randomized identity agree: every
         # built chain passes both, the perturbed rates fail both

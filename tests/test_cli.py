@@ -564,6 +564,42 @@ class TestCommands:
         assert "tol must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "effective_config.json").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"command": "decay", "cells": [8, 16]},
+        {"command": "decay", "grid": "0:2:0.5"},
+        {"command": "decay", "starts": 4},
+        {"command": "theta-surface",
+         "model": {"model": "random_transposition", "n": 3}},
+        {"command": "theta-surface", "dump_densities": True},
+        {"command": "theta-surface", "tol": 1e-8},
+        ["fokker-planck", "--model", "fokker_planck_fv", "--cells", "8",
+         "16", "--tol", "1e-300"],
+        ["export-chain", "--model", "birth_death", "--K", "4", "--tol", "5"],
+    ], ids=["decay-cells", "decay-grid", "decay-starts", "surface-model",
+            "surface-dump", "surface-tol", "fokker-planck-tol",
+            "export-chain-tol"])
+    def test_a_key_of_another_command_exit_code(self, tmp_path, capsys, doc):
+        # a command takes only the keys it reads, and refuses the others
+        # before it writes anything
+        if isinstance(doc, dict):
+            if doc["command"] == "decay":
+                doc["model"] = {"model": "random_transposition", "n": 3}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            argv = [doc["command"], "--config", str(bad)]
+        else:
+            argv = doc
+        out = tmp_path / "out"
+        try:
+            status = main(argv + ["--out", str(out)])
+        except SystemExit as exc:           # argparse exits by itself
+            status = exc.code
+        assert status == 2
+        err = capsys.readouterr().err
+        assert ("unknown key" in err if isinstance(doc, dict)
+                else "unrecognized arguments: --tol" in err), err
+        assert not out.exists()
+
     def test_starts_over_the_stack_cap_fail_before_any_draw(
             self, tmp_path, capsys, monkeypatch):
         from beckner_lab import constants

@@ -121,28 +121,9 @@ def decimal_big_theta(a, A, B, digits=40):
 def decimal_theta(a, s, t, partial=False, digits=60):
     """Independent oracle: theta(s, t) = (s - t)/(phi'(s) - phi'(t)), or
     with ``partial`` d theta/ds = (1 - theta phi''(s))/(phi'(s) - phi'(t)),
-    in ``digits``-digit decimal arithmetic from phi' = log (a = 1) or
-    a (s^{a-1} - 1)/(a - 1); the exponent range is unbounded."""
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
-        a, s, t, one = Decimal(a), Decimal(s), Decimal(t), Decimal(1)
-        if a == one:
-            d1, d2 = Decimal.ln, lambda x: one / x
-        else:
-            d1 = lambda x: a * (x ** (a - one) - one) / (a - one)
-            d2 = lambda x: a * x ** (a - 2)
-        if s == t:
-            return float((2 - a) / (2 * d2(s) * s) if partial
-                         else one / d2(s))
-        theta = (s - t) / (d1(s) - d1(t))
-        return float((one - theta * d2(s)) / (d1(s) - d1(t)) if partial
-                     else theta)
-
-
-def decimal_theta_partial(a, s, t, digits=80):
-    """d theta/ds = (1 - theta phi''(s))/(phi'(s) - phi'(t)) in
-    ``digits``-digit decimal, with phi'(s) - phi'(t) taken whole as
-    (a/c)(s^c - t^c), c = a - 1 (log s - log t at a = 1), and x^c as
+    in ``digits``-digit decimal arithmetic; the exponent range is
+    unbounded.  phi'(s) - phi'(t) is taken whole, as log s - log t at
+    a = 1 and as (a/c)(s^c - t^c), c = a - 1, else, with x^c as
     exp(c log x): no 1 is subtracted, so two tiny arguments keep their
     digits."""
     with localcontext() as ctx:
@@ -154,7 +135,10 @@ def decimal_theta_partial(a, s, t, digits=80):
         else:
             sc = (c * s.ln()).exp()
             dphi, d2 = a * (sc - (c * t.ln()).exp()) / c, a * sc / s
-        return float((1 - (s - t) / dphi * d2) / dphi)
+        if s == t:
+            return float((2 - a) / (2 * d2 * s) if partial else 1 / d2)
+        theta = (s - t) / dphi
+        return float((1 - theta * d2) / dphi if partial else theta)
 
 
 def entropy_of_order(a):
@@ -389,17 +373,18 @@ class TestTheta:
 
 def theta_pairs(max_exp):
     """(s, t) pairs in both orders: ratios 10^k, |k| <= max_exp, the
-    near-diagonal ratios 1 +- 1e-13 ... 1e-3 at three scales, and pairs
-    so far apart that log1p of the quotient of the smaller over the larger
-    loses its digits."""
+    near-diagonal ratios 1 +- 1e-13 ... 1e-3 at three scales, pairs so
+    far apart that log1p of the quotient of the smaller over the larger
+    loses its digits, and two pairs of tiny arguments, whose phi' values
+    agree in their leading digits."""
     s = [10.0 ** k for k in range(-max_exp, max_exp + 1, 10)]
     t = [1.0] * len(s)
     for x in (0.3, 1.0, 7e5):
         for d in 10.0 ** -np.arange(3, 14):
             s += [x * (1.0 + d), x * (1.0 - d)]
             t += [x, x]
-    s += [1e-17, 1.87e8, 4.68e8, 2.5]
-    t += [1.0, 9.85e-18, 2.59e-8, 2.5]
+    s += [1e-17, 1.87e8, 4.68e8, 2.5, 1e-159, 1e-89]
+    t += [1.0, 9.85e-18, 2.59e-8, 2.5, 1e-300, 1e-300]
     if max_exp >= 300:
         s += [1e300, 1.0]
         t += [1e-300, 5e-324]
@@ -448,7 +433,8 @@ class TestThetaOracle:
                             [1e300]])
         got = entropy_of_order(a).theta_partials(s, t)
         for d, (x, y) in zip(got, ((s, t), (t, s))):
-            want = np.array([decimal_theta_partial(a, p, q)
+            want = np.array([decimal_theta(a, p, q, partial=True,
+                                           digits=80)
                              for p, q in zip(x, y)])
             over = want == np.inf           # the true value overflows
             assert np.array_equal(d == np.inf, over)

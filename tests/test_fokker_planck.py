@@ -56,7 +56,7 @@ class TestRunExperiment:
     def test_quadratic_potential_pipeline(self):
         exp, = bl.run_fv_experiment(fv_spec(32), [1.5], seed=5)
         assert exp.checks.passed, [c.name for c in exp.checks.failures()]
-        assert exp.decay.fit.rate >= 2.0 * 1.5 * exp.lambda_h - 1e-6
+        assert exp.decay.rate >= 2.0 * 1.5 * exp.lambda_h - 1e-6
         assert 0.0 < exp.lambda_h < 4.0
 
     def test_inequality_reuses_the_trajectory_functionals(self, monkeypatch):
@@ -86,7 +86,24 @@ class TestRunExperiment:
         check, = [c for c in exp.checks.checks
                   if c.name == "dirichlet_exponential_decay"]
         assert check.passed
-        assert exp.decay.dirichlet_bound.checks == [check]
+        assert exp.decay.dirichlet_bound == check
+
+    def test_certified_needs_all_three_checks(self, monkeypatch):
+        # certified is run_decay's rule: the fitted rate at the bound, the
+        # entropy bound and the production decay at alpha lambda_h
+        def verdicts():
+            decay, = (e.decay for e in
+                      bl.run_fv_experiment(fv_spec(16), [1.5], seed=3))
+            return (decay.certified,
+                    decay.rate >= decay.lambda_paper - 1e-6,
+                    decay.entropy_bound.passed, decay.dirichlet_bound.passed)
+
+        assert verdicts() == (True, True, True, True)
+        # production decay at ten times the per-cell rate fails alone
+        check = bl.dirichlet_decay_check
+        monkeypatch.setattr(bl.fokker_planck, "dirichlet_decay_check",
+                            lambda traj, lam: check(traj, 10.0 * lam))
+        assert verdicts() == (False, True, True, False)
 
     def test_one_mesh_serves_every_alpha(self, monkeypatch):
         # the mesh, its eigendecomposition and rho0 are built once; each
@@ -107,7 +124,7 @@ class TestRunExperiment:
         for exp in both:
             alone, = bl.run_fv_experiment(fv_spec(16), [exp.alpha], seed=4)
             assert exp.checks.to_dict() == alone.checks.to_dict()
-            assert exp.decay.fit.rate == alone.decay.fit.rate
+            assert exp.decay.rate == alone.decay.rate
             assert exp.decay.lambda_paper == alone.decay.lambda_paper
             assert np.array_equal(exp.decay.trajectory.densities,
                                   alone.decay.trajectory.densities)
@@ -220,7 +237,7 @@ class TestRefinementStudy:
         assert study.ratio_ok
         assert len(study.gap_ratios) == 2
         for exp, in study.experiments.values():
-            assert exp.decay.fit.rate >= 2.0 * exp.alpha * exp.lambda_h - 1e-6
+            assert exp.decay.rate >= 2.0 * exp.alpha * exp.lambda_h - 1e-6
 
     def test_keeps_each_mesh_experiment(self):
         study = bl.mesh_refinement_study(QUAD, 4.0, [8, 16], [1.5, 2.0],
@@ -234,7 +251,7 @@ class TestRefinementStudy:
                 assert exp.decay.lambda_paper == 2.0 * exp.alpha * exp.lambda_h
                 alone, = bl.run_fv_experiment(fv_spec(n), [exp.alpha],
                                               seed=2)
-                assert exp.decay.fit.rate == alone.decay.fit.rate
+                assert exp.decay.rate == alone.decay.rate
                 assert exp.checks.to_dict() == alone.checks.to_dict()
 
     def test_monotone_cells_required(self):

@@ -10,7 +10,7 @@ import beckner_lab as bl
 # is a deliberate change of the public surface
 EXPORTED = [
     "BecknerLabError", "BochnerStructure", "CapabilityError", "ConfigError",
-    "ConstantEstimate", "ConvexEntropy", "DecayFit", "DecayReport",
+    "ConstantEstimate", "ConvexEntropy", "DecayReport",
     "DegeneracyError", "Density", "DomainError", "FVExperiment",
     "FiniteChain", "HypothesisError", "ModelSpec",
     "NumericalError", "OptimizerOptions", "PaperConstant", "RefinementTable",
